@@ -6,6 +6,23 @@ collide with the test tree's conftest modules in ``sys.modules``.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
+#: Untracked directory the perf benchmarks write their results into.  The
+#: tracked ``BENCH_*.json`` files at the repository root are reference
+#: numbers, updated only deliberately (by copying a result from here), so a
+#: test run never rewrites them.
+RESULTS_DIR = Path(__file__).resolve().parent.parent / ".benchmarks"
+
+
+def write_result(filename: str, results: dict) -> Path:
+    """Write *results* as ``RESULTS_DIR/filename`` and return the path."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / filename
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    return path
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run *fn* exactly once under pytest-benchmark and return its result."""

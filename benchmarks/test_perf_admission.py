@@ -7,7 +7,7 @@ overhead to a bounded multiple of the indexed structural cold path on a
 fig09 subgrid, so a regression in the preview plumbing (an accidental
 O(program) pass per decision, say) fails loudly instead of silently making
 ``--admission success`` unusable.  Results are written to
-``BENCH_admission.json`` at the repo root.
+``.benchmarks/BENCH_admission.json`` (untracked).
 
 The subgrid covers the two compute-heavy strategies whose schedules the
 policy actually reshapes (ColorDynamic and Baseline U) on the 16/25-qubit
@@ -17,11 +17,9 @@ per cycle, i.e. the worst case for the beam.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-from benchlib import run_once
+from benchlib import run_once, write_result
 
 from repro.analysis import format_table
 from repro.service.compile_service import build_device_for, make_compiler
@@ -42,7 +40,6 @@ REPEATS = 3
 BENCHES = ["xeb(16,5)", "xeb(16,10)", "xeb(25,5)", "xeb(25,10)"]
 STRATEGIES = ["ColorDynamic", "Baseline U"]
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_admission.json"
 
 
 def _time_grid(admission: str, repeats: int) -> float:
@@ -103,7 +100,7 @@ def test_perf_admission(benchmark):
         f"bound <= {ADMISSION_OVERHEAD_BOUND:.0f}x"
     )
 
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_result("BENCH_admission.json", results)
 
     assert results["overhead_ratio"] <= ADMISSION_OVERHEAD_BOUND, (
         f"success admission costs {results['overhead_ratio']:.1f}x the "

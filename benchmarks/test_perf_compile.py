@@ -1,7 +1,7 @@
 """Perf tracking: the cold compile path and the compile cache on the Fig. 9 grid.
 
-Two regressions are guarded, both written into ``BENCH_compile.json`` at the
-repo root so the performance trajectory is tracked from PR to PR:
+Two regressions are guarded, both written into the untracked
+``.benchmarks/BENCH_compile.json``:
 
 * **Cold path (PR 3).**  Every point of the fig09 compile grid is compiled
   directly — prebuilt compilers, fresh devices per repeat so the device-held
@@ -20,13 +20,11 @@ repo root so the performance trajectory is tracked from PR to PR:
 from __future__ import annotations
 
 import gc
-import json
 import shutil
 import tempfile
 import time
-from pathlib import Path
 
-from benchlib import run_once
+from benchlib import run_once, write_result
 
 from repro.analysis import figure_compile_jobs, format_table
 from repro.service import CompileService, ProgramStore
@@ -43,7 +41,6 @@ COLD_REPEATS = 3
 # true floor on noisy (shared/CI) machines instead of flaking at the target.
 WARM_REPEATS = 5
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_compile.json"
 
 
 def _time_cold_path(jobs, indexed: bool, repeats: int):
@@ -219,7 +216,7 @@ def test_perf_compile(benchmark):
         f"target >= {WARM_SPEEDUP_TARGET:.0f}x)"
     )
 
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_result("BENCH_compile.json", results)
 
     warm = results["warm_stats"]
     assert warm["misses"] == 0, "cache-hot pass recompiled something"

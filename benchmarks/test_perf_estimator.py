@@ -2,17 +2,15 @@
 
 Times both estimator engines on every compiled Fig. 9 benchmark plus a
 36-qubit grid stress benchmark, asserts the vectorized engine's speedup
-target on the stress case, and writes ``BENCH_estimator.json`` at the repo
-root so the performance trajectory is tracked from PR to PR.
+target on the stress case, and writes the untracked
+``.benchmarks/BENCH_estimator.json``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-from benchlib import run_once
+from benchlib import run_once, write_result
 
 from repro.analysis import format_table
 from repro.analysis.experiments import _make_compiler, build_device_for
@@ -23,7 +21,6 @@ from repro.workloads import benchmark_circuit, fig09_benchmarks
 STRESS_BENCHMARK = "xeb(36,15)"
 SPEEDUP_TARGET = 5.0
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_estimator.json"
 
 
 def _time_engine(program, model, vectorized: bool, repeats: int) -> float:
@@ -91,7 +88,7 @@ def test_perf_estimator(benchmark):
         f"(target >= {SPEEDUP_TARGET:.0f}x)"
     )
 
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_result("BENCH_estimator.json", results)
 
     assert results["stress_speedup"] >= SPEEDUP_TARGET, (
         f"vectorized estimator only {results['stress_speedup']:.1f}x faster on "

@@ -14,8 +14,8 @@ analytic and deterministic instead:
   the tracked per-job cold compile cost from ``BENCH_compile.json``
   (measured fresh when the tracked file is absent).
 
-The result is written to ``BENCH_obs.json`` at the repo root so the overhead
-trajectory is tracked from PR to PR alongside the other ``BENCH_*`` files.
+The result is written to the untracked ``.benchmarks/BENCH_obs.json``,
+alongside the other perf results.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import time
 from pathlib import Path
 
-from benchlib import run_once
+from benchlib import run_once, write_result
 
 from repro import obs
 from repro.obs import get_tracer, span
@@ -41,7 +41,6 @@ STRATEGIES = ("ColorDynamic", "Baseline U")
 BENCH = "bv(16)"
 
 _ROOT = Path(__file__).resolve().parent.parent
-_RESULT_PATH = _ROOT / "BENCH_obs.json"
 _COMPILE_BENCH = _ROOT / "BENCH_compile.json"
 
 
@@ -124,7 +123,7 @@ def test_perf_obs_disabled_overhead(benchmark):
         f"(target <= {OVERHEAD_TARGET:.0%})"
     )
 
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_result("BENCH_obs.json", results)
 
     assert results["spans_per_job"] >= 4, "compile pipeline lost its spans"
     assert results["overhead_fraction"] <= OVERHEAD_TARGET, (

@@ -311,7 +311,7 @@ class Gate:
         # Interned at construction time; gate-spec lookups sit on the
         # scheduler's critical path (criticality weighting, two-qubit tests,
         # step durations), so the registry is consulted once per instance.
-        # Gates deserialized with ``validate=False`` intern lazily instead.
+        # Gates rebuilt from a program's columns intern lazily instead.
         cached = getattr(self, "_spec", None)
         if cached is None:
             cached = gate_spec(self.name)
@@ -377,26 +377,13 @@ class Gate:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: dict, validate: bool = True) -> "Gate":
-        """Inverse of :meth:`to_dict`.
-
-        ``validate=False`` skips ``__post_init__`` (registry lookup, arity
-        and parameter checks) for payloads produced by :meth:`to_dict` on an
-        already-validated gate — the program store deserializes tens of
-        thousands of gates per cache hit, and re-validating each one
-        dominates load time.
-        """
-        if validate:
-            return cls(
-                name=str(payload["name"]),
-                qubits=tuple(int(q) for q in payload["qubits"]),
-                params=tuple(float(p) for p in payload.get("params", ())),
-            )
-        gate = object.__new__(cls)
-        object.__setattr__(gate, "name", payload["name"])
-        object.__setattr__(gate, "qubits", tuple(payload["qubits"]))
-        object.__setattr__(gate, "params", tuple(payload.get("params", ())))
-        return gate
+    def from_dict(cls, payload: dict) -> "Gate":
+        """Inverse of :meth:`to_dict` (validated like the constructor)."""
+        return cls(
+            name=str(payload["name"]),
+            qubits=tuple(int(q) for q in payload["qubits"]),
+            params=tuple(float(p) for p in payload.get("params", ())),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.params:

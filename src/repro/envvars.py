@@ -112,7 +112,7 @@ ENV_VARS: Tuple[EnvVar, ...] = (
     ),
     EnvVar(
         name="REPRO_SKIP_PERF",
-        summary="1 skips the test_perf_* benchmarks (no BENCH_*.json rewrite)",
+        summary="1 skips the test_perf_* benchmarks",
         default="unset (benchmarks run)",
         overridden_by="(no flag; benchmark harness only)",
         commands=("*",),

@@ -21,11 +21,13 @@ is inherently global).
 **Bit-exactness contract.**  After any sequence of mutations, :meth:`report`
 is bit-identical to ``estimate_success(program, model, vectorized=True)`` on
 the program assembled from the current steps — for every strategy and every
-noise-model configuration.  This works because both paths share the same
-row kernels (:func:`~repro.noise.metrics._step_dense_row`,
-:func:`~repro.noise.metrics._step_spectator_reduction`,
+noise-model configuration.  This works because both paths build the same
+dense rows (:func:`~repro.noise.metrics._step_dense_row` here, the
+vectorized :func:`~repro.noise.metrics._program_arrays` over the program's
+columns there), share the same reduction kernels
+(:func:`~repro.noise.metrics._step_spectator_reduction`,
 :func:`~repro.noise.metrics._decoherence_from_dense`,
-:func:`~repro.noise.metrics._floor_fidelity_from_counts`) and every
+:func:`~repro.noise.metrics._floor_fidelity_from_counts`), and every
 reduction is evaluated with a fixed shape and order; the differential suite
 (``tests/differential/test_incremental_estimator.py``) locks the contract
 down over randomized mutation sequences.

@@ -19,8 +19,10 @@ exactly as the paper's heuristic does.
 
 Two evaluation engines implement the same model:
 
-* the **vectorized engine** (default, ``vectorized=True``) materialises the
-  program as dense NumPy arrays — a ``steps x qubits`` frequency matrix plus
+* the **vectorized engine** (default, ``vectorized=True``) builds dense
+  NumPy arrays straight from the program's columnar form
+  (:attr:`CompiledProgram.columns <repro.program.CompiledProgram.columns>`)
+  — a ``steps x qubits`` frequency matrix plus
   busy/parking-collision/residual-coupler masks — and evaluates every
   spectator channel of every step in a handful of array operations.  The
   device-level pair structure (indices, bare couplings, anharmonicities) is
@@ -185,8 +187,9 @@ class SpectatorGeometry:
 
     ``pairs`` is the scalar-path view (``(pair, bare coupling, distance)``
     per spectator channel pair); the ndarray attributes are the columnar view
-    the vectorized engine indexes with.  All arrays share length ``P`` (the
-    number of spectator pairs).
+    the vectorized engine indexes with.  All arrays but ``pair_lookup``
+    share length ``P`` (the number of spectator pairs); ``pair_lookup`` maps
+    a sorted qubit pair to its position in them.
     """
 
     pairs: List[Tuple[Coupling, float, int]]
@@ -196,7 +199,7 @@ class SpectatorGeometry:
     alpha_a: np.ndarray
     alpha_b: np.ndarray
     distance: np.ndarray
-    pair_index: Dict[Coupling, int]
+    pair_lookup: np.ndarray  # (Q, Q): index of the sorted pair (a, b), -1 if none
 
     @property
     def num_pairs(self) -> int:
@@ -274,6 +277,8 @@ def _build_geometry(device: Device, model: NoiseModel) -> SpectatorGeometry:
         [device.qubits[q].params.anharmonicity for q in range(device.num_qubits)],
         dtype=float,
     )
+    pair_lookup = np.full((device.num_qubits, device.num_qubits), -1, dtype=np.intp)
+    pair_lookup[index_a, index_b] = np.arange(len(pairs))
     return SpectatorGeometry(
         pairs=pairs,
         index_a=index_a,
@@ -282,7 +287,7 @@ def _build_geometry(device: Device, model: NoiseModel) -> SpectatorGeometry:
         alpha_a=anharmonicity[index_a] if pairs else np.zeros(0),
         alpha_b=anharmonicity[index_b] if pairs else np.zeros(0),
         distance=distance,
-        pair_index={p[0]: i for i, p in enumerate(pairs)},
+        pair_lookup=pair_lookup,
     )
 
 
@@ -412,14 +417,14 @@ def _gate_floor_errors(
     """Calibration-floor fidelity product over every gate in the program.
 
     Gates are aggregated by name (every instance of a gate carries the same
-    floor error, so the product collapses to a power per distinct gate).
-    Zero-duration single-qubit gates (virtual-Z frame updates) are charged no
-    error and counted separately from the physical pulses.
+    floor error, so the product collapses to a power per distinct gate),
+    counted by name id over the columnar form.  Zero-duration single-qubit
+    gates (virtual-Z frame updates) are charged no error and counted
+    separately from the physical pulses.
     """
-    counts: Dict[str, int] = {}
-    for step in program.steps:
-        for gate in step.gates:
-            counts[gate.name] = counts.get(gate.name, 0) + 1
+    columns = program.columns
+    tallies = np.bincount(columns.gate_names, minlength=len(columns.names)).tolist()
+    counts = {name: count for name, count in zip(columns.names, tallies) if count}
     return _floor_fidelity_from_counts(counts, model)
 
 
@@ -477,10 +482,10 @@ def _step_dense_row(
 ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Dense per-step row: ``(duration, frequencies, present, busy, interacting, inactive)``.
 
-    The single source of the step → arrays mapping: :func:`_program_arrays`
-    stacks these rows for the from-scratch engine, and the
-    :class:`IncrementalEstimator` maintains exactly one such row per step,
-    so a mutated step always reproduces the from-scratch row bit for bit.
+    The :class:`IncrementalEstimator` maintains exactly one such row per
+    step; :func:`_program_arrays` builds the same rows for a whole program
+    from its columns, so a mutated step always reproduces the from-scratch
+    row bit for bit.
     """
     num_pairs = geometry.num_pairs
     frequencies = np.full(num_qubits, np.nan)
@@ -488,7 +493,7 @@ def _step_dense_row(
     busy = np.zeros(num_qubits, dtype=bool)
     interacting = np.zeros(num_pairs, dtype=bool)
     inactive = np.zeros(num_pairs, dtype=bool)
-    pair_index = geometry.pair_index
+    lookup = geometry.pair_lookup
     for qubit, frequency in step.frequencies.items():
         frequencies[qubit] = frequency
         present[qubit] = True
@@ -496,14 +501,14 @@ def _step_dense_row(
         a, b = interaction.pair
         busy[a] = True
         busy[b] = True
-        index = pair_index.get(interaction.pair)
-        if index is not None:
+        index = lookup.item(a, b)
+        if index >= 0:
             interacting[index] = True
     if step.active_couplers is not None:
         inactive[:] = True
-        for pair in step.active_couplers:
-            index = pair_index.get(tuple(sorted(pair)))
-            if index is not None:
+        for a, b in step.active_couplers:
+            index = lookup.item(min(a, b), max(a, b))
+            if index >= 0:
                 inactive[index] = False
     return step.duration_ns, frequencies, present, busy, interacting, inactive
 
@@ -511,24 +516,41 @@ def _step_dense_row(
 def _program_arrays(
     program: CompiledProgram, geometry: SpectatorGeometry
 ) -> _ProgramArrays:
-    steps = program.steps
-    num_steps = len(steps)
-    num_qubits = program.device.num_qubits
+    """Dense arrays of a whole program, built from its columnar form.
+
+    Produces, row for row, exactly what :func:`_step_dense_row` yields for
+    each step (the incremental estimator's path) — the same frequencies,
+    NaN where absent, and the same masks — with a few fancy-indexed
+    assignments instead of a Python loop over steps.
+    """
+    columns = program.columns
+    num_steps = columns.num_steps
     num_pairs = geometry.num_pairs
-    durations = np.empty(num_steps)
-    frequencies = np.empty((num_steps, num_qubits))
-    present = np.empty((num_steps, num_qubits), dtype=bool)
-    busy = np.empty((num_steps, num_qubits), dtype=bool)
-    interacting = np.empty((num_steps, num_pairs), dtype=bool)
-    inactive = np.empty((num_steps, num_pairs), dtype=bool)
-    for s, step in enumerate(steps):
-        durations[s], frequencies[s], present[s], busy[s], interacting[s], inactive[s] = (
-            _step_dense_row(step, geometry, num_qubits)
-        )
+    lookup = geometry.pair_lookup
+
+    busy = np.zeros(columns.frequencies.shape, dtype=bool)
+    interacting = np.zeros((num_steps, num_pairs), dtype=bool)
+    steps = columns.interaction_steps()
+    pairs = columns.interaction_pairs
+    busy[steps, pairs[:, 0]] = True
+    busy[steps, pairs[:, 1]] = True
+    index = lookup[pairs[:, 0], pairs[:, 1]]
+    known = index >= 0
+    interacting[steps[known], index[known]] = True
+
+    inactive = np.zeros((num_steps, num_pairs), dtype=bool)
+    if columns.coupler_steps is not None:
+        inactive[columns.coupler_steps] = True
+        steps = columns.coupler_pair_steps()
+        pairs = columns.coupler_pairs
+        index = lookup[pairs.min(axis=1), pairs.max(axis=1)]
+        known = index >= 0
+        inactive[steps[known], index[known]] = False
+
     return _ProgramArrays(
-        durations=durations,
-        frequencies=frequencies,
-        present=present,
+        durations=columns.durations,
+        frequencies=columns.frequencies,
+        present=columns.presence(),
         busy=busy,
         interacting=interacting,
         inactive_coupler=inactive,
@@ -755,9 +777,15 @@ def estimate_success(
     """Estimate the worst-case success rate of a compiled program (Eq. (4)).
 
     ``vectorized=True`` (default) evaluates all steps through the dense NumPy
-    engine; ``vectorized=False`` runs the original scalar triple loop, kept
-    as the reference implementation.  Both agree to ~1e-12 on the full
-    benchmark suite (see ``tests/noise/test_vectorized_equivalence.py``).
+    engine, which reads the program's columnar form
+    (:attr:`~repro.program.CompiledProgram.columns`) — on a program decoded
+    from the store no :class:`~repro.program.TimeStep` is ever built.
+    ``vectorized=False`` runs the original scalar triple loop over
+    ``program.steps``, kept as the reference implementation.  Both agree to
+    ~1e-12 on the full benchmark suite (see
+    ``tests/noise/test_vectorized_equivalence.py``), and the vectorized
+    report is bit-identical between a freshly compiled program and its
+    decoded copy (``tests/differential/test_codec_round_trip.py``).
 
     Returns a :class:`SuccessReport` with the overall estimate and its
     crosstalk / decoherence / calibration-floor components.

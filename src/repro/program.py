@@ -11,20 +11,34 @@ sequence of :class:`TimeStep` objects.  Each time step records
 * which couplings are "active" (performing an intended two-qubit gate), and
 * for gmon-style hardware, which couplers are switched on.
 
-The noise models in :mod:`repro.noise` consume this structure directly, so
-the success-rate estimator is strategy-agnostic — exactly the role played by
-the heuristic of Eq. (4) in the paper.
+Internally a program also has one columnar form, :class:`ProgramColumns`:
+the same schedule as a handful of NumPy arrays (a steps x qubits frequency
+matrix, the step durations, per-step runs of gates, interactions and active
+couplers).  The Eq. (4) estimator in :mod:`repro.noise` reads the columns
+directly, so it is strategy-agnostic — exactly the role played by the
+heuristic of Eq. (4) in the paper — and the program codec stores them as
+raw little-endian buffers.
 """
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .circuits import Circuit, Gate
+from .circuits.gates import GATE_REGISTRY
 from .devices import Device
 
-__all__ = ["TimeStep", "CompiledProgram", "Interaction", "PROGRAM_CODEC_VERSION"]
+__all__ = [
+    "TimeStep",
+    "CompiledProgram",
+    "Interaction",
+    "ProgramColumns",
+    "PROGRAM_CODEC_VERSION",
+]
 
 Coupling = Tuple[int, int]
 
@@ -32,8 +46,27 @@ Coupling = Tuple[int, int]
 #: shape changes (or whenever compilation semantics change in a way that
 #: makes previously stored programs stale); the on-disk program store
 #: namespaces its entries by this version, so a bump silently invalidates
-#: every cached program.
-PROGRAM_CODEC_VERSION: int = 1
+#: every cached program.  Version 2 stores the schedule as the columnar
+#: block of :class:`ProgramColumns`.
+PROGRAM_CODEC_VERSION: int = 2
+
+#: Dtype of every raw buffer in the stored columnar block (all little-endian).
+_BUFFER_DTYPES: Dict[str, str] = {
+    "frequencies": "<f8",
+    "present": "|u1",
+    "durations": "<f8",
+    "gate_offsets": "<u4",
+    "gate_names": "<u2",
+    "gate_qubits": "<u2",
+    "gate_params": "<f8",
+    "interaction_offsets": "<u4",
+    "interaction_pairs": "<u2",
+    "interaction_names": "<u2",
+    "interaction_frequencies": "<f8",
+    "coupler_steps": "|u1",
+    "coupler_offsets": "<u4",
+    "coupler_pairs": "<u2",
+}
 
 
 def _freq_map_to_lists(frequencies: Mapping[int, float]) -> Dict[str, list]:
@@ -76,41 +109,15 @@ class Interaction:
         """Build an interaction from an already-sorted pair, skipping validation.
 
         The compilers' fast path creates one interaction per two-qubit gate
-        per step from couplings that are sorted by construction; this skips
-        the dataclass init and the ``__post_init__`` re-sort.
+        per step from couplings that are sorted by construction, and the
+        columnar decoder rebuilds stored (sorted) pairs; this skips the
+        dataclass init and the ``__post_init__`` re-sort.
         """
         interaction = object.__new__(Interaction)
-        object.__setattr__(interaction, "pair", pair)
-        object.__setattr__(interaction, "gate_name", gate_name)
-        object.__setattr__(interaction, "frequency", frequency)
-        return interaction
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form; part of the :data:`PROGRAM_CODEC_VERSION` codec."""
-        return {
-            "pair": list(self.pair),
-            "gate_name": self.gate_name,
-            "frequency": self.frequency,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object], validate: bool = True) -> "Interaction":
-        """Inverse of :meth:`to_dict`.
-
-        ``validate=False`` skips ``__post_init__`` for payloads produced by
-        :meth:`to_dict` (the pair is serialized pre-sorted); used on the
-        program-store hot load path.
-        """
-        if validate:
-            return cls(
-                pair=tuple(int(q) for q in payload["pair"]),
-                gate_name=str(payload["gate_name"]),
-                frequency=float(payload["frequency"]),
-            )
-        interaction = object.__new__(cls)
-        object.__setattr__(interaction, "pair", tuple(payload["pair"]))
-        object.__setattr__(interaction, "gate_name", payload["gate_name"])
-        object.__setattr__(interaction, "frequency", payload["frequency"])
+        attrs = interaction.__dict__
+        attrs["pair"] = pair
+        attrs["gate_name"] = gate_name
+        attrs["frequency"] = frequency
         return interaction
 
 
@@ -155,63 +162,6 @@ class TimeStep:
             return True
         return tuple(sorted(pair)) in self.active_couplers
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form; part of the :data:`PROGRAM_CODEC_VERSION` codec."""
-        return {
-            "gates": [gate.to_dict() for gate in self.gates],
-            "frequencies": _freq_map_to_lists(self.frequencies),
-            "interactions": [i.to_dict() for i in self.interactions],
-            "duration_ns": self.duration_ns,
-            "active_couplers": (
-                None
-                if self.active_couplers is None
-                else [list(pair) for pair in sorted(self.active_couplers)]
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "TimeStep":
-        """Inverse of :meth:`to_dict`.
-
-        Hand-inlined construction: one cache hit decodes tens of thousands
-        of gates/interactions, and the generic route (per-element
-        classmethod dispatch plus descriptor ``__setattr__`` on the frozen
-        classes) measurably dominates warm load time.  The payload is
-        trusted — it was validated when first built, the same contract as
-        ``Gate.from_dict(validate=False)`` — and the produced objects are
-        indistinguishable (equality, hash, lazy ``_spec`` interning) from
-        constructor-built ones.
-        """
-        new = object.__new__
-        gates: List[Gate] = []
-        for g in payload["gates"]:
-            gate = new(Gate)
-            attrs = gate.__dict__
-            attrs["name"] = g["name"]
-            attrs["qubits"] = tuple(g["qubits"])
-            attrs["params"] = tuple(g.get("params", ()))
-            gates.append(gate)
-        interactions: List[Interaction] = []
-        for i in payload["interactions"]:
-            interaction = new(Interaction)
-            attrs = interaction.__dict__
-            attrs["pair"] = tuple(i["pair"])
-            attrs["gate_name"] = i["gate_name"]
-            attrs["frequency"] = i["frequency"]
-            interactions.append(interaction)
-        active = payload["active_couplers"]
-        step = new(cls)
-        step.gates = gates
-        step.frequencies = _freq_map_from_lists(payload["frequencies"])
-        step.interactions = interactions
-        step.duration_ns = float(payload["duration_ns"])
-        step.active_couplers = (
-            None
-            if active is None
-            else {tuple(int(q) for q in pair) for pair in active}
-        )
-        return step
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TimeStep(gates={len(self.gates)}, interactions={len(self.interactions)}, "
@@ -219,9 +169,388 @@ class TimeStep:
         )
 
 
+# ---------------------------------------------------------------------------
+# columnar form
+# ---------------------------------------------------------------------------
+def _gate_shapes(names: Sequence[str], gate_names: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-name ``(arity, parameter count)`` arrays for the names gates use.
+
+    Only names that gates use must be registered (an interaction may carry
+    any name); an unregistered gate name is a ``ValueError``.
+    """
+    arity = np.zeros(len(names), dtype=np.int64)
+    num_params = np.zeros(len(names), dtype=np.int64)
+    for index in np.unique(gate_names).tolist():
+        spec = GATE_REGISTRY.get(names[index])
+        if spec is None:
+            raise ValueError(f"stored gate name {names[index]!r} is not a registered gate")
+        arity[index] = spec.num_qubits
+        num_params[index] = spec.num_params
+    return arity, num_params
+
+
+def _b64(array: np.ndarray, key: str) -> str:
+    raw = np.ascontiguousarray(array, dtype=_BUFFER_DTYPES[key]).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+class _BlockReader:
+    """Reads and checks the buffers of one stored columnar block."""
+
+    def __init__(self, block: Mapping[str, object]) -> None:
+        self.block = block
+
+    def read(self, key: str, count: int) -> np.ndarray:
+        text = self.block[key]
+        if not isinstance(text, str):
+            raise ValueError(f"buffer {key!r} is not a base64 string")
+        array = np.frombuffer(base64.b64decode(text, validate=True), dtype=_BUFFER_DTYPES[key])
+        if array.size != count:
+            raise ValueError(f"buffer {key!r} holds {array.size} values, expected {count}")
+        return array
+
+    def offsets(self, key: str, num_steps: int) -> np.ndarray:
+        offsets = self.read(key, num_steps + 1).astype(np.intp)
+        if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+            raise ValueError(f"buffer {key!r} is not a monotone offset array from 0")
+        return offsets
+
+    def indices(self, key: str, count: int, bound: int) -> np.ndarray:
+        array = self.read(key, count)
+        if count and int(array.max()) >= bound:
+            raise ValueError(f"buffer {key!r} holds an index >= {bound}")
+        return array
+
+    def mask(self, key: str, count: int) -> np.ndarray:
+        array = self.read(key, count)
+        if count and int(array.max()) > 1:
+            raise ValueError(f"buffer {key!r} is not a 0/1 mask")
+        return array.view(np.bool_)
+
+
+class ProgramColumns:
+    """The schedule of a :class:`CompiledProgram` as columns (struct of arrays).
+
+    With ``S`` steps, ``Q`` device qubits, ``G`` gates, ``I`` interactions
+    and ``C`` active couplers in total:
+
+    * ``frequencies`` — ``(S, Q)`` float64, NaN where a step carries no
+      frequency for a qubit; ``present`` — the ``(S, Q)`` bool mask of the
+      carried frequencies, or ``None`` when every step carries every qubit;
+    * ``durations`` — ``(S,)`` float64;
+    * ``gate_offsets`` — ``(S + 1,)``: step ``s`` owns gates
+      ``gate_offsets[s]:gate_offsets[s + 1]``; ``gate_names`` — ``(G,)`` ids
+      into ``names``; ``gate_qubits`` / ``gate_params`` — every gate's
+      qubits and parameters back to back (their counts follow from the
+      registered gate name);
+    * ``interaction_offsets`` — ``(S + 1,)``; ``interaction_pairs`` —
+      ``(I, 2)``; ``interaction_names`` — ``(I,)`` ids into ``names``;
+      ``interaction_frequencies`` — ``(I,)`` float64;
+    * ``coupler_steps`` — ``(S,)`` bool, the steps listing active couplers
+      (gmon hardware), with ``coupler_offsets`` ``(S + 1,)`` and
+      ``coupler_pairs`` ``(C, 2)``; all three ``None`` when no step lists
+      any.
+
+    ``names`` is the per-program name table, in first-appearance order.
+    Integer and mask columns use the stored buffer dtypes.  Columns are
+    never mutated after construction; most decoded ones are read-only views
+    of the decoded buffers.
+    """
+
+    __slots__ = (
+        "names",
+        "frequencies",
+        "present",
+        "durations",
+        "gate_offsets",
+        "gate_names",
+        "gate_qubits",
+        "gate_params",
+        "interaction_offsets",
+        "interaction_pairs",
+        "interaction_names",
+        "interaction_frequencies",
+        "coupler_steps",
+        "coupler_offsets",
+        "coupler_pairs",
+    )
+
+    def __init__(self, **columns) -> None:
+        for name in self.__slots__:
+            setattr(self, name, columns[name])
+
+    @property
+    def num_steps(self) -> int:
+        return self.durations.shape[0]
+
+    @property
+    def num_qubits(self) -> int:
+        return self.frequencies.shape[1]
+
+    def presence(self) -> np.ndarray:
+        """The ``(S, Q)`` bool mask of carried frequencies (never ``None``)."""
+        if self.present is None:
+            return np.ones(self.frequencies.shape, dtype=bool)
+        return self.present
+
+    def interaction_steps(self) -> np.ndarray:
+        """``(I,)`` step index of every interaction."""
+        return np.repeat(np.arange(self.num_steps), np.diff(self.interaction_offsets))
+
+    def coupler_pair_steps(self) -> np.ndarray:
+        """``(C,)`` step index of every active-coupler pair."""
+        return np.repeat(np.arange(self.num_steps), np.diff(self.coupler_offsets))
+
+    # ------------------------------------------------------------------
+    # steps <-> columns
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_steps(cls, steps: Sequence[TimeStep], num_qubits: int) -> "ProgramColumns":
+        """Columns of *steps* on a *num_qubits*-qubit device."""
+        ids: Dict[str, int] = {}
+        durations: List[float] = []
+        freq_counts: List[int] = []
+        freq_qubits: List[int] = []
+        freq_values: List[float] = []
+        gate_offsets, gate_names, gate_qubits, gate_params = [0], [], [], []
+        inter_offsets, inter_pairs, inter_names, inter_freqs = [0], [], [], []
+        coupler_steps, coupler_offsets, coupler_pairs = [], [0], []
+        for step in steps:
+            durations.append(step.duration_ns)
+            frequencies = step.frequencies
+            freq_counts.append(len(frequencies))
+            freq_qubits.extend(frequencies)
+            freq_values.extend(frequencies.values())
+            for gate in step.gates:
+                gate_names.append(ids.setdefault(gate.name, len(ids)))
+                gate_qubits.extend(gate.qubits)
+                gate_params.extend(gate.params)
+            gate_offsets.append(len(gate_names))
+            for interaction in step.interactions:
+                inter_pairs.append(interaction.pair)
+                inter_names.append(ids.setdefault(interaction.gate_name, len(ids)))
+                inter_freqs.append(interaction.frequency)
+            inter_offsets.append(len(inter_names))
+            active = step.active_couplers
+            coupler_steps.append(active is not None)
+            if active is not None:
+                coupler_pairs.extend(sorted(active))
+            coupler_offsets.append(len(coupler_pairs))
+
+        num_steps = len(durations)
+        rows = np.repeat(np.arange(num_steps), freq_counts)
+        cols = np.array(freq_qubits, dtype=np.intp)
+        frequencies = np.full((num_steps, num_qubits), np.nan)
+        frequencies[rows, cols] = freq_values
+        present: Optional[np.ndarray] = None
+        if len(freq_qubits) != num_steps * num_qubits:
+            present = np.zeros((num_steps, num_qubits), dtype=bool)
+            present[rows, cols] = True
+        gmon = any(coupler_steps)
+
+        def column(key: str, values) -> np.ndarray:
+            return np.array(values, dtype=_BUFFER_DTYPES[key])
+
+        return cls(
+            names=tuple(ids),
+            frequencies=frequencies,
+            present=present,
+            durations=column("durations", durations),
+            gate_offsets=column("gate_offsets", gate_offsets),
+            gate_names=column("gate_names", gate_names),
+            gate_qubits=column("gate_qubits", gate_qubits),
+            gate_params=column("gate_params", gate_params),
+            interaction_offsets=column("interaction_offsets", inter_offsets),
+            interaction_pairs=column("interaction_pairs", inter_pairs).reshape(-1, 2),
+            interaction_names=column("interaction_names", inter_names),
+            interaction_frequencies=column("interaction_frequencies", inter_freqs),
+            coupler_steps=np.array(coupler_steps, dtype=bool) if gmon else None,
+            coupler_offsets=column("coupler_offsets", coupler_offsets) if gmon else None,
+            coupler_pairs=column("coupler_pairs", coupler_pairs).reshape(-1, 2) if gmon else None,
+        )
+
+    def to_steps(self) -> List[TimeStep]:
+        """Materialize the :class:`TimeStep` list these columns describe.
+
+        Built directly (no per-object validation): the columns were checked
+        when decoded, or derived from already-valid steps.  The produced
+        objects are indistinguishable (equality, hash, lazy ``_spec``
+        interning) from constructor-built ones.
+        """
+        names = self.names
+        arity, num_params = (a.tolist() for a in _gate_shapes(names, self.gate_names))
+        durations = self.durations.tolist()
+        freq_rows = self.frequencies.tolist()
+        present_rows = None if self.present is None else self.present.tolist()
+        gate_offsets = self.gate_offsets.tolist()
+        gate_names = self.gate_names.tolist()
+        qubits = self.gate_qubits.tolist()
+        params = self.gate_params.tolist()
+        inter_offsets = self.interaction_offsets.tolist()
+        inter_pairs = [tuple(pair) for pair in self.interaction_pairs.tolist()]
+        inter_names = self.interaction_names.tolist()
+        inter_freqs = self.interaction_frequencies.tolist()
+        gmon = self.coupler_steps is not None
+        if gmon:
+            coupler_steps = self.coupler_steps.tolist()
+            coupler_offsets = self.coupler_offsets.tolist()
+            coupler_pairs = [tuple(pair) for pair in self.coupler_pairs.tolist()]
+
+        new = object.__new__
+        presorted = Interaction.presorted
+        steps: List[TimeStep] = []
+        q = p = 0  # cursors into the flat qubit / parameter columns
+        for s, duration in enumerate(durations):
+            gates: List[Gate] = []
+            for k in range(gate_offsets[s], gate_offsets[s + 1]):
+                name_id = gate_names[k]
+                gate = new(Gate)
+                attrs = gate.__dict__
+                attrs["name"] = names[name_id]
+                end = q + arity[name_id]
+                attrs["qubits"] = tuple(qubits[q:end])
+                q = end
+                end = p + num_params[name_id]
+                attrs["params"] = tuple(params[p:end])
+                p = end
+                gates.append(gate)
+            row = freq_rows[s]
+            if present_rows is None:
+                frequencies = dict(enumerate(row))
+            else:
+                mask = present_rows[s]
+                frequencies = {qubit: value for qubit, value in enumerate(row) if mask[qubit]}
+            interactions = [
+                presorted(inter_pairs[k], names[inter_names[k]], inter_freqs[k])
+                for k in range(inter_offsets[s], inter_offsets[s + 1])
+            ]
+            active: Optional[Set[Coupling]] = None
+            if gmon and coupler_steps[s]:
+                active = set(coupler_pairs[coupler_offsets[s] : coupler_offsets[s + 1]])
+            steps.append(
+                TimeStep(
+                    gates=gates,
+                    frequencies=frequencies,
+                    interactions=interactions,
+                    duration_ns=duration,
+                    active_couplers=active,
+                )
+            )
+        return steps
+
+    # ------------------------------------------------------------------
+    # stored block
+    # ------------------------------------------------------------------
+    def to_payload(self) -> Dict[str, object]:
+        """The stored columnar block: counts, name table, base64 raw buffers.
+
+        Optional columns are written only when they carry information: no
+        ``present`` mask under full coverage, no coupler columns on
+        fixed-coupler programs, no ``coupler_steps`` when every step lists
+        its couplers.
+        """
+        block: Dict[str, object] = {
+            "num_steps": self.num_steps,
+            "num_qubits": self.num_qubits,
+            "names": list(self.names),
+        }
+        for key in _BUFFER_DTYPES:  # every buffer is the column of that name
+            array = getattr(self, key)
+            if array is None or (key == "coupler_steps" and array.all()):
+                continue
+            block[key] = _b64(array, key)
+        return block
+
+    @classmethod
+    def from_payload(cls, block: Mapping[str, object], num_qubits: int) -> "ProgramColumns":
+        """Decode and fully check a stored block; ``ValueError`` if it is bad.
+
+        Every buffer length is checked against the stored shape, every
+        offset array must rise monotonically from 0 to its column's length,
+        and every name id and qubit index must be in range — so a decoded
+        program can never fail later, when its steps are built.
+        """
+        if not isinstance(block, Mapping):
+            raise ValueError("stored schedule is not a columnar block")
+        num_steps = block["num_steps"]
+        stored_qubits = block["num_qubits"]
+        names = block["names"]
+        if not (type(num_steps) is int and num_steps >= 0):
+            raise ValueError(f"bad step count {num_steps!r}")
+        if stored_qubits != num_qubits or type(stored_qubits) is not int:
+            raise ValueError(f"stored block has {stored_qubits!r} qubits, device has {num_qubits}")
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError("bad name table")
+        reader = _BlockReader(block)
+        num_names = len(names)
+
+        shape = (num_steps, num_qubits)
+        frequencies = reader.read("frequencies", num_steps * num_qubits).reshape(shape)
+        present: Optional[np.ndarray] = None
+        if "present" in block:
+            present = reader.mask("present", num_steps * num_qubits).reshape(shape)
+            frequencies = np.where(present, frequencies, np.nan)
+        durations = reader.read("durations", num_steps)
+
+        gate_offsets = reader.offsets("gate_offsets", num_steps)
+        gate_names = reader.indices("gate_names", int(gate_offsets[-1]), num_names)
+        arity, num_params = _gate_shapes(names, gate_names)
+        gate_qubits = reader.indices("gate_qubits", int(arity[gate_names].sum()), num_qubits)
+        gate_params = reader.read("gate_params", int(num_params[gate_names].sum()))
+
+        inter_offsets = reader.offsets("interaction_offsets", num_steps)
+        num_inter = int(inter_offsets[-1])
+        inter_pairs = reader.indices("interaction_pairs", 2 * num_inter, num_qubits)
+        inter_names = reader.indices("interaction_names", num_inter, num_names)
+        inter_freqs = reader.read("interaction_frequencies", num_inter)
+
+        coupler_steps = coupler_offsets = coupler_pairs = None
+        if "coupler_offsets" in block:
+            if "coupler_steps" in block:
+                coupler_steps = reader.mask("coupler_steps", num_steps)
+            else:
+                coupler_steps = np.ones(num_steps, dtype=bool)
+            coupler_offsets = reader.offsets("coupler_offsets", num_steps)
+            if np.any(np.diff(coupler_offsets)[~coupler_steps]):
+                raise ValueError("active couplers listed on a fixed-coupler step")
+            num_couplers = int(coupler_offsets[-1])
+            coupler_pairs = reader.indices("coupler_pairs", 2 * num_couplers, num_qubits)
+            coupler_pairs = coupler_pairs.reshape(-1, 2)
+
+        return cls(
+            names=tuple(names),
+            frequencies=frequencies,
+            present=present,
+            durations=durations,
+            gate_offsets=gate_offsets,
+            gate_names=gate_names,
+            gate_qubits=gate_qubits,
+            gate_params=gate_params,
+            interaction_offsets=inter_offsets,
+            interaction_pairs=inter_pairs.reshape(-1, 2),
+            interaction_names=inter_names,
+            interaction_frequencies=inter_freqs,
+            coupler_steps=coupler_steps,
+            coupler_offsets=coupler_offsets,
+            coupler_pairs=coupler_pairs,
+        )
+
+
 @dataclass
 class CompiledProgram:
-    """A fully scheduled, frequency-annotated program for a specific device."""
+    """A fully scheduled, frequency-annotated program for a specific device.
+
+    The schedule has two equivalent forms: ``steps`` (a list of
+    :class:`TimeStep`) and :attr:`columns` (a :class:`ProgramColumns`).
+    A compiled program is built from its steps and derives the columns
+    once, on first use, after which the columns are its stored form; a
+    decoded program holds only the columns.  Either way ``steps`` is
+    rebuilt from the columns on first access (equal to the originals, not
+    the same objects).  ``depth``, ``total_duration_ns``, ``to_dict`` and
+    the Eq. (4) estimator read the columns.  Treat both forms as
+    immutable: to change a schedule, assign a new list to ``steps`` (which
+    drops the derived columns) or build a new program.
+    """
 
     device: Device
     steps: List[TimeStep]
@@ -230,18 +559,44 @@ class CompiledProgram:
     idle_frequencies: Dict[int, float] = field(default_factory=dict)
     metadata: Dict[str, object] = field(default_factory=dict)
 
+    def _get_steps(self) -> List[TimeStep]:
+        if self._steps is None:
+            self._steps = self._columns.to_steps()
+        return self._steps
+
+    def _set_steps(self, steps: List[TimeStep]) -> None:
+        self._steps = steps
+        self._columns: Optional[ProgramColumns] = None
+
+    @property
+    def columns(self) -> ProgramColumns:
+        """The columnar form of the schedule (derived from ``steps`` once).
+
+        Once derived, the columns are the program's one stored form: the
+        step objects are released and rebuilt from the columns if anything
+        reads ``steps`` again.
+        """
+        if self._columns is None:
+            self._columns = ProgramColumns.from_steps(self._steps, self.device.num_qubits)
+            self._steps = None
+        return self._columns
+
     # ------------------------------------------------------------------
     # aggregate views
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
         """Number of scheduler cycles (the paper's "circuit depth" metric)."""
-        return len(self.steps)
+        return self.columns.num_steps
 
     @property
     def total_duration_ns(self) -> float:
-        """Wall-clock program duration in nanoseconds."""
-        return sum(step.duration_ns for step in self.steps)
+        """Wall-clock program duration in nanoseconds.
+
+        Summed left to right over Python floats, the same order and
+        arithmetic as summing the steps' ``duration_ns``.
+        """
+        return sum(self.columns.durations.tolist())
 
     def all_gates(self) -> List[Gate]:
         gates: List[Gate] = []
@@ -290,8 +645,9 @@ class CompiledProgram:
     def to_dict(self) -> Dict[str, object]:
         """Versioned plain-dict form of the whole program (device included).
 
-        The payload is JSON-serializable and round-trips bit-exactly: every
-        float survives ``json.dumps``/``loads`` unchanged, so the Eq. (4)
+        ``steps`` holds the columnar block of :meth:`ProgramColumns.to_payload`
+        — raw little-endian buffers, base64-encoded — so the payload stays
+        JSON-serializable and round-trips bit-exactly: the Eq. (4)
         estimator produces bit-identical output on a deserialized program.
         """
         return {
@@ -299,7 +655,7 @@ class CompiledProgram:
             "name": self.name,
             "strategy": self.strategy,
             "device": self.device.to_dict(),
-            "steps": [step.to_dict() for step in self.steps],
+            "steps": self.columns.to_payload(),
             "idle_frequencies": _freq_map_to_lists(self.idle_frequencies),
             "metadata": dict(self.metadata),
         }
@@ -309,6 +665,10 @@ class CompiledProgram:
         cls, payload: Mapping[str, object], device: Optional[Device] = None
     ) -> "CompiledProgram":
         """Inverse of :meth:`to_dict`; rejects payloads from other codec versions.
+
+        The whole columnar block is checked here (``ValueError`` on any
+        inconsistency), and the returned program holds only the columns:
+        its ``steps`` are built on first access and cannot fail.
 
         Passing *device* skips decoding the stored device payload and uses
         the given instance instead — only valid when the caller knows it is
@@ -322,17 +682,27 @@ class CompiledProgram:
                 f"cannot decode CompiledProgram codec version {version!r} "
                 f"(expected {PROGRAM_CODEC_VERSION})"
             )
-        return cls(
-            device=device if device is not None else Device.from_dict(payload["device"]),
-            steps=[TimeStep.from_dict(s) for s in payload["steps"]],
+        device = device if device is not None else Device.from_dict(payload["device"])
+        program = cls(
+            device=device,
+            steps=[],
             name=str(payload["name"]),
             strategy=str(payload["strategy"]),
             idle_frequencies=_freq_map_from_lists(payload["idle_frequencies"]),
             metadata=dict(payload["metadata"]),
         )
+        program._steps = None
+        program._columns = ProgramColumns.from_payload(payload["steps"], device.num_qubits)
+        return program
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompiledProgram(name={self.name!r}, strategy={self.strategy!r}, "
             f"depth={self.depth}, duration={self.total_duration_ns:.0f}ns)"
         )
+
+
+# ``steps`` stays a dataclass field (constructor argument, equality) but is
+# backed by a property: assigning it drops the derived columns, and a decoded
+# program builds it from its columns on first read.
+CompiledProgram.steps = property(CompiledProgram._get_steps, CompiledProgram._set_steps)

@@ -412,10 +412,14 @@ class LocalFSBackend(StoreBackend):
         return raw
 
     def _write_index(self, index: dict) -> None:
+        # One json.dumps call runs the C encoder; json.dump streams through
+        # the pure-Python one, a call per token of an index that grows with
+        # every entry.
+        data = json.dumps(index)
         fd, tmp = tempfile.mkstemp(prefix=".index-", dir=self._dir)
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(index, handle)
+                handle.write(data)
             os.replace(tmp, self._index_path)
         except BaseException:
             with contextlib.suppress(OSError):

@@ -684,6 +684,13 @@ class CacheServer:
                     return "deduplicated", entry.payload
                 continue  # owner produced nothing usable; re-resolve from scratch
             try:
+                # Probe again as the owner: another request may have persisted
+                # the key and retired its in-flight entry between the first
+                # probe and this registration.  Then it is a plain hit.
+                payload = self.backend.get(key)
+                if payload is not None:
+                    entry.payload = payload
+                    return "hit", payload
                 start = perf_counter()
                 with self._compile_lock:
                     result = service.compile(job)  # repro-lint: serialized-compile(this lock exists to hold one cold compile at a time; see __init__)

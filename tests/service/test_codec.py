@@ -1,14 +1,18 @@
 """CompiledProgram / CompilationResult serialization round-trip tests."""
 
 import json
+import math
 
 import pytest
 
 from repro import Device, benchmark_circuit, estimate_success
+from repro.circuits import Gate
 from repro.core.compiler import CompilationResult
 from repro.noise import NoiseModel
-from repro.program import PROGRAM_CODEC_VERSION, CompiledProgram
+from repro.program import PROGRAM_CODEC_VERSION, CompiledProgram, Interaction, TimeStep
 from repro.service import make_compiler
+
+from codecfaults import FAULTS
 
 STRATEGIES = ["Baseline N", "Baseline G", "Baseline U", "Baseline S", "ColorDynamic"]
 
@@ -133,3 +137,132 @@ class TestCodecVersioning:
         payload["codec_version"] = PROGRAM_CODEC_VERSION + 1
         with pytest.raises(ValueError, match="codec version"):
             CompiledProgram.from_dict(payload)
+
+
+def _program_round_trip(program: CompiledProgram) -> CompiledProgram:
+    return CompiledProgram.from_dict(json.loads(json.dumps(program.to_dict())))
+
+
+def _assert_same_program(restored: CompiledProgram, program: CompiledProgram) -> None:
+    assert restored.steps == program.steps
+    assert restored.depth == program.depth
+    assert restored.total_duration_ns == program.total_duration_ns
+    for vectorized in (True, False):
+        fresh = estimate_success(program, vectorized=vectorized)
+        loaded = estimate_success(restored, vectorized=vectorized)
+        assert loaded == fresh
+
+
+class TestColumnarRoundTrip:
+    """Programs that exercise every optional part of the columnar block."""
+
+    def test_partial_coverage_keeps_absent_frequencies_absent(self, device4):
+        steps = [
+            TimeStep(
+                gates=[Gate("h", (0,))],
+                frequencies={0: 5.1, 2: 5.3},
+                duration_ns=25.0,
+            ),
+            TimeStep(
+                gates=[Gate("cz", (0, 1))],
+                frequencies={0: 6.4, 1: 6.6, 2: 5.3, 3: 5.7},
+                interactions=[Interaction(pair=(0, 1), gate_name="cz", frequency=6.4)],
+                duration_ns=50.0,
+            ),
+        ]
+        program = CompiledProgram(device=device4, steps=steps, name="partial")
+        assert "present" in program.to_dict()["steps"]
+        restored = _program_round_trip(program)
+        _assert_same_program(restored, program)
+        assert set(restored.steps[0].frequencies) == {0, 2}
+        assert math.isnan(restored.columns.frequencies[0, 1])
+
+    def test_full_coverage_writes_no_presence_mask(self):
+        program = _compile("ColorDynamic").program
+        assert "present" not in program.to_dict()["steps"]
+
+    def test_parameterized_gates(self, device4):
+        steps = [
+            TimeStep(
+                gates=[Gate("rx", (0,), (0.25,)), Gate("rz", (1,), (-2.5,))],
+                frequencies={q: 5.0 + q / 10 for q in range(4)},
+                duration_ns=25.0,
+            ),
+            TimeStep(
+                gates=[Gate("cphase", (2, 3), (math.pi / 3,)), Gate("h", (0,))],
+                frequencies={q: 5.5 for q in range(4)},
+                duration_ns=50.0,
+            ),
+        ]
+        program = CompiledProgram(device=device4, steps=steps, name="params")
+        restored = _program_round_trip(program)
+        _assert_same_program(restored, program)
+        assert restored.steps[1].gates[0].params == (math.pi / 3,)
+
+    def test_gmon_program(self):
+        program = _compile("Baseline G", benchmark="qaoa(9)").program
+        assert "coupler_offsets" in program.to_dict()["steps"]
+        _assert_same_program(_program_round_trip(program), program)
+
+    def test_mixed_fixed_and_gmon_steps(self, device4):
+        frequencies = {q: 5.0 for q in range(4)}
+        steps = [
+            TimeStep(gates=[Gate("h", (0,))], frequencies=frequencies, duration_ns=25.0),
+            TimeStep(
+                gates=[Gate("iswap", (0, 1))],
+                frequencies=dict(frequencies),
+                interactions=[Interaction(pair=(0, 1), gate_name="iswap", frequency=5.0)],
+                duration_ns=50.0,
+                active_couplers={(0, 1)},
+            ),
+            TimeStep(frequencies=dict(frequencies), duration_ns=10.0, active_couplers=set()),
+        ]
+        program = CompiledProgram(device=device4, steps=steps, name="mixed")
+        assert "coupler_steps" in program.to_dict()["steps"]
+        restored = _program_round_trip(program)
+        _assert_same_program(restored, program)
+        assert [s.active_couplers for s in restored.steps] == [None, {(0, 1)}, set()]
+
+    def test_zero_step_program(self, device4):
+        program = CompiledProgram(device=device4, steps=[], name="empty")
+        restored = _program_round_trip(program)
+        _assert_same_program(restored, program)
+        assert restored.depth == 0
+        assert restored.total_duration_ns == 0
+
+    def test_decoded_program_builds_steps_lazily(self):
+        result = _compile("ColorDynamic")
+        restored = _json_round_trip(result).program
+        report = estimate_success(restored)
+        assert restored._steps is None  # the estimate read the columns only
+        assert report == estimate_success(result.program)
+        assert restored.steps == result.program.steps
+
+    def test_assigning_steps_drops_derived_columns(self, device4):
+        program = CompiledProgram(device=device4, steps=[], name="grow")
+        assert program.depth == 0
+        program.steps = [TimeStep(frequencies={q: 5.0 for q in range(4)}, duration_ns=25.0)]
+        assert program.depth == 1
+        assert program.total_duration_ns == 25.0
+
+
+class TestCorruptColumns:
+    """A bad block fails at decode time with ValueError — never later."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_is_rejected_at_load(self, fault):
+        payload = _compile("ColorDynamic").program.to_dict()
+        FAULTS[fault](payload["steps"])
+        with pytest.raises(ValueError):
+            CompiledProgram.from_dict(payload)
+
+    def test_unregistered_gate_name_is_rejected(self):
+        payload = _compile("ColorDynamic").program.to_dict()
+        payload["steps"]["names"][0] = "not-a-gate"
+        with pytest.raises(ValueError, match="registered gate"):
+            CompiledProgram.from_dict(payload)
+
+    def test_device_qubit_count_mismatch_is_rejected(self):
+        payload = _compile("ColorDynamic").program.to_dict()
+        with pytest.raises(ValueError, match="qubits"):
+            CompiledProgram.from_dict(payload, device=Device.grid(4, seed=2020))

@@ -94,9 +94,9 @@ class TestCompileEndpoint:
 
 
 class TestCrossClientDedup:
-    def test_two_clients_one_cold_compile(self, cache_server, monkeypatch):
-        """Two concurrent clients, same job: exactly one compile happens."""
-        service = cache_server.compile_service()
+    @staticmethod
+    def _gate_compiles(service, monkeypatch):
+        """Hold every cold compile until released; returns the gate handles."""
         compile_started = threading.Event()
         release_compile = threading.Event()
         cold_compiles = []
@@ -109,37 +109,102 @@ class TestCrossClientDedup:
             return real_compile(job, name=name)
 
         monkeypatch.setattr(service, "compile", gated_compile)
+        return compile_started, release_compile, cold_compiles
 
-        store_reads = []
-        second_client_arrived = threading.Event()
-        real_get = cache_server.backend.get
-
-        def counting_get(key):
-            store_reads.append(key)
-            if len(store_reads) >= 2:
-                second_client_arrived.set()
-            return real_get(key)
-
-        monkeypatch.setattr(cache_server.backend, "get", counting_get)
-
-        compiled_before = server_mod._SERVER_COMPILE_JOBS.value(outcome="compiled")
-        deduped_before = server_mod._SERVER_COMPILE_JOBS.value(outcome="deduplicated")
-
+    @staticmethod
+    def _client_threads(server):
         results = [None, None]
 
         def client(slot):
-            results[slot] = RemoteCompileClient(cache_server.url).compile_jobs([JOB])
+            results[slot] = RemoteCompileClient(server.url).compile_jobs([JOB])
 
-        first = threading.Thread(target=client, args=(0,))
+        threads = [threading.Thread(target=client, args=(slot,)) for slot in (0, 1)]
+        return threads, results
+
+    def test_two_clients_one_cold_compile(self, cache_server, monkeypatch):
+        """Same job from two clients: one compile, even across a stale probe.
+
+        The second client's store probe misses, and only then does the
+        first client's compile persist and retire.  The second request then
+        wins in-flight ownership of a key that is already stored: it must
+        answer ``hit`` without compiling again.
+        """
+        service = cache_server.compile_service()
+        compile_started, release_compile, cold_compiles = self._gate_compiles(
+            service, monkeypatch
+        )
+
+        # Interleaving hook: the first store probe after the owner's compile
+        # started is the second client's.  It reads the store (a miss), then
+        # holds that answer until the owner has persisted and retired.
+        second_probed = threading.Event()
+        owner_retired = threading.Event()
+        stale_probe_due = [True]
+        real_get = cache_server.backend.get
+
+        def interleaving_get(key):
+            payload = real_get(key)
+            if compile_started.is_set() and stale_probe_due[0]:
+                stale_probe_due[0] = False
+                second_probed.set()
+                assert owner_retired.wait(timeout=60)
+            return payload
+
+        monkeypatch.setattr(cache_server.backend, "get", interleaving_get)
+
+        jobs_metric = server_mod._SERVER_COMPILE_JOBS
+        before = {o: jobs_metric.value(outcome=o) for o in ("compiled", "hit", "deduplicated")}
+
+        (first, second), results = self._client_threads(cache_server)
         first.start()
         assert compile_started.wait(timeout=60)
-        second = threading.Thread(target=client, args=(1,))
         second.start()
-        # The second request has probed the store (miss) and is registering
-        # as an in-flight waiter; the owner still has a full compile to run
-        # after release, so the waiter is parked well before the entry
-        # retires.
-        assert second_client_arrived.wait(timeout=60)
+        assert second_probed.wait(timeout=60)
+        release_compile.set()
+        first.join(timeout=120)  # answered: the entry is persisted and retired
+        assert not first.is_alive()
+        owner_retired.set()
+        second.join(timeout=120)
+
+        assert len(cold_compiles) == 1
+        assert results[0] is not None and results[1] is not None
+        assert results[0] == results[1]
+        assert jobs_metric.value(outcome="compiled") == before["compiled"] + 1
+        assert jobs_metric.value(outcome="hit") == before["hit"] + 1
+        assert jobs_metric.value(outcome="deduplicated") == before["deduplicated"]
+
+    def test_waiter_awaits_the_owners_compile(self, cache_server, monkeypatch):
+        """A client arriving mid-compile waits for the owner: ``deduplicated``."""
+        service = cache_server.compile_service()
+        compile_started, release_compile, cold_compiles = self._gate_compiles(
+            service, monkeypatch
+        )
+
+        # Interleaving hook: in-flight records whose event reports the
+        # moment a waiter parks on it, so the owner is released only then.
+        waiter_parked = threading.Event()
+
+        class ParkingEvent(threading.Event):
+            def wait(self, timeout=None):
+                waiter_parked.set()
+                return super().wait(timeout)
+
+        class ObservedInflight(server_mod._Inflight):
+            def __init__(self):
+                super().__init__()
+                self.event = ParkingEvent()
+
+        monkeypatch.setattr(server_mod, "_Inflight", ObservedInflight)
+
+        jobs_metric = server_mod._SERVER_COMPILE_JOBS
+        compiled_before = jobs_metric.value(outcome="compiled")
+        deduped_before = jobs_metric.value(outcome="deduplicated")
+
+        (first, second), results = self._client_threads(cache_server)
+        first.start()
+        assert compile_started.wait(timeout=60)
+        second.start()
+        assert waiter_parked.wait(timeout=60)
         release_compile.set()
         first.join(timeout=120)
         second.join(timeout=120)
@@ -147,7 +212,6 @@ class TestCrossClientDedup:
         assert len(cold_compiles) == 1
         assert results[0] is not None and results[1] is not None
         assert results[0] == results[1]
-        jobs_metric = server_mod._SERVER_COMPILE_JOBS
         assert jobs_metric.value(outcome="compiled") == compiled_before + 1
         assert jobs_metric.value(outcome="deduplicated") == deduped_before + 1
 

@@ -3,8 +3,19 @@
 import os
 from pathlib import Path
 
+import pytest
+
+from repro import estimate_success
 from repro.program import PROGRAM_CODEC_VERSION
-from repro.service import ProgramStore, cache_enabled_default, default_cache_dir
+from repro.service import (
+    CompileJob,
+    CompileService,
+    ProgramStore,
+    cache_enabled_default,
+    default_cache_dir,
+)
+
+from codecfaults import FAULTS
 
 KEY_A = "ab" + "0" * 62
 KEY_B = "cd" + "1" * 62
@@ -148,6 +159,31 @@ class TestConcurrentMaintenance:
     def test_get_of_concurrently_deleted_entry_is_a_miss(self, tmp_path):
         store = ProgramStore(tmp_path)
         assert store.get(KEY_A) is None
+
+
+class TestCorruptColumnarEntry:
+    """A stored program whose columnar block is damaged is a miss + recompile."""
+
+    JOB = CompileJob(benchmark="xeb(4,2)", strategy="ColorDynamic")
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_damaged_block_recompiles_and_repairs(self, tmp_path, fault):
+        cold = CompileService(cache_dir=tmp_path).compile(self.JOB)
+        store = ProgramStore(tmp_path)
+        key = CompileService(cache_dir=tmp_path).job_key(self.JOB)
+        payload = store.get(key)
+        FAULTS[fault](payload["program"]["steps"])
+        store.put(key, payload)
+
+        service = CompileService(cache_dir=tmp_path)
+        again = service.compile(self.JOB)
+        assert again.cache_hit is False
+        assert service.stats.misses == 1
+        assert estimate_success(again.program) == estimate_success(cold.program)
+        # The recompile overwrote the damaged entry.
+        repaired = service.compile(self.JOB)
+        assert repaired.cache_hit is True
+        assert estimate_success(repaired.program) == estimate_success(cold.program)
 
 
 class TestDefaults:
