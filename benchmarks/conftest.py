@@ -16,10 +16,15 @@ tracked performance numbers: ``REPRO_SKIP_PERF=1 pytest benchmarks``.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.service.testing import hermetic_cache_env
+
+# The perf benchmarks time production against the frozen oracles.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "differential"))
 
 
 def pytest_collection_modifyitems(config, items):

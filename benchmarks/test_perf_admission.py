@@ -3,7 +3,7 @@
 The ``"success"`` admission policy pays, per scheduling cycle, up to
 ``beam`` frequency annotations and ``IncrementalEstimator.preview_step``
 folds on top of the structural cold compile.  This benchmark pins that
-overhead to a bounded multiple of the indexed structural cold path on a
+overhead to a bounded multiple of the structural cold path on a
 fig09 subgrid, so a regression in the preview plumbing (an accidental
 O(program) pass per decision, say) fails loudly instead of silently making
 ``--admission success`` unusable.  Results are written to
@@ -26,7 +26,7 @@ from repro.service.compile_service import build_device_for, make_compiler
 from repro.workloads import benchmark_circuit
 
 #: Success-admission cold compiles must stay within this multiple of the
-#: structural indexed cold path on the same grid.  The measured ratio is
+#: structural cold path on the same grid.  The measured ratio is
 #: ~20-25x: each scheduling cycle annotates and previews up to ``beam``
 #: candidate compositions, and every ``preview_step`` pays an O(steps)
 #: report fold (the decoherence normalization is global), so the policy is
@@ -92,7 +92,7 @@ def test_perf_admission(benchmark):
                 ["success", results["success_cold_ms"]],
             ],
             float_format="{:.3g}",
-            title="Success-aware admission overhead — indexed cold path",
+            title="Success-aware admission overhead — structural cold path",
         )
     )
     print(

@@ -64,7 +64,7 @@ def _spans_per_job() -> int:
     for strategy in STRATEGIES:
         device = build_device_for(BENCH)
         circuit = benchmark_circuit(BENCH, seed=2020)
-        compiler = make_compiler(strategy, device, None, indexed_kernels=True)
+        compiler = make_compiler(strategy, device, None)
         tracer.clear()
         obs.set_enabled(True)
         try:
@@ -85,7 +85,7 @@ def _per_job_compile_ms() -> tuple[float, str]:
     circuit = benchmark_circuit(BENCH, seed=2020)
     best = float("inf")
     for _ in range(3):
-        compiler = make_compiler("ColorDynamic", device, None, indexed_kernels=True)
+        compiler = make_compiler("ColorDynamic", device, None)
         start = time.perf_counter()
         compiler.compile(circuit)
         best = min(best, time.perf_counter() - start)

@@ -20,11 +20,10 @@ modelled at evaluation time through the noise model's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..core.frequencies import assign_idle_frequencies
 from ..core.scheduler import NoiseAwareScheduler, ScheduledStep
 from ..devices import Device
 from .base import BaselineCompiler
@@ -75,7 +74,6 @@ class BaselineGmon(BaselineCompiler):
             interaction_frequency = (low + high) / 2.0
         self.interaction_frequency = interaction_frequency
         self.patterns = tiling_patterns(self.device)
-        self._idle = assign_idle_frequencies(self.device, self.partition).qubit_frequencies
 
     def _signature_extras(self):
         return {"interaction_frequency": self.interaction_frequency}
@@ -88,20 +86,9 @@ class BaselineGmon(BaselineCompiler):
 
         # The coupler tiling is the crosstalk defence; no frequency-conflict
         # throttling is applied on top of it.
-        return NoiseAwareScheduler(
-            crosstalk_graph=None,
-            max_colors=None,
-            conflict_threshold=None,
-            allowed_couplings=allowed,
-            indexed=self.indexed_kernels,
-        )
+        return NoiseAwareScheduler(conflict_threshold=None, allowed_couplings=allowed)
 
-    def _idle_frequencies(self) -> Dict[int, float]:
-        return dict(self._idle)
-
-    def _interaction_frequency(
-        self, coupling: Coupling, step_couplings: Sequence[Coupling]
-    ) -> float:
+    def _interaction_frequency(self, coupling: Coupling) -> float:
         return self.interaction_frequency
 
     def _active_couplers(self, step: ScheduledStep) -> Optional[Set[Coupling]]:

@@ -19,9 +19,8 @@ benchmark with parallel two-qubit gates.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
-from ..core.frequencies import assign_idle_frequencies
 from ..core.scheduler import NoiseAwareScheduler
 from .base import BaselineCompiler
 
@@ -39,28 +38,14 @@ class BaselineNaive(BaselineCompiler):
     #: interaction-frequency choice (GHz).
     interaction_offset: float = 0.05
 
-    def __init__(self, device, **kwargs):
-        super().__init__(device, **kwargs)
-        self._idle = assign_idle_frequencies(device, self.partition).qubit_frequencies
-
     def _signature_extras(self):
         return {"interaction_offset": self.interaction_offset}
 
     def _make_scheduler(self) -> NoiseAwareScheduler:
         # No crosstalk graph, no conflict checks: pure ASAP scheduling.
-        return NoiseAwareScheduler(
-            crosstalk_graph=None,
-            max_colors=None,
-            conflict_threshold=None,
-            indexed=self.indexed_kernels,
-        )
+        return NoiseAwareScheduler(conflict_threshold=None)
 
-    def _idle_frequencies(self) -> Dict[int, float]:
-        return dict(self._idle)
-
-    def _interaction_frequency(
-        self, coupling: Coupling, step_couplings: Sequence[Coupling]
-    ) -> float:
+    def _interaction_frequency(self, coupling: Coupling) -> float:
         a, b = coupling
         omega_cap = min(
             self.device.qubits[a].params.omega_max,

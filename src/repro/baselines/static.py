@@ -12,68 +12,43 @@ step — which is exactly why the dynamic strategy wins in Fig. 9.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence, Tuple
 
-from ..core.compiler import ColorDynamic, CompilationResult
-from ..core.partition import FrequencyPartition
+from ..core.coloring import num_colors
+from ..core.compiler import ColorDynamic, StepFrequencies
+from ..core.solver import assign_color_frequencies
 from ..devices import Device
 
 __all__ = ["BaselineStatic"]
 
+Coupling = Tuple[int, int]
 
-class BaselineStatic:
-    """Program-independent crosstalk-aware compilation (Baseline S of Table I)."""
+
+class BaselineStatic(ColorDynamic):
+    """Program-independent crosstalk-aware compilation (Baseline S of Table I).
+
+    Takes the shared pipeline parameters of
+    :class:`~repro.core.compiler.CompilerPipeline`.  The scheduler applies
+    no parallelism throttling: the static assignment is safe for fully
+    parallel execution by construction.
+    """
 
     name = "Baseline S"
+    dynamic = False
 
-    def __init__(
-        self,
-        device: Device,
-        *,
-        decomposition: str = "hybrid",
-        partition: Optional[FrequencyPartition] = None,
-        crosstalk_distance: int = 1,
-        use_routing: bool = True,
-        indexed_kernels: bool = True,
-        admission: str = "structural",
-        admission_beam: int = 4,
-    ) -> None:
-        # Baseline S shares ColorDynamic's machinery but with dynamic
-        # re-coloring disabled and without parallelism throttling (the static
-        # assignment is safe for fully parallel execution by construction).
-        self._compiler = ColorDynamic(
-            device,
-            crosstalk_distance=crosstalk_distance,
-            max_colors=None,
-            conflict_threshold=None,
-            decomposition=decomposition,
-            partition=partition,
-            dynamic=False,
-            use_routing=use_routing,
-            indexed_kernels=indexed_kernels,
-            admission=admission,
-            admission_beam=admission_beam,
+    def __init__(self, device: Device, **kwargs) -> None:
+        super().__init__(device, max_colors=None, conflict_threshold=None, **kwargs)
+        self._static_coloring = self.crosstalk_index.welsh_powell()
+        self._static_frequencies, _ = assign_color_frequencies(
+            self._static_coloring,
+            self.partition.interaction_low,
+            self.partition.interaction_high,
+            anharmonicity=device.qubits[0].params.anharmonicity,
         )
-        self.device = self._compiler.device
-        self.indexed_kernels = indexed_kernels
-        self.admission = admission
-        self.admission_beam = admission_beam
 
-    def cache_signature(self) -> dict:
-        """Delegate to the wrapped ColorDynamic instance, tagged with this class.
-
-        The wrapped compiler already runs with ``dynamic=False``, so its
-        signature differs from a true ColorDynamic one; the explicit class
-        tag keeps the two namespaces disjoint regardless.
-        """
-        signature = self._compiler.cache_signature()
-        signature["class"] = type(self).__name__
-        return signature
-
-    def compile(
-        self, circuit, name: Optional[str] = None, estimator=None
-    ) -> CompilationResult:
-        """Compile *circuit* using the static full-graph frequency assignment."""
-        result = self._compiler.compile(circuit, name=name, estimator=estimator)
-        result.program.strategy = self.name
-        return result
+    def _interaction_frequencies(self, couplings: Sequence[Coupling]) -> StepFrequencies:
+        if not couplings:
+            return {}, 0, float("inf")
+        coloring = {c: self._static_coloring[c] for c in couplings}
+        frequencies = {c: self._static_frequencies[color] for c, color in coloring.items()}
+        return frequencies, num_colors(coloring), float("nan")

@@ -10,9 +10,8 @@ which is the trade-off ColorDynamic is designed to beat.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from ..core.frequencies import assign_idle_frequencies
 from ..core.scheduler import NoiseAwareScheduler
 from .base import BaselineCompiler
 
@@ -28,15 +27,10 @@ class BaselineUniform(BaselineCompiler):
 
     def __init__(self, device, *, interaction_frequency: Optional[float] = None, **kwargs):
         super().__init__(device, **kwargs)
-        if self.indexed_kernels:
-            from ..core.coloring import GraphIndex
-
-            self.crosstalk_index = GraphIndex(self.crosstalk_graph)
         if interaction_frequency is None:
             low, high = self.partition.interaction_range
             interaction_frequency = (low + high) / 2.0
         self.interaction_frequency = interaction_frequency
-        self._idle = assign_idle_frequencies(device, self.partition).qubit_frequencies
 
     def _signature_extras(self):
         return {"interaction_frequency": self.interaction_frequency}
@@ -49,14 +43,8 @@ class BaselineUniform(BaselineCompiler):
             max_colors=1,
             conflict_threshold=1,
             max_parallel_interactions=1,
-            indexed=self.indexed_kernels,
             crosstalk_index=self.crosstalk_index,
         )
 
-    def _idle_frequencies(self) -> Dict[int, float]:
-        return dict(self._idle)
-
-    def _interaction_frequency(
-        self, coupling: Coupling, step_couplings: Sequence[Coupling]
-    ) -> float:
+    def _interaction_frequency(self, coupling: Coupling) -> float:
         return self.interaction_frequency

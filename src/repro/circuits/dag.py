@@ -109,9 +109,7 @@ def gate_dependencies(circuit: Circuit) -> Tuple[List[List[int]], List[int]]:
     return successors, indegree
 
 
-def criticality(
-    circuit: Circuit, weighted: bool = True, indexed: bool = True
-) -> Dict[int, float]:
+def criticality(circuit: Circuit, weighted: bool = True) -> Dict[int, float]:
     """Return the remaining-critical-path length for every gate index.
 
     ``criticality[i]`` is the length of the longest chain of dependent gates
@@ -121,22 +119,10 @@ def criticality(
     noise-aware queueing scheduler so that serialization decisions do not
     stretch the program critical path.
 
-    ``indexed=True`` (default) evaluates the sweep over
-    :func:`gate_dependencies` in reverse program order (gate indices are
-    topologically sorted by construction), never building a graph object;
-    ``indexed=False`` runs the original networkx longest-path sweep, kept as
-    the reference the indexed kernel is benchmarked and differential-tested
-    against.  Both return identical scores.
+    The sweep runs over :func:`gate_dependencies` in reverse program order
+    (gate indices are topologically sorted by construction), never building
+    a graph object.
     """
-    if not indexed:
-        dag = build_dag(circuit)
-        scores: Dict[int, float] = {}
-        for node in reversed(list(nx.topological_sort(dag.graph))):
-            gate = circuit.gates[node]
-            own = gate.duration_ns if weighted else 1.0
-            succs = list(dag.graph.successors(node))
-            scores[node] = own + (max(scores[s] for s in succs) if succs else 0.0)
-        return scores
     successors, _ = gate_dependencies(circuit)
     scores_list = criticality_scores(successors, circuit.gates, weighted=weighted)
     return {index: scores_list[index] for index in range(len(circuit.gates))}

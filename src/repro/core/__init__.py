@@ -2,7 +2,6 @@
 
 from .crosstalk_graph import (
     build_crosstalk_graph,
-    active_subgraph,
     crosstalk_neighbours,
     mesh_crosstalk_chromatic_bound,
 )
@@ -10,7 +9,6 @@ from .coloring import (
     GraphIndex,
     welsh_powell_coloring,
     greedy_coloring,
-    bounded_coloring,
     num_colors,
     validate_coloring,
     color_classes,
@@ -25,7 +23,6 @@ from .solver import (
 from .frequencies import (
     IdleAssignment,
     assign_idle_frequencies,
-    step_frequencies,
     clamp_to_range,
 )
 from .admission import (
@@ -35,7 +32,7 @@ from .admission import (
     SuccessAdmission,
 )
 from .scheduler import NoiseAwareScheduler, ScheduledStep
-from .compiler import ColorDynamic, CompilationResult
+from .compiler import ColorDynamic, CompilationResult, CompilerPipeline
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -43,13 +40,11 @@ __all__ = [
     "StructuralAdmission",
     "SuccessAdmission",
     "build_crosstalk_graph",
-    "active_subgraph",
     "crosstalk_neighbours",
     "mesh_crosstalk_chromatic_bound",
     "GraphIndex",
     "welsh_powell_coloring",
     "greedy_coloring",
-    "bounded_coloring",
     "num_colors",
     "validate_coloring",
     "color_classes",
@@ -61,10 +56,10 @@ __all__ = [
     "assign_color_frequencies",
     "IdleAssignment",
     "assign_idle_frequencies",
-    "step_frequencies",
     "clamp_to_range",
     "NoiseAwareScheduler",
     "ScheduledStep",
     "ColorDynamic",
     "CompilationResult",
+    "CompilerPipeline",
 ]

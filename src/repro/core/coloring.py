@@ -12,8 +12,9 @@ Two colorings appear in the paper (Section IV-C):
 
 The paper uses the polynomial-time Welsh–Powell greedy heuristic; we
 implement it directly (rather than delegating to networkx) so the ordering
-rule is explicit and deterministic, and additionally provide a
-``max_colors``-bounded variant used by the tunability study of Fig. 11.
+rule is explicit and deterministic.  :class:`GraphIndex` re-runs it, plus
+the ``max_colors``-bounded variant used by the tunability study of Fig. 11,
+as bitset kernels over subsets of one frozen graph.
 """
 
 from __future__ import annotations
@@ -26,17 +27,14 @@ __all__ = [
     "GraphIndex",
     "welsh_powell_coloring",
     "greedy_coloring",
-    "bounded_coloring",
     "num_colors",
     "validate_coloring",
     "color_classes",
 ]
 
 
-def _degree_order(
-    graph: nx.Graph, priority: Optional[Dict[Hashable, float]] = None
-) -> List[Hashable]:
-    """Vertices by decreasing (priority,) degree, ties broken naturally.
+def _degree_order(graph: nx.Graph) -> List[Hashable]:
+    """Vertices by decreasing degree, ties broken naturally.
 
     Degree ties are broken by the vertices' own ordering — ``(1, 2)`` sorts
     before ``(1, 10)`` for the coupling vertices of a crosstalk graph, and
@@ -45,17 +43,10 @@ def _degree_order(
     ``(1, 10)`` before ``(1, 2)`` lexicographically.)  Graphs mixing
     incomparable vertex types fall back to the string ordering.
     """
-    if priority is None:
-        keys = [lambda v: (-graph.degree[v], v), lambda v: (-graph.degree[v], str(v))]
-    else:
-        keys = [
-            lambda v: (-priority.get(v, 0.0), -graph.degree[v], v),
-            lambda v: (-priority.get(v, 0.0), -graph.degree[v], str(v)),
-        ]
     try:
-        return sorted(graph.nodes, key=keys[0])
+        return sorted(graph.nodes, key=lambda v: (-graph.degree[v], v))
     except TypeError:
-        return sorted(graph.nodes, key=keys[1])
+        return sorted(graph.nodes, key=lambda v: (-graph.degree[v], str(v)))
 
 
 def welsh_powell_coloring(graph: nx.Graph) -> Dict[Hashable, int]:
@@ -101,52 +92,6 @@ def greedy_coloring(graph: nx.Graph, strategy: str = "welsh_powell") -> Dict[Has
     return dict(nx.coloring.greedy_color(graph, strategy=strategy))
 
 
-def bounded_coloring(
-    graph: nx.Graph,
-    max_colors: int,
-    priority: Optional[Dict[Hashable, float]] = None,
-) -> Tuple[Dict[Hashable, int], List[Hashable]]:
-    """Color as many vertices as possible using at most ``max_colors`` colors.
-
-    Vertices that cannot be colored without exceeding the budget are returned
-    in the deferral list — the scheduler postpones the corresponding gates to
-    a later time step, which is exactly how ColorDynamic trades parallelism
-    for tunability (Fig. 11).
-
-    Parameters
-    ----------
-    graph:
-        The (active sub)graph to color.
-    max_colors:
-        Maximum number of distinct colors available (``>= 1``).
-    priority:
-        Optional vertex priority (higher first); defaults to Welsh–Powell's
-        degree ordering.  Scheduler passes gate criticality here so the most
-        critical gates get colored (scheduled) first.
-
-    Returns
-    -------
-    (coloring, deferred):
-        ``coloring`` maps colored vertices to ``0..max_colors-1``;
-        ``deferred`` lists the vertices left uncolored.
-    """
-    if max_colors < 1:
-        raise ValueError("max_colors must be at least 1")
-
-    order = _degree_order(graph, priority)
-
-    coloring: Dict[Hashable, int] = {}
-    deferred: List[Hashable] = []
-    for vertex in order:
-        used = {coloring[n] for n in graph.neighbors(vertex) if n in coloring}
-        available = [c for c in range(max_colors) if c not in used]
-        if available:
-            coloring[vertex] = available[0]
-        else:
-            deferred.append(vertex)
-    return coloring, deferred
-
-
 class GraphIndex:
     """Integer-indexed coloring kernels over a frozen graph.
 
@@ -156,19 +101,21 @@ class GraphIndex:
     ``nx`` subgraph and walking adjacency dicts per call dominates the cold
     compile path, so this class indexes the graph once — vertices become
     dense integers in natural sort order, adjacency becomes one Python-int
-    bitset per vertex — and re-runs the reference algorithms above as pure
-    integer/bit operations.
+    bitset per vertex — and runs Welsh–Powell and a budgeted greedy
+    coloring as pure integer/bit operations.
 
-    Every kernel is **behaviour-identical** to its reference counterpart on
+    Every kernel is **behaviour-identical** to a networkx formulation on
     the induced subgraph (same ordering rule, same tie-breaks, same output),
-    which ``tests/differential`` enforces case by case:
+    which ``tests/differential`` enforces case by case against the oracles
+    in ``tests/differential/oracles.py``:
 
     * :meth:`welsh_powell` ==
       ``welsh_powell_coloring(graph.subgraph(active))``
-    * :meth:`bounded` == ``bounded_coloring(graph.subgraph(active), k)``
+    * :meth:`bounded` == the budgeted greedy coloring of
+      ``graph.subgraph(active)`` with ``k`` colors.
 
     Vertex ids follow the natural (falling back to string) vertex order, so
-    the id order *is* the reference tie-break order.
+    the id order *is* the :func:`_degree_order` tie-break order.
     """
 
     def __init__(self, graph: nx.Graph) -> None:
@@ -256,10 +203,17 @@ class GraphIndex:
         active: Optional[Iterable[Hashable]] = None,
         priority: Optional[Dict[Hashable, float]] = None,
     ) -> Tuple[Dict[Hashable, int], List[Hashable]]:
-        """Budgeted greedy coloring of the induced subgraph.
+        """Color as much of the induced subgraph as ``max_colors`` colors allow.
 
-        Identical output (coloring and deferral list) to
-        :func:`bounded_coloring` on ``graph.subgraph(active)``.
+        Vertices are visited by decreasing (*priority*, then) subgraph
+        degree, ties in natural order, and each takes the smallest color
+        none of its colored neighbours has.  Vertices left without a color
+        are returned in the deferral list — the scheduler postpones the
+        corresponding gates to a later time step, which is how ColorDynamic
+        trades parallelism for tunability (Fig. 11).
+
+        Returns ``(coloring, deferred)``: colored vertices mapped to
+        ``0..max_colors-1``, and the vertices left uncolored.
         """
         if max_colors < 1:
             raise ValueError("max_colors must be at least 1")

@@ -24,7 +24,6 @@ import networkx as nx
 
 __all__ = [
     "build_crosstalk_graph",
-    "active_subgraph",
     "crosstalk_neighbours",
     "mesh_crosstalk_chromatic_bound",
 ]
@@ -90,19 +89,6 @@ def build_crosstalk_graph(connectivity: nx.Graph, distance: int = 1) -> nx.Graph
                 extra.append((e1, e2))
     crosstalk.add_edges_from(extra)
     return crosstalk
-
-
-def active_subgraph(crosstalk: nx.Graph, active_couplings: Iterable[Coupling]) -> nx.Graph:
-    """Return the induced subgraph of the couplings active in one time step.
-
-    Couplings not present in the crosstalk graph (e.g. virtual pairs created
-    by routing bugs) raise ``KeyError`` so mistakes surface early.
-    """
-    keys = [_edge_key(c) for c in active_couplings]
-    for key in keys:
-        if key not in crosstalk:
-            raise KeyError(f"coupling {key} is not an edge of the device")
-    return crosstalk.subgraph(keys).copy()
 
 
 def crosstalk_neighbours(crosstalk: nx.Graph, coupling: Coupling) -> Set[Coupling]:

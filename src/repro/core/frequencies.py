@@ -26,7 +26,6 @@ __all__ = [
     "IdleAssignment",
     "StepFrequencyAssigner",
     "assign_idle_frequencies",
-    "step_frequencies",
     "clamp_to_range",
 ]
 
@@ -89,13 +88,17 @@ def assign_idle_frequencies(
 
 
 class StepFrequencyAssigner:
-    """Pre-indexed :func:`step_frequencies` for one (device, idle map) pair.
+    """Per-qubit 0-1 frequencies of one time step, for one (device, idle map).
 
-    The per-step assignment touches only the interacting qubits, but the
-    generic function re-resolves tunable ranges and anharmonicities through
-    the device object every call.  This helper gathers them into flat lists
-    once per compile; ``__call__`` is bit-identical to
-    ``step_frequencies(device, idle_frequencies, interactions)``.
+    Qubits not involved in an interaction keep their idle frequency.  For an
+    iSWAP-family interaction both qubits move to the interaction frequency;
+    for a CZ interaction the first qubit's 0-1 transition is placed on the
+    second qubit's 1-2 transition, i.e. the first qubit sits at the
+    interaction frequency and the second ``|alpha|`` above it.  Every
+    frequency is clamped into its qubit's tunable range.
+
+    Tunable ranges and anharmonicities are gathered into flat lists once
+    per compiler, since the assignment runs for every step.
     """
 
     def __init__(self, device: Device, idle_frequencies: Mapping[int, float]) -> None:
@@ -122,31 +125,3 @@ class StepFrequencyAssigner:
             frequencies[b] = low if freq_b < low else (high if freq_b > high else freq_b)
         return frequencies
 
-
-def step_frequencies(
-    device: Device,
-    idle_frequencies: Mapping[int, float],
-    interactions: Sequence[Interaction],
-) -> Dict[int, float]:
-    """Per-qubit 0-1 frequencies for one time step.
-
-    Qubits not involved in an interaction keep their idle frequency.  For an
-    iSWAP-family interaction both qubits move to the interaction frequency;
-    for a CZ interaction the first qubit's 0-1 transition is placed on the
-    second qubit's 1-2 transition, i.e. the first qubit sits at the
-    interaction frequency and the second ``|alpha|`` above it.
-    """
-    frequencies: Dict[int, float] = dict(idle_frequencies)
-    for interaction in interactions:
-        a, b = interaction.pair
-        omega = interaction.frequency
-        if interaction.gate_name == "cz":
-            alpha_b = device.qubits[b].params.anharmonicity
-            freq_a = omega
-            freq_b = omega - alpha_b  # omega12_b = freq_b + alpha_b = omega
-        else:
-            freq_a = omega
-            freq_b = omega
-        frequencies[a] = clamp_to_range(freq_a, device.tunable_range(a))
-        frequencies[b] = clamp_to_range(freq_b, device.tunable_range(b))
-    return frequencies

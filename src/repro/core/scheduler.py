@@ -16,31 +16,34 @@ gates).  It differs from a plain ASAP scheduler in two ways:
 Gates that conflict are postponed to a later step: this is the controlled
 trade of parallelism for crosstalk described in the paper.
 
-Two decision-identical data planes implement the loop — the original
-networkx path (``indexed=False``) and the integer-indexed bitset path
-(``indexed=True``, the default) — and a third, policy-driven loop runs when
-a :class:`~repro.core.admission.StepAdmission` policy is passed to
+The loop runs over integer-indexed kernels: the crosstalk graph is
+flattened into a :class:`~repro.core.coloring.GraphIndex` once, the step's
+active couplings are a bitset updated per admitted gate, crowding is a
+popcount and the ``max_colors`` probe a bitset coloring.  A second,
+policy-driven loop runs when a
+:class:`~repro.core.admission.StepAdmission` policy is passed to
 :meth:`NoiseAwareScheduler.schedule`: single-qubit gates are admitted in
 criticality order as usual, but each two-qubit admission is delegated to
 the policy, which picks among a beam of structurally admissible candidates
 (the ``"success"`` policy scores them with
 :meth:`~repro.noise.IncrementalEstimator.preview_step`).  With no policy —
-or the ``"structural"`` one — the original loops run untouched, so the
-default remains bit-identical to the paper's behavior.
+or the ``"structural"`` one — the structural loop runs untouched, so the
+default remains bit-identical to the paper's behavior.  The original
+networkx loop survives as a test oracle (``tests/differential/oracles.py``)
+that both loops are pinned against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..circuits import Circuit, Gate, build_dag, criticality, gate_dependencies
+from ..circuits import Circuit, Gate, gate_dependencies
 from ..circuits.dag import criticality_scores
 from .admission import StepAdmission
-from .coloring import GraphIndex, bounded_coloring
-from .crosstalk_graph import active_subgraph
+from .coloring import GraphIndex
 
 __all__ = ["NoiseAwareScheduler", "ScheduledStep"]
 
@@ -92,15 +95,6 @@ class NoiseAwareScheduler:
         Hard cap on simultaneous two-qubit gates per step.  ``1`` gives the
         fully serial scheduler of Baseline U; ``None`` (default) leaves
         parallelism to the conflict checks.
-    indexed:
-        ``True`` (default) runs the conflict checks of the inner loop
-        through integer-indexed kernels: the crosstalk graph is flattened
-        into a :class:`~repro.core.coloring.GraphIndex` once, the step's
-        active couplings are maintained as a bitset that is *updated* (not
-        rebuilt) per admitted gate, crowding is a popcount and the
-        ``max_colors`` probe a bitset coloring.  ``False`` keeps the
-        original networkx path as the reference; both make identical
-        scheduling decisions (see ``tests/differential``).
     crosstalk_index:
         Pre-built :class:`GraphIndex` of ``crosstalk_graph`` (compilers
         build it once and share it across compiles); derived on demand when
@@ -114,7 +108,6 @@ class NoiseAwareScheduler:
         conflict_threshold: Optional[int] = 3,
         allowed_couplings=None,
         max_parallel_interactions: Optional[int] = None,
-        indexed: bool = True,
         crosstalk_index: Optional[GraphIndex] = None,
     ) -> None:
         if max_colors is not None and max_colors < 1:
@@ -128,35 +121,9 @@ class NoiseAwareScheduler:
         self.conflict_threshold = conflict_threshold
         self.allowed_couplings = allowed_couplings
         self.max_parallel_interactions = max_parallel_interactions
-        self.indexed = indexed
-        if indexed and crosstalk_graph is not None and crosstalk_index is None:
+        if crosstalk_graph is not None and crosstalk_index is None:
             crosstalk_index = GraphIndex(crosstalk_graph)
-        self.crosstalk_index = crosstalk_index if indexed else None
-
-    # ------------------------------------------------------------------
-    def noise_conflict(self, coupling: Coupling, active: Sequence[Coupling]) -> bool:
-        """Predict whether admitting *coupling* alongside *active* risks crosstalk."""
-        if self.crosstalk_graph is None:
-            return False
-        key = tuple(sorted(coupling))
-        active_keys = [tuple(sorted(c)) for c in active]
-
-        if self.conflict_threshold is not None:
-            neighbours = (
-                set(self.crosstalk_graph.neighbors(key))
-                if key in self.crosstalk_graph
-                else set()
-            )
-            crowded = sum(1 for c in active_keys if c in neighbours)
-            if crowded >= self.conflict_threshold:
-                return True
-
-        if self.max_colors is not None:
-            subgraph = active_subgraph(self.crosstalk_graph, active_keys + [key])
-            _, deferred = bounded_coloring(subgraph, self.max_colors)
-            if deferred:
-                return True
-        return False
+        self.crosstalk_index = crosstalk_index
 
     # ------------------------------------------------------------------
     def schedule(
@@ -183,10 +150,10 @@ class NoiseAwareScheduler:
             Optional :class:`~repro.core.admission.StepAdmission` policy
             deciding which two-qubit gate enters the current step next.
             ``None`` — or a policy named ``"structural"`` — runs the
-            original criticality-order loops untouched (bit-identical to
-            prior releases); any other policy routes through the
-            policy-driven loop, which gathers a beam of admissible
-            candidates per decision and admits the policy's choice.
+            criticality-order loop untouched; any other policy routes
+            through the policy-driven loop, which gathers a beam of
+            admissible candidates per decision and admits the policy's
+            choice.
 
         Returns
         -------
@@ -202,92 +169,17 @@ class NoiseAwareScheduler:
         """
         if admission is not None and admission.name != "structural":
             return self._schedule_admission(circuit, on_step, admission)
-        if self.indexed:
-            return self._schedule_indexed(circuit, on_step)
-        return self._schedule_reference(circuit, on_step)
+        return self._schedule_structural(circuit, on_step)
 
-    def _schedule_reference(
+    def _schedule_structural(
         self,
         circuit: Circuit,
         on_step: Optional[Callable[[ScheduledStep], None]] = None,
     ) -> List[ScheduledStep]:
-        """The original networkx scheduling loop, kept as the reference path."""
-        dag = build_dag(circuit)
-        scores = criticality(circuit, weighted=True, indexed=False)
+        """The criticality-order scheduling loop.
 
-        indegree: Dict[int, int] = {
-            node: dag.graph.in_degree(node) for node in dag.graph.nodes
-        }
-        ready: Set[int] = {node for node, deg in indegree.items() if deg == 0}
-        steps: List[ScheduledStep] = []
-        step_index = 0
-
-        while ready:
-            ordered = sorted(ready, key=lambda idx: (-scores[idx], idx))
-            step = ScheduledStep()
-            busy_qubits: Set[int] = set()
-            allowed = (
-                self.allowed_couplings(step_index)
-                if self.allowed_couplings is not None
-                else None
-            )
-
-            for index in ordered:
-                gate = circuit.gates[index]
-                if set(gate.qubits) & busy_qubits:
-                    continue
-                if gate.is_two_qubit:
-                    coupling = tuple(sorted(gate.qubits))
-                    if allowed is not None and coupling not in allowed:
-                        continue
-                    if (
-                        self.max_parallel_interactions is not None
-                        and len(step.couplings) >= self.max_parallel_interactions
-                    ):
-                        continue
-                    if self.noise_conflict(coupling, step.couplings):
-                        continue
-                    step.couplings.append(coupling)
-                    step.interaction_gates.append(gate)
-                step.gates.append(gate)
-                step.indices.append(index)
-                busy_qubits.update(gate.qubits)
-
-            if not step.gates:
-                # Nothing admitted this cycle (e.g. the tiling pattern blocks
-                # every ready gate); advance the pattern instead of looping
-                # forever, but only when a pattern is in play.
-                if allowed is None:
-                    raise RuntimeError("scheduler made no progress; circular conflict")
-                step_index += 1
-                continue
-
-            step.base_duration_ns = max(
-                (g.duration_ns for g in step.gates), default=0.0
-            )
-            steps.append(step)
-            if on_step is not None:
-                on_step(step)
-            for index in step.indices:
-                ready.discard(index)
-                for successor in dag.graph.successors(index):
-                    indegree[successor] -= 1
-                    if indegree[successor] == 0:
-                        ready.add(successor)
-            step_index += 1
-
-        return steps
-
-    def _schedule_indexed(
-        self,
-        circuit: Circuit,
-        on_step: Optional[Callable[[ScheduledStep], None]] = None,
-    ) -> List[ScheduledStep]:
-        """Indexed data plane of the scheduling loop (decision-identical).
-
-        Differences from the reference are purely representational: flat
-        successor lists and one criticality sweep replace the two networkx
-        DAG builds; per-gate metadata (sorted coupling, qubits) is resolved
+        Flat successor lists and one criticality sweep stand in for a DAG
+        object; per-gate metadata (sorted coupling, qubits) is resolved
         once instead of per readiness probe; the ready queue is a sorted
         list maintained incrementally under the static ``(-score, index)``
         key instead of being re-sorted every cycle; and the crosstalk
@@ -360,8 +252,8 @@ class NoiseAwareScheduler:
                             continue
                         if max_colors is not None:
                             if coupling_id is None:
-                                # Mirror active_subgraph(): a coupling that is
-                                # not an edge of the device is an error.
+                                # A coupling that is not an edge of the
+                                # device is an error.
                                 raise KeyError(
                                     f"coupling {coupling} is not an edge of the device"
                                 )
@@ -419,6 +311,58 @@ class NoiseAwareScheduler:
 
         return steps
 
+    def _admission_checks(self) -> Tuple[Callable, Callable]:
+        """``(conflicts, extend_mask)`` of the policy-driven loop.
+
+        ``conflicts(coupling, step_couplings, active_mask)`` says whether
+        the crosstalk checks reject *coupling* next to the step's admitted
+        couplings, whose bitset is ``active_mask``;
+        ``extend_mask(active_mask, coupling)`` adds an admitted coupling to
+        that bitset.
+        """
+        index = self.crosstalk_index
+        if index is None or self.crosstalk_graph is None:
+
+            def never_conflicts(coupling, step_couplings, active_mask) -> bool:
+                return False
+
+            def same_mask(active_mask: int, coupling: Coupling) -> int:
+                return active_mask
+
+            return never_conflicts, same_mask
+        threshold = self.conflict_threshold
+        max_colors = self.max_colors
+        adjacency = index.adjacency
+        vertex_id = index.vertex_id
+
+        # Deliberate duplicate of the predicate inlined in
+        # _schedule_structural (kept inline there for hot-loop speed); the
+        # two copies are pinned decision-identical by
+        # tests/core/test_admission.py::TestStructuralPolicy — change one,
+        # change both.
+        def conflicts(coupling, step_couplings, active_mask) -> bool:
+            coupling_id = vertex_id.get(coupling)
+            if (
+                threshold is not None
+                and coupling_id is not None
+                and (adjacency[coupling_id] & active_mask).bit_count() >= threshold
+            ):
+                return True
+            if max_colors is not None:
+                if coupling_id is None:
+                    raise KeyError(f"coupling {coupling} is not an edge of the device")
+                if len(step_couplings) + 1 > max_colors:
+                    _, deferred = index.bounded(max_colors, step_couplings + [coupling])
+                    if deferred:
+                        return True
+            return False
+
+        def extend_mask(active_mask: int, coupling: Coupling) -> int:
+            coupling_id = vertex_id.get(coupling)
+            return active_mask | (1 << coupling_id) if coupling_id is not None else active_mask
+
+        return conflicts, extend_mask
+
     def _schedule_admission(
         self,
         circuit: Circuit,
@@ -428,18 +372,17 @@ class NoiseAwareScheduler:
         """Policy-driven scheduling loop (see the module docstring).
 
         Single-qubit gates are admitted in criticality order exactly like
-        the structural loops.  For the two-qubit placement, up to
+        the structural loop.  For the two-qubit placement, up to
         ``policy.beam`` complete candidate compositions are assembled —
         composition *k* admits the *k*-th admissible two-qubit gate first
         and fills the remainder of the step structurally — and the policy
         chooses which composition the cycle emits.  Composition 0 is the
         structural step, so a policy that never deviates reproduces the
-        structural loops' decisions exactly.
+        structural loop's decisions exactly.
 
-        Structural admissibility is evaluated through the same kernels as
-        the structural loops — bitset popcount/probe when ``indexed``,
-        :meth:`noise_conflict` otherwise — so for a given admission order
-        the two planes make identical decisions.
+        Structural admissibility is evaluated by :meth:`_admission_checks`,
+        the same bitset popcount/probe as the structural loop, so for a
+        given admission order the two loops make identical decisions.
         """
         gates = circuit.gates
         n = len(gates)
@@ -451,58 +394,10 @@ class NoiseAwareScheduler:
         ]
         sort_keys = [(-scores[i], i) for i in range(n)]
 
-        threshold = self.conflict_threshold
-        max_colors = self.max_colors
         max_parallel = self.max_parallel_interactions
         allowed_fn = self.allowed_couplings
         beam = max(1, policy.beam)
-        index = self.crosstalk_index if self.indexed else None
-
-        if index is not None and self.crosstalk_graph is not None:
-            adjacency = index.adjacency
-            vertex_id = index.vertex_id
-
-            # Deliberate duplicate of the predicate inlined in
-            # _schedule_indexed (kept inline there for hot-loop speed); the
-            # two copies are pinned decision-identical by
-            # tests/core/test_admission.py::TestStructuralPolicy — change
-            # one, change both.
-            def conflicts(coupling, step_couplings, active_mask) -> bool:
-                coupling_id = vertex_id.get(coupling)
-                if (
-                    threshold is not None
-                    and coupling_id is not None
-                    and (adjacency[coupling_id] & active_mask).bit_count() >= threshold
-                ):
-                    return True
-                if max_colors is not None:
-                    if coupling_id is None:
-                        raise KeyError(
-                            f"coupling {coupling} is not an edge of the device"
-                        )
-                    if len(step_couplings) + 1 > max_colors:
-                        _, deferred = index.bounded(
-                            max_colors, step_couplings + [coupling]
-                        )
-                        if deferred:
-                            return True
-                return False
-
-            def extend_mask(active_mask: int, coupling: Coupling) -> int:
-                coupling_id = vertex_id.get(coupling)
-                return (
-                    active_mask | (1 << coupling_id)
-                    if coupling_id is not None
-                    else active_mask
-                )
-
-        else:
-
-            def conflicts(coupling, step_couplings, active_mask) -> bool:
-                return self.noise_conflict(coupling, step_couplings)
-
-            def extend_mask(active_mask: int, coupling: Coupling) -> int:
-                return active_mask
+        conflicts, extend_mask = self._admission_checks()
 
         ready_list = sorted(sort_keys[i] for i in range(n) if indegree[i] == 0)
         steps: List[ScheduledStep] = []
@@ -534,7 +429,7 @@ class NoiseAwareScheduler:
                 Admits *leader* first (``None`` means pure criticality
                 order), then fills the step structurally: the remaining
                 pending gates are scanned in criticality order through the
-                same busy/allowed/conflict checks as the structural loops.
+                same busy/allowed/conflict checks as the structural loop.
                 Returns ``None`` when *leader* itself is inadmissible.
                 """
                 admitted: List[int] = []

@@ -73,56 +73,18 @@ def _greedy_place(
     """Place ``count`` values bottom-up honouring constraints (1)-(3).
 
     Returns the placements or ``None`` when they do not fit below ``high``.
-    """
-    placements: List[float] = []
-    candidate = low
-    alpha_mag = abs(alpha)
-    for _ in range(count):
-        moved = True
-        while moved:
-            moved = False
-            for p in placements:
-                # Constraint (2): stay at least delta above every placed value.
-                if candidate < p + delta - 1e-12:
-                    candidate = p + delta
-                    moved = True
-                # Constraint (3): avoid the windows around p + |alpha| and
-                # p + 2|alpha|.  The first keeps the new value's 0-1 away
-                # from p's 1-2 transition; the second keeps a CZ partner
-                # (parked |alpha| above its color) away from the other
-                # color's 1-2 transition.
-                for multiple in (1, 2):
-                    lower = p + multiple * alpha_mag - delta
-                    upper = p + multiple * alpha_mag + delta
-                    if lower - 1e-12 < candidate < upper - 1e-12:
-                        candidate = upper
-                        moved = True
-        if candidate > high + 1e-9:
-            return None
-        placements.append(candidate)
-    return placements
+    Each new value starts at the last one and is pushed up until it stays
+    at least ``delta`` above every placed value (constraint (2)) and outside
+    the windows around ``p + |alpha|`` and ``p + 2|alpha|`` (constraint
+    (3)): the first keeps its 0-1 transition away from ``p``'s 1-2
+    transition, the second keeps a CZ partner (parked ``|alpha|`` above its
+    color) away from the other color's 1-2 transition.  The constraint
+    grids are evaluated as NumPy arrays over all placed values at once.
 
-
-def _greedy_place_vec(
-    count: int,
-    low: float,
-    high: float,
-    delta: float,
-    alpha: float,
-) -> Optional[List[float]]:
-    """Vectorized (NumPy) counterpart of :func:`_greedy_place`.
-
-    Evaluates the constraint grids — the ``p + delta`` lower bounds of
-    constraint (2) and the ``p + m|alpha| ± delta`` exclusion windows of
-    constraint (3) — as arrays over all placed values at once, instead of
-    scanning value by value.
-
-    Bit-identical to the scalar reference: both push the candidate through
-    monotone jumps to constraint-boundary values (each jump lands on the
-    least value satisfying the violated constraint), so both converge to the
-    unique least fixed point, and every boundary is computed with the same
-    float expression (``p + delta``; ``(p + m * |alpha|) + delta``).
-    The differential suite asserts placement-for-placement equality.
+    Every push lands on the least value satisfying the violated constraint,
+    so the scan converges to the unique least fixed point whatever order it
+    checks constraints in; the scalar value-by-value scan in
+    ``tests/differential/oracles.py`` is pinned placement for placement.
     """
     placements: List[float] = []
     candidate = low
@@ -165,7 +127,6 @@ def solve_max_separation(
     min_separation: float = 1e-4,
     tolerance: float = 1e-5,
     center: bool = True,
-    vectorized: bool = True,
 ) -> FrequencySolution:
     """Find ``count`` frequencies in ``[low, high]`` with maximal separation.
 
@@ -186,11 +147,6 @@ def solve_max_separation(
     center:
         When ``True`` the returned values are shifted so the unused headroom
         of the band is split evenly above and below the assignment.
-    vectorized:
-        ``True`` (default) runs the feasibility scans through
-        :func:`_greedy_place_vec`; ``False`` runs the original scalar
-        :func:`_greedy_place`, kept as the reference path.  Both engines are
-        bit-identical (see ``tests/differential/test_solver_differential.py``).
 
     Returns
     -------
@@ -204,9 +160,8 @@ def solve_max_separation(
         midpoint = (low + high) / 2.0
         return FrequencySolution((midpoint,), separation=high - low, feasible=True)
 
-    place = _greedy_place_vec if vectorized else _greedy_place
     lo_delta, hi_delta = 0.0, (high - low)
-    best: Optional[List[float]] = place(count, low, high, min_separation, anharmonicity)
+    best: Optional[List[float]] = _greedy_place(count, low, high, min_separation, anharmonicity)
     if best is None:
         # Not even the minimum separation fits; fall back to an unconstrained
         # uniform spread so the caller still gets *some* assignment, flagged
@@ -218,7 +173,7 @@ def solve_max_separation(
     lo_delta = min_separation
     while hi_delta - lo_delta > tolerance:
         mid = (lo_delta + hi_delta) / 2.0
-        attempt = place(count, low, high, mid, anharmonicity)
+        attempt = _greedy_place(count, low, high, mid, anharmonicity)
         if attempt is not None:
             best, best_delta, lo_delta = attempt, mid, mid
         else:
@@ -243,14 +198,14 @@ def solve_max_separation_cached(
     tolerance: float = 1e-5,
     center: bool = True,
 ) -> FrequencySolution:
-    """Memoized :func:`solve_max_separation` (vectorized engine).
+    """Memoized :func:`solve_max_separation`.
 
     The solver is a pure function of its scalar arguments, and compilation
     asks for the same handful of instances over and over — every step with
-    ``k`` colors on the same partition shares one solution — so the fast
-    compile path memoizes the (immutable) :class:`FrequencySolution` by
-    value.  Callers must not mutate the shared result (they cannot: it is a
-    frozen dataclass holding a tuple).
+    ``k`` colors on the same partition shares one solution — so compiles
+    memoize the (immutable) :class:`FrequencySolution` by value.  Callers
+    must not mutate the shared result (they cannot: it is a frozen
+    dataclass holding a tuple).
     """
     return solve_max_separation(
         count,
@@ -260,7 +215,6 @@ def solve_max_separation_cached(
         min_separation=min_separation,
         tolerance=tolerance,
         center=center,
-        vectorized=True,
     )
 
 
@@ -270,7 +224,6 @@ def assign_color_frequencies(
     high: float,
     anharmonicity: float = -0.2,
     usage: Optional[Mapping[int, int]] = None,
-    vectorized: bool = True,
 ) -> Tuple[Dict[int, float], FrequencySolution]:
     """Map each color of *coloring* to a frequency in ``[low, high]``.
 
@@ -290,9 +243,6 @@ def assign_color_frequencies(
     usage:
         Optional explicit color → multiplicity mapping; derived from
         *coloring* when omitted.
-    vectorized:
-        ``True`` (default) solves through the memoized vectorized engine;
-        ``False`` runs the scalar reference solver (bit-identical results).
 
     Returns
     -------
@@ -309,10 +259,7 @@ def assign_color_frequencies(
     else:
         usage_counts = {c: int(usage.get(c, 0)) for c in colors}
 
-    if vectorized:
-        solution = solve_max_separation_cached(len(colors), low, high, anharmonicity)
-    else:
-        solution = solve_max_separation(len(colors), low, high, anharmonicity, vectorized=False)
+    solution = solve_max_separation_cached(len(colors), low, high, anharmonicity)
     # Highest frequency -> most used color.
     ordered_colors = sorted(colors, key=lambda c: (-usage_counts[c], c))
     ordered_freqs = sorted(solution.frequencies, reverse=True)

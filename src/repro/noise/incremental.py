@@ -1,6 +1,6 @@
 """Incremental Eq. (4) estimation for the compiler's inner loop.
 
-The vectorized estimator in :mod:`repro.noise.metrics` re-derives the whole
+The estimator in :mod:`repro.noise.metrics` re-derives the whole
 dense program representation — the ``steps x qubits`` frequency matrix, the
 busy/interacting masks, every spectator channel — on every call.  That is
 the right shape for scoring a finished program, but the wrong shape for a
@@ -19,7 +19,7 @@ only folds the per-step scalars plus one cheap dense pass over the
 is inherently global).
 
 **Bit-exactness contract.**  After any sequence of mutations, :meth:`report`
-is bit-identical to ``estimate_success(program, model, vectorized=True)`` on
+is bit-identical to ``estimate_success(program, model)`` on
 the program assembled from the current steps — for every strategy and every
 noise-model configuration.  This works because both paths build the same
 dense rows (:func:`~repro.noise.metrics._step_dense_row` here, the

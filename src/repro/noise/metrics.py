@@ -17,20 +17,17 @@ yielding::
 
 exactly as the paper's heuristic does.
 
-Two evaluation engines implement the same model:
-
-* the **vectorized engine** (default, ``vectorized=True``) builds dense
-  NumPy arrays straight from the program's columnar form
-  (:attr:`CompiledProgram.columns <repro.program.CompiledProgram.columns>`)
-  — a ``steps x qubits`` frequency matrix plus
-  busy/parking-collision/residual-coupler masks — and evaluates every
-  spectator channel of every step in a handful of array operations.  The
-  device-level pair structure (indices, bare couplings, anharmonicities) is
-  built once per ``(device, crosstalk_distance, next_neighbour_factor)`` and
-  cached on the device (see :func:`spectator_geometry`);
-* the **scalar reference** (``vectorized=False``) is the original
-  step-by-step triple loop, kept as the ground truth the vectorized engine is
-  regression-tested against (agreement to ~1e-12 on full benchmark suites).
+The estimator builds dense NumPy arrays straight from the program's
+columnar form (:attr:`CompiledProgram.columns
+<repro.program.CompiledProgram.columns>`) — a ``steps x qubits`` frequency
+matrix plus busy/parking-collision/residual-coupler masks — and evaluates
+every spectator channel of every step in a handful of array operations.  The
+device-level pair structure (indices, bare couplings, anharmonicities) is
+built once per ``(device, crosstalk_distance, next_neighbour_factor)`` and
+cached on the device (see :func:`spectator_geometry`).  The original
+step-by-step scalar loop is kept as a test oracle
+(``tests/differential/oracles.py``); the two agree to ~1e-12 on full
+benchmark suites.
 
 Cache invalidation rule: the spectator-geometry cache lives on the
 :class:`~repro.devices.Device` instance and is keyed only by the model fields
@@ -53,14 +50,10 @@ from ..devices import Device
 from ..devices.device import PREPARED_CACHE_ATTR
 from ..obs import span as _span
 from ..program import CompiledProgram, TimeStep
-from .crosstalk import spectator_error, spectator_error_array
-from .decoherence import combined_qubit_error, combined_qubit_error_array
-from .flux import (
-    DEFAULT_FLUX_NOISE_AMPLITUDE,
-    flux_dephasing_rate,
-    flux_dephasing_rate_matrix,
-)
-from .leakage import leakage_probability, leakage_probability_array
+from .crosstalk import spectator_error_array
+from .decoherence import combined_qubit_error_array
+from .flux import DEFAULT_FLUX_NOISE_AMPLITUDE, flux_dephasing_rate_matrix
+from .leakage import leakage_probability_array
 
 __all__ = [
     "NoiseModel",
@@ -183,13 +176,13 @@ class SuccessReport:
 # ---------------------------------------------------------------------------
 @dataclass
 class SpectatorGeometry:
-    """Dense device-level structure consumed by both estimator engines.
+    """Dense device-level structure the estimator indexes with.
 
-    ``pairs`` is the scalar-path view (``(pair, bare coupling, distance)``
-    per spectator channel pair); the ndarray attributes are the columnar view
-    the vectorized engine indexes with.  All arrays but ``pair_lookup``
-    share length ``P`` (the number of spectator pairs); ``pair_lookup`` maps
-    a sorted qubit pair to its position in them.
+    ``pairs`` lists ``(pair, bare coupling, distance)`` per spectator
+    channel pair; the ndarray attributes are the same pairs as columns.
+    All arrays but ``pair_lookup`` share length ``P`` (the number of
+    spectator pairs); ``pair_lookup`` maps a sorted qubit pair to its
+    position in them.
     """
 
     pairs: List[Tuple[Coupling, float, int]]
@@ -317,8 +310,8 @@ def clear_spectator_cache(device: Device) -> None:
     """Drop the device-instance caches after in-place device mutation.
 
     Covers the spectator geometry and parameter arrays used by the
-    estimators plus the prepared-circuit memo used by the compilers'
-    indexed fast path (routing depends on the device graph).
+    estimators plus the compilers' prepared-circuit memo (routing depends
+    on the device graph).
     """
     for attr in (_GEOMETRY_CACHE_ATTR, _PARAMS_CACHE_ATTR, PREPARED_CACHE_ATTR):
         if hasattr(device, attr):
@@ -326,58 +319,8 @@ def clear_spectator_cache(device: Device) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference engine (the original triple loop)
+# calibration floor
 # ---------------------------------------------------------------------------
-def _step_spectator_errors(
-    step: TimeStep,
-    program: CompiledProgram,
-    model: NoiseModel,
-    pairs: List[Tuple[Coupling, float, int]],
-) -> List[float]:
-    """Spectator-channel errors for one time step (one value per noisy channel)."""
-    device = program.device
-    interacting = step.interacting_pairs()
-    busy = step.interacting_qubits()
-    errors: List[float] = []
-    duration = step.duration_ns
-    if duration <= 0:
-        return errors
-    for pair, bare_coupling, _distance in pairs:
-        if pair in interacting:
-            continue  # the intended gate on this pair is charged separately
-        a, b = pair
-        if a not in step.frequencies or b not in step.frequencies:
-            continue
-        if not model.idle_idle_crosstalk and a not in busy and b not in busy:
-            # Both qubits are parked: only a genuine parking collision counts.
-            if abs(step.frequencies[a] - step.frequencies[b]) > model.parking_collision_threshold:
-                continue
-        coupling = bare_coupling
-        if not step.coupler_is_active(pair):
-            coupling = bare_coupling * model.residual_coupler_factor
-        if coupling <= 0.0:
-            continue
-        omega_a = step.frequencies[a]
-        omega_b = step.frequencies[b]
-        alpha_a = device.qubits[a].params.anharmonicity
-        alpha_b = device.qubits[b].params.anharmonicity
-
-        exchange = spectator_error(
-            coupling, omega_a - omega_b, duration, worst_case=model.worst_case
-        )
-        errors.append(min(exchange, model.spectator_error_cap))
-        if model.include_leakage:
-            for detuning in (
-                abs(omega_a - (omega_b + alpha_b)),
-                abs((omega_a + alpha_a) - omega_b),
-            ):
-                leak = leakage_probability(
-                    coupling, detuning, duration, worst_case=model.worst_case
-                )
-                errors.append(min(leak, model.spectator_error_cap))
-    return errors
-
-
 def _floor_fidelity_from_counts(
     counts: Mapping[str, int], model: NoiseModel
 ) -> Tuple[float, int, int, int]:
@@ -428,35 +371,6 @@ def _gate_floor_errors(
     return _floor_fidelity_from_counts(counts, model)
 
 
-def _decoherence_errors(program: CompiledProgram, model: NoiseModel) -> Dict[int, float]:
-    """Per-qubit decoherence error over the full program duration."""
-    device = program.device
-    total = program.total_duration_ns
-    errors: Dict[int, float] = {}
-    if total <= 0:
-        return {q: 0.0 for q in range(device.num_qubits)}
-
-    # Time-weighted average flux-noise dephasing rate per qubit.
-    extra_rate: Dict[int, float] = {q: 0.0 for q in range(device.num_qubits)}
-    if model.include_flux_noise:
-        for step in program.steps:
-            if step.duration_ns <= 0:
-                continue
-            weight = step.duration_ns / total
-            for qubit, frequency in step.frequencies.items():
-                rate = flux_dephasing_rate(
-                    device.qubits[qubit], frequency, model.flux_noise_amplitude
-                )
-                extra_rate[qubit] += weight * rate
-
-    for qubit in range(device.num_qubits):
-        params = device.qubits[qubit].params
-        errors[qubit] = combined_qubit_error(
-            total, params.t1_ns, params.t2_ns, extra_rate.get(qubit, 0.0)
-        )
-    return errors
-
-
 # ---------------------------------------------------------------------------
 # vectorized engine (dense data plane)
 # ---------------------------------------------------------------------------
@@ -466,7 +380,7 @@ class _ProgramArrays:
 
     ``frequencies`` is a ``steps x qubits`` matrix (NaN where a step carries
     no frequency for a qubit); the boolean masks mirror the skip logic of the
-    scalar reference step by step.
+    scalar oracle step by step.
     """
 
     durations: np.ndarray  # (S,)
@@ -667,7 +581,7 @@ def _vectorized_spectator_errors(
 
     Returns ``(step_fidelities, step_error_totals, step_worst_errors)``,
     each of shape ``(S,)``.  The boolean channel mask reproduces the scalar
-    reference's skip rules (zero-duration steps, intended pairs, absent
+    oracle's skip rules (zero-duration steps, intended pairs, absent
     frequencies, safe idle-idle pairs, zero effective coupling); channels
     reduce in pair-major / channel-last order within each step, and the
     caller multiplies the per-step results in step order — the same order
@@ -772,54 +686,36 @@ def _vectorized_decoherence_errors(
 def estimate_success(
     program: CompiledProgram,
     model: Optional[NoiseModel] = None,
-    vectorized: bool = True,
 ) -> SuccessReport:
     """Estimate the worst-case success rate of a compiled program (Eq. (4)).
 
-    ``vectorized=True`` (default) evaluates all steps through the dense NumPy
-    engine, which reads the program's columnar form
-    (:attr:`~repro.program.CompiledProgram.columns`) — on a program decoded
-    from the store no :class:`~repro.program.TimeStep` is ever built.
-    ``vectorized=False`` runs the original scalar triple loop over
-    ``program.steps``, kept as the reference implementation.  Both agree to
-    ~1e-12 on the full benchmark suite (see
-    ``tests/noise/test_vectorized_equivalence.py``), and the vectorized
-    report is bit-identical between a freshly compiled program and its
-    decoded copy (``tests/differential/test_codec_round_trip.py``).
+    Evaluates all steps through the dense NumPy arrays, which read the
+    program's columnar form (:attr:`~repro.program.CompiledProgram.columns`)
+    — on a program decoded from the store no
+    :class:`~repro.program.TimeStep` is ever built.  The report agrees with
+    the scalar oracle to ~1e-12 on the full benchmark suite (see
+    ``tests/noise/test_vectorized_equivalence.py``) and is bit-identical
+    between a freshly compiled program and its decoded copy
+    (``tests/differential/test_codec_round_trip.py``).
 
     Returns a :class:`SuccessReport` with the overall estimate and its
     crosstalk / decoherence / calibration-floor components.
     """
-    with _span("estimate", program=program.name, vectorized=vectorized):
-        return _estimate_success_impl(program, model, vectorized)
+    with _span("estimate", program=program.name):
+        return _estimate_success_impl(program, model)
 
 
-def _estimate_success_impl(
-    program: CompiledProgram,
-    model: Optional[NoiseModel],
-    vectorized: bool,
-) -> SuccessReport:
+def _estimate_success_impl(program: CompiledProgram, model: Optional[NoiseModel]) -> SuccessReport:
     model = model or NoiseModel()
     geometry = spectator_geometry(program.device, model)
 
     gate_fidelity, n2q, n1q, nvirtual = _gate_floor_errors(program, model)
 
-    if vectorized:
-        arrays = _program_arrays(program, geometry)
-        crosstalk_fidelity, crosstalk_total, worst_spectator = _combine_step_stats(
-            *_vectorized_spectator_errors(arrays, model, geometry)
-        )
-        decoherence = _vectorized_decoherence_errors(program, model, arrays)
-    else:
-        crosstalk_fidelity = 1.0
-        crosstalk_total = 0.0
-        worst_spectator = 0.0
-        for step in program.steps:
-            for err in _step_spectator_errors(step, program, model, geometry.pairs):
-                crosstalk_fidelity *= 1.0 - err
-                crosstalk_total += err
-                worst_spectator = max(worst_spectator, err)
-        decoherence = _decoherence_errors(program, model)
+    arrays = _program_arrays(program, geometry)
+    crosstalk_fidelity, crosstalk_total, worst_spectator = _combine_step_stats(
+        *_vectorized_spectator_errors(arrays, model, geometry)
+    )
+    decoherence = _vectorized_decoherence_errors(program, model, arrays)
 
     decoherence_fidelity = 1.0
     for err in decoherence.values():
@@ -842,10 +738,6 @@ def _estimate_success_impl(
     )
 
 
-def success_rate(
-    program: CompiledProgram,
-    model: Optional[NoiseModel] = None,
-    vectorized: bool = True,
-) -> float:
+def success_rate(program: CompiledProgram, model: Optional[NoiseModel] = None) -> float:
     """Convenience wrapper returning only the scalar worst-case success rate."""
-    return estimate_success(program, model, vectorized=vectorized).success_rate
+    return estimate_success(program, model).success_rate

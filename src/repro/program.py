@@ -108,7 +108,7 @@ class Interaction:
     def presorted(pair: Coupling, gate_name: str, frequency: float) -> "Interaction":
         """Build an interaction from an already-sorted pair, skipping validation.
 
-        The compilers' fast path creates one interaction per two-qubit gate
+        The compile pipeline creates one interaction per two-qubit gate
         per step from couplings that are sorted by construction, and the
         columnar decoder rebuilds stored (sorted) pairs; this skips the
         dataclass init and the ``__post_init__`` re-sort.

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import copy
-import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,7 +78,6 @@ def make_compiler(
     strategy: str,
     device: Device,
     max_colors: Optional[int] = None,
-    indexed_kernels: bool = True,
     admission: str = "structural",
 ):
     """Instantiate a Table I strategy by its figure name.
@@ -94,12 +92,6 @@ def make_compiler(
     max_colors:
         Interaction-frequency color budget (ColorDynamic only; the Fig. 11
         knob).
-    indexed_kernels:
-        ``False`` builds the compiler on the reference (networkx/scalar)
-        cold-compile paths instead of the indexed data plane; the emitted
-        programs are bit-identical either way (the differential suite
-        enforces this), so the knob only trades compile speed for
-        reference-path execution.
     admission:
         Step-admission policy (``"structural"`` or ``"success"``), passed
         through to the strategy's constructor.
@@ -112,16 +104,11 @@ def make_compiler(
     from ..baselines import STRATEGY_REGISTRY
 
     if strategy == "ColorDynamic":
-        return ColorDynamic(
-            device,
-            max_colors=max_colors,
-            indexed_kernels=indexed_kernels,
-            admission=admission,
-        )
+        return ColorDynamic(device, max_colors=max_colors, admission=admission)
     cls = STRATEGY_REGISTRY.get(strategy)
     if cls is None:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return cls(device, indexed_kernels=indexed_kernels, admission=admission)
+    return cls(device, admission=admission)
 
 
 @dataclass(frozen=True)
@@ -201,11 +188,10 @@ def _build_job_device(job: CompileJob) -> Device:
     return build_device_for(job.benchmark, topology=job.topology, seed=job.seed)
 
 
-def _compile_job_cold(job: CompileJob, indexed_kernels: bool = True) -> CompilationResult:
+def _compile_job_cold(job: CompileJob) -> CompilationResult:
     """Compile one job from scratch (runs inside batch worker processes)."""
     compiler = make_compiler(
-        job.strategy, _build_job_device(job), job.max_colors,
-        indexed_kernels=indexed_kernels, admission=job.admission,
+        job.strategy, _build_job_device(job), job.max_colors, admission=job.admission
     )
     circuit = benchmark_circuit(job.benchmark, seed=job.seed)
     return compiler.compile(circuit)
@@ -243,13 +229,6 @@ class CompileService:
         local compilation regardless of the environment.  Remote failures
         (dead server, open breaker, malformed payloads) degrade to local
         cold compiles, never to errors.
-    indexed_kernels:
-        Build the compilers this service resolves jobs through on the
-        indexed cold-compile data plane (default) or on the reference
-        networkx/scalar paths (``False``).  Emitted programs are
-        bit-identical either way, but the knob is part of every compiler's
-        ``cache_signature()``, so the two configurations key separate store
-        entries.
     """
 
     def __init__(
@@ -257,7 +236,6 @@ class CompileService:
         cache_dir: Optional[str] = None,
         enabled: Optional[bool] = None,
         store: Optional[ProgramStore] = None,
-        indexed_kernels: bool = True,
         remote_cache: Optional[str] = None,
         max_bytes: Optional[int] = None,
         remote_compile: Optional[str] = None,
@@ -265,7 +243,6 @@ class CompileService:
         if enabled is None:
             enabled = cache_enabled_default()
         self.enabled = enabled
-        self.indexed_kernels = indexed_kernels
         self.store: Optional[ProgramStore] = None
         if enabled:
             if store is None:
@@ -318,11 +295,7 @@ class CompileService:
         compiler = self._compilers.get(key)
         if compiler is None:
             compiler = make_compiler(
-                job.strategy,
-                self._device_for(job),
-                job.max_colors,
-                indexed_kernels=self.indexed_kernels,
-                admission=job.admission,
+                job.strategy, self._device_for(job), job.max_colors, admission=job.admission
             )
             self._compilers[key] = compiler
         return compiler
@@ -633,11 +606,8 @@ class CompileService:
                 missing = still_missing
 
         if len(missing) > 1 and max_workers > 1:
-            compile_cold = functools.partial(
-                _compile_job_cold, indexed_kernels=self.indexed_kernels
-            )
             with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-                cold = list(pool.map(compile_cold, [job for _, job in missing]))
+                cold = list(pool.map(_compile_job_cold, [job for _, job in missing]))
             for (key, _), result in zip(missing, cold):
                 self._record_miss(key, result)
                 resolved[key] = result

@@ -154,7 +154,7 @@ class TestBaselineStatic:
                 {round(i.frequency, 6) for s in result.program.steps for i in s.interactions}
             )
         # Every program draws its interaction frequencies from one shared palette.
-        palette = set(compiler._compiler._static_frequencies.values())
+        palette = set(compiler._static_frequencies.values())
         rounded = {round(f, 6) for f in palette}
         for used in freq_sets:
             assert used <= rounded

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Device
 from repro.circuits import Circuit
 from repro.service.testing import hermetic_cache_env
+
+# The frozen reference implementations (``import oracles``) live beside the
+# differential suites; unit tests anywhere under tests/ compare against them.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "differential"))
 
 
 @pytest.fixture(scope="session", autouse=True)

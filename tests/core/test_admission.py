@@ -7,6 +7,7 @@ from repro import (
     ColorDynamic,
     Device,
     IncrementalEstimator,
+    StepAdmission,
     StructuralAdmission,
     SuccessAdmission,
     benchmark_circuit,
@@ -68,28 +69,63 @@ class TestStructuralPolicy:
         assert StructuralAdmission().choose([object(), object(), object()]) == 0
 
     def test_policy_loop_matches_structural_loop(self):
-        """The generic loop under StructuralAdmission emits identical steps."""
-        device = _device()
-        native = _native(device)
-        graph = build_crosstalk_graph(device.graph, 1)
-        for indexed in (True, False):
-            for max_colors, threshold in [(None, 3), (2, 1), (None, None)]:
-                scheduler = NoiseAwareScheduler(
-                    graph,
-                    max_colors=max_colors,
-                    conflict_threshold=threshold,
-                    indexed=indexed,
+        """The policy-driven loop under a never-deviating policy emits the
+        structural loop's steps.
+
+        This pins the conflict predicate ``_schedule_admission`` duplicates
+        from ``_schedule_structural``.  The policy is not named
+        ``"structural"``, so ``schedule()`` really runs the policy loop.
+        """
+        policy = _AlwaysFirst()
+        for bench, num_qubits in [("xeb(9,3)", 9), ("xeb(16,5)", 16), ("qaoa(16)", 16)]:
+            device = _device(num_qubits)
+            native = _native(device, bench)
+            graph = build_crosstalk_graph(device.graph, 1)
+            configs = [
+                dict(crosstalk_graph=graph, max_colors=max_colors, conflict_threshold=threshold)
+                for max_colors in (None, 1, 2, 3)
+                for threshold in (None, 1, 3)
+            ]
+            # Baseline U's serializing caps and Baseline G's coupler tiling.
+            configs.append(
+                dict(
+                    crosstalk_graph=graph,
+                    max_colors=1,
+                    conflict_threshold=1,
+                    max_parallel_interactions=1,
                 )
+            )
+            tiling = BaselineGmon(device)._make_scheduler().allowed_couplings
+            configs.append(dict(conflict_threshold=None, allowed_couplings=tiling))
+            for config in configs:
+                scheduler = NoiseAwareScheduler(**config)
                 default = scheduler.schedule(native)
-                policied = scheduler.schedule(native, admission=StructuralAdmission())
-                assert [s.indices for s in default] == [s.indices for s in policied]
-                assert [s.couplings for s in default] == [
-                    s.couplings for s in policied
-                ]
+                policied = scheduler.schedule(native, admission=policy)
+                context = f"{bench} {config}"
+                assert [s.indices for s in default] == [s.indices for s in policied], context
+                assert [s.couplings for s in default] == [s.couplings for s in policied]
                 assert [s.gates for s in default] == [s.gates for s in policied]
+                assert [s.interaction_gates for s in default] == [
+                    s.interaction_gates for s in policied
+                ]
                 assert [s.base_duration_ns for s in default] == [
                     s.base_duration_ns for s in policied
                 ]
+        assert policy.calls > 0, "no cycle offered the policy a choice"
+
+
+class _AlwaysFirst(StepAdmission):
+    """Always picks candidate 0, the structural composition."""
+
+    name = "always-first"
+    beam = 4
+
+    def __init__(self):
+        self.calls = 0
+
+    def choose(self, candidates):
+        self.calls += 1
+        return 0
 
 
 class TestSuccessPolicy:

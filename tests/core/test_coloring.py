@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    bounded_coloring,
+    GraphIndex,
     color_classes,
     greedy_coloring,
     num_colors,
     validate_coloring,
     welsh_powell_coloring,
 )
+
+
+def bounded_coloring(graph, max_colors, priority=None):
+    """The scheduler's budgeted coloring probe over a whole graph."""
+    return GraphIndex(graph).bounded(max_colors, priority=priority)
 
 
 class TestWelshPowell:

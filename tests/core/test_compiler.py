@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro import ColorDynamic, benchmark_circuit
+from repro import BaselineStatic, ColorDynamic, Device, benchmark_circuit
+from repro.baselines import BaselineNaive, BaselineUniform
 from repro.circuits import Circuit, NATIVE_TWO_QUBIT_GATES
-from repro.core import validate_coloring, active_subgraph
+from repro.core import compiler as compiler_module
+from repro.core import validate_coloring
+from repro.core.compiler import prepare_native_circuit
+from repro.devices.device import PREPARED_CACHE_ATTR
+from repro.noise import clear_spectator_cache
 
 
 def _program_invariants(result, device):
@@ -72,7 +77,7 @@ class TestCompilation:
             pairs = list(step.interacting_pairs())
             if len(pairs) < 2:
                 continue
-            sub = active_subgraph(compiler.crosstalk_graph, pairs)
+            sub = compiler.crosstalk_graph.subgraph(pairs)
             freq_of = {i.pair: round(i.frequency, 6) for i in step.interactions}
             for a, b in sub.edges:
                 assert freq_of[a] != freq_of[b], "conflicting gates share a frequency"
@@ -119,7 +124,7 @@ class TestCompilation:
 
 class TestStaticMode:
     def test_static_mode_reuses_one_assignment(self, device16):
-        compiler = ColorDynamic(device16, dynamic=False, conflict_threshold=None)
+        compiler = BaselineStatic(device16)
         result = compiler.compile(benchmark_circuit("xeb(16,3)", seed=5))
         frequencies = set()
         for step in result.program.steps:
@@ -130,5 +135,54 @@ class TestStaticMode:
         assert len(frequencies) <= static_colors
 
     def test_static_coloring_is_proper_on_full_graph(self, device16):
-        compiler = ColorDynamic(device16, dynamic=False, conflict_threshold=None)
+        compiler = BaselineStatic(device16)
         assert validate_coloring(compiler.crosstalk_graph, compiler._static_coloring)
+
+
+class TestPrepareMemo:
+    """The device-held memo of routed + decomposed circuits."""
+
+    @staticmethod
+    def _fresh_device():
+        return Device.grid(9, seed=2020)
+
+    def test_one_device_decomposes_each_benchmark_once(self, monkeypatch):
+        calls = []
+        real = compiler_module.decompose_circuit
+
+        def counting(circuit, strategy):
+            calls.append(circuit.name)
+            return real(circuit, strategy)
+
+        monkeypatch.setattr(compiler_module, "decompose_circuit", counting)
+        device = self._fresh_device()
+        circuit = benchmark_circuit("xeb(9,3)", seed=2020)
+        for cls in (BaselineNaive, BaselineUniform, BaselineStatic, ColorDynamic):
+            cls(device).compile(circuit)
+        assert len(calls) == 1
+
+    def test_preparation_knobs_never_share_an_entry(self):
+        device = self._fresh_device()
+        # A triangle needs routing, so use_routing changes the result too.
+        circuit = Circuit(9).cx(0, 1).cx(1, 2).cx(0, 2)
+        knobs = [("hybrid", True), ("cz", True), ("iswap", True), ("hybrid", False)]
+        prepared = {k: prepare_native_circuit(device, circuit, *k) for k in knobs}
+        assert len(getattr(device, PREPARED_CACHE_ATTR)) == len(knobs)
+        for knob, native in prepared.items():
+            assert native.gates == prepare_native_circuit(
+                self._fresh_device(), circuit, *knob
+            ).gates
+        assert len({tuple(native.gates) for native in prepared.values()}) == len(knobs)
+
+    def test_memo_hit_equals_uncached_prepare(self):
+        device = self._fresh_device()
+        circuit = benchmark_circuit("qaoa(9)", seed=2020)
+        first = prepare_native_circuit(device, circuit, "hybrid", True)
+        hit = prepare_native_circuit(device, circuit.copy(), "hybrid", True)
+        assert hit is first
+        clear_spectator_cache(device)
+        uncached = prepare_native_circuit(device, circuit, "hybrid", True)
+        assert uncached is not first
+        assert uncached.gates == hit.gates
+        assert uncached.num_qubits == hit.num_qubits
+        assert uncached.name == hit.name

@@ -2,8 +2,8 @@
 
 import pytest
 
+from oracles import active_subgraph
 from repro.core import (
-    active_subgraph,
     build_crosstalk_graph,
     crosstalk_neighbours,
     mesh_crosstalk_chromatic_bound,

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.core import assign_idle_frequencies, default_partition, step_frequencies, clamp_to_range
+from repro.core import assign_idle_frequencies, default_partition, clamp_to_range
+from repro.core.frequencies import StepFrequencyAssigner
 from repro.program import Interaction
+
+
+def step_frequencies(device, idle, interactions):
+    return StepFrequencyAssigner(device, idle)(interactions)
 
 
 class TestIdleAssignment:

@@ -82,8 +82,12 @@ class TestConflictThrottling:
         assert len(tight.schedule(circuit)) > len(loose.schedule(circuit))
 
     def test_noise_conflict_with_no_graph_never_fires(self):
-        scheduler = NoiseAwareScheduler(crosstalk_graph=None)
-        assert not scheduler.noise_conflict((0, 1), [(1, 2), (2, 3)])
+        # Crowded enough to trip any crosstalk check, but there is no graph.
+        circuit = Circuit(16).cz(0, 1).cz(2, 3).cz(4, 5).cz(6, 7)
+        scheduler = NoiseAwareScheduler(crosstalk_graph=None, max_colors=1, conflict_threshold=1)
+        steps = scheduler.schedule(circuit)
+        assert len(steps) == 1
+        assert len(steps[0].couplings) == 4
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Seeded random generators for the differential fast-vs-reference suites.
+"""Seeded random generators for the differential production-vs-oracles suites.
 
 Every generator is a pure function of its ``seed`` so failures replay
 exactly; tests name the seed in their parametrization, giving well over a

@@ -1,4 +1,4 @@
-"""Differential: admission policies vs the structural loops and across planes.
+"""Differential: admission policies vs the structural loop and the oracles.
 
 Three contracts:
 
@@ -6,13 +6,14 @@ Three contracts:
   compiler constructed without the knob, for every strategy, through the
   versioned codec — the success-aware machinery must not perturb the
   default path at all.
-* ``admission="success"`` emits bit-identical programs through the indexed
-  and the reference data planes: the policy loop evaluates structural
-  admissibility through whichever plane's kernels, and those are
-  decision-identical (PR 3), so the estimator-guided choice must be too.
-* The policy-driven scheduler loop under :class:`StructuralAdmission` makes
-  exactly the structural loops' decisions (covered at the scheduler level
-  in ``tests/core/test_admission.py``; here end-to-end through a compile).
+* ``admission="success"`` emits bit-identical programs through the
+  production compilers and the oracle compilers (``oracles.py``): the
+  policy loop evaluates structural admissibility through the bitset
+  kernels or through the oracles' ``noise_conflict``, and those are
+  decision-identical, so the estimator-guided choice must be too.
+* The policy-driven scheduler loop makes exactly the structural loop's
+  decisions when its policy never deviates (covered at the scheduler level
+  in ``tests/core/test_admission.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.service.compile_service import build_device_for
 from repro.workloads import benchmark_circuit
 
 from diffgen import random_circuit, random_device  # noqa: E402 (sys.path via pytest)
+from oracles import make_oracle_compiler
 
 
 def _canonical(result):
@@ -66,12 +68,8 @@ def test_structural_knob_is_bit_identical_on_benchmarks(strategy, bench):
 def test_success_admission_identical_across_planes(strategy, seed):
     device = random_device(seed)
     circuit = random_circuit(device.num_qubits, seed)
-    fast = make_compiler(
-        strategy, device, indexed_kernels=True, admission="success"
-    ).compile(circuit)
-    reference = make_compiler(
-        strategy, device, indexed_kernels=False, admission="success"
-    ).compile(circuit)
+    fast = make_compiler(strategy, device, admission="success").compile(circuit)
+    reference = make_oracle_compiler(strategy, device, admission="success").compile(circuit)
     assert _canonical(fast) == _canonical(reference), (
         f"{strategy} success admission diverged across planes on seed {seed}"
     )
@@ -83,12 +81,8 @@ def test_success_admission_identical_across_planes(strategy, seed):
 def test_success_admission_identical_across_planes_benchmarks(strategy, bench):
     device = build_device_for(bench)
     circuit = benchmark_circuit(bench, seed=2020)
-    fast = make_compiler(
-        strategy, device, indexed_kernels=True, admission="success"
-    ).compile(circuit)
-    reference = make_compiler(
-        strategy, device, indexed_kernels=False, admission="success"
-    ).compile(circuit)
+    fast = make_compiler(strategy, device, admission="success").compile(circuit)
+    reference = make_oracle_compiler(strategy, device, admission="success").compile(circuit)
     assert _canonical(fast) == _canonical(reference)
 
 
@@ -100,10 +94,10 @@ def test_success_admission_respects_color_budgets(max_colors):
     device = build_device_for("xeb(16,5)")
     circuit = benchmark_circuit("xeb(16,5)", seed=2020)
     fast = make_compiler(
-        "ColorDynamic", device, max_colors, indexed_kernels=True, admission="success"
+        "ColorDynamic", device, max_colors, admission="success"
     ).compile(circuit)
-    reference = make_compiler(
-        "ColorDynamic", device, max_colors, indexed_kernels=False, admission="success"
+    reference = make_oracle_compiler(
+        "ColorDynamic", device, max_colors, admission="success"
     ).compile(circuit)
     assert fast.max_colors_used <= max_colors
     assert _canonical(fast) == _canonical(reference)

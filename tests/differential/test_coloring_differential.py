@@ -1,7 +1,8 @@
-"""Differential: bitset coloring kernels vs the networkx reference.
+"""Differential: bitset coloring kernels vs the networkx oracles.
 
 Seeded random crosstalk graphs and random active subsets drive
-:class:`repro.core.GraphIndex` against the reference implementations.  The
+:class:`repro.core.GraphIndex` against ``welsh_powell_coloring`` and the
+oracles' ``bounded_coloring`` on ``active_subgraph``.  The
 acceptance bar from the issue — the fast coloring must be *valid* and use no
 more colors than reference Welsh–Powell — is asserted explicitly, and on top
 of that the kernels are held to exact output equality (the compiler's
@@ -13,14 +14,13 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import active_subgraph, bounded_coloring
 from repro.core.coloring import (
     GraphIndex,
-    bounded_coloring,
     num_colors,
     validate_coloring,
     welsh_powell_coloring,
 )
-from repro.core.crosstalk_graph import active_subgraph
 
 from diffgen import random_active_subset, random_crosstalk_graph
 

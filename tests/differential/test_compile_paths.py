@@ -1,10 +1,11 @@
-"""Differential: indexed compile plane vs reference paths, end to end.
+"""Differential: production compilers vs the oracle compilers, end to end.
 
-Compiles seeded random circuits (and a few real benchmarks) with
-``indexed_kernels=True`` and ``indexed_kernels=False`` for every strategy and
-asserts the emitted programs are bit-identical through the versioned codec —
-frequencies, durations, interactions, colorings, everything except the
-wall-clock ``compile_time_s``.
+Compiles seeded random circuits (and a few real benchmarks) with every
+strategy twice — through ``make_compiler`` and through the oracle kernels of
+``oracles.make_oracle_compiler`` — and asserts the emitted programs are
+bit-identical through the versioned codec: frequencies, durations,
+interactions, colorings, everything except the wall-clock
+``compile_time_s``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.service.compile_service import build_device_for
 from repro.workloads import benchmark_circuit
 
 from diffgen import random_circuit, random_device  # noqa: E402 (sys.path via pytest)
+from oracles import OracleScheduler, make_oracle_compiler
 
 
 def _canonical(result):
@@ -29,8 +31,8 @@ def _canonical(result):
 
 
 def assert_paths_bit_identical(strategy, device, circuit, max_colors=None):
-    fast = make_compiler(strategy, device, max_colors, indexed_kernels=True)
-    reference = make_compiler(strategy, device, max_colors, indexed_kernels=False)
+    fast = make_compiler(strategy, device, max_colors)
+    reference = make_oracle_compiler(strategy, device, max_colors)
     fast_result = fast.compile(circuit)
     ref_result = reference.compile(circuit)
     assert _canonical(fast_result) == _canonical(ref_result), (
@@ -74,7 +76,7 @@ def test_tracing_never_changes_compiled_output(strategy):
 
     device = build_device_for("bv(16)")
     circuit = benchmark_circuit("bv(16)", seed=2020)
-    compiler = make_compiler(strategy, device, None, indexed_kernels=True)
+    compiler = make_compiler(strategy, device, None)
 
     tracer = get_tracer()
     was_enabled = obs.is_enabled()
@@ -114,12 +116,11 @@ def test_scheduler_reference_and_indexed_emit_same_steps():
     circuit = random_native_circuit(device, 17)
     graph = build_crosstalk_graph(device.graph, 1)
     for max_colors, threshold in [(None, 3), (2, 1), (None, None)]:
-        fast = NoiseAwareScheduler(
-            graph, max_colors=max_colors, conflict_threshold=threshold, indexed=True
-        ).schedule(circuit)
-        reference = NoiseAwareScheduler(
-            graph, max_colors=max_colors, conflict_threshold=threshold, indexed=False
-        ).schedule(circuit)
+        scheduler = NoiseAwareScheduler(
+            graph, max_colors=max_colors, conflict_threshold=threshold
+        )
+        fast = scheduler.schedule(circuit)
+        reference = OracleScheduler.like(scheduler).schedule(circuit)
         assert [s.indices for s in fast] == [s.indices for s in reference]
         assert [s.couplings for s in fast] == [s.couplings for s in reference]
         assert [s.gates for s in fast] == [s.gates for s in reference]

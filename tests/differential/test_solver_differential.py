@@ -1,4 +1,4 @@
-"""Differential: vectorized max-separation solver vs the scalar reference.
+"""Differential: the NumPy max-separation solver vs the scalar oracle.
 
 Placements must be bit-identical (tuple equality of raw floats), not merely
 close: the solver's output feeds directly into compiled-program frequencies,
@@ -11,9 +11,9 @@ import random
 
 import pytest
 
+import oracles
 from repro.core.solver import (
     _greedy_place,
-    _greedy_place_vec,
     assign_color_frequencies,
     solve_max_separation,
     solve_max_separation_cached,
@@ -37,8 +37,8 @@ def test_greedy_place_vectorized_is_bit_identical(seed):
     rng, count, low, high, alpha = _random_instance(seed)
     for _ in range(5):
         delta = rng.uniform(1e-6, (high - low) * 0.8)
-        reference = _greedy_place(count, low, high, delta, alpha)
-        fast = _greedy_place_vec(count, low, high, delta, alpha)
+        reference = oracles.greedy_place(count, low, high, delta, alpha)
+        fast = _greedy_place(count, low, high, delta, alpha)
         if reference is None:
             assert fast is None
         else:
@@ -49,8 +49,8 @@ def test_greedy_place_vectorized_is_bit_identical(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_solve_max_separation_engines_agree(seed):
     _, count, low, high, alpha = _random_instance(seed)
-    reference = solve_max_separation(count, low, high, alpha, vectorized=False)
-    fast = solve_max_separation(count, low, high, alpha, vectorized=True)
+    reference = oracles.solve_max_separation(count, low, high, alpha)
+    fast = solve_max_separation(count, low, high, alpha)
     assert fast == reference  # frozen dataclass: frequencies, separation, feasible
     cached = solve_max_separation_cached(count, low, high, alpha)
     assert cached == reference
@@ -66,10 +66,10 @@ def test_assign_color_frequencies_engines_agree(seed):
     }
     low, high = 6.6, 6.8
     fast_map, fast_solution = assign_color_frequencies(
-        coloring, low, high, anharmonicity=-0.2, vectorized=True
+        coloring, low, high, anharmonicity=-0.2
     )
-    ref_map, ref_solution = assign_color_frequencies(
-        coloring, low, high, anharmonicity=-0.2, vectorized=False
+    ref_map, ref_solution = oracles.assign_color_frequencies(
+        coloring, low, high, anharmonicity=-0.2
     )
     assert fast_map == ref_map
     assert fast_solution == ref_solution
@@ -79,7 +79,7 @@ def test_assign_color_frequencies_engines_agree(seed):
 def test_infeasible_instances_agree():
     # Band far too small for the requested count: both engines must flag
     # infeasibility and fall back to the same uniform spread.
-    reference = solve_max_separation(8, 5.0, 5.0005, -0.2, vectorized=False)
-    fast = solve_max_separation(8, 5.0, 5.0005, -0.2, vectorized=True)
+    reference = oracles.solve_max_separation(8, 5.0, 5.0005, -0.2)
+    fast = solve_max_separation(8, 5.0, 5.0005, -0.2)
     assert not reference.feasible
     assert fast == reference

@@ -1,16 +1,17 @@
-"""Equivalence suite: vectorized Eq. (4) engine vs the scalar reference.
+"""Equivalence suite: the vectorized Eq. (4) estimator vs the scalar oracle.
 
 Every strategy x benchmark of the Fig. 9 suite is compiled once and scored by
-both estimator engines under several noise-model configurations (default,
-distance-2 crosstalk, residual coupling, flux noise off).  The success rates
-must agree to <= 1e-12 — the vectorized engine is a pure data-plane rewrite,
-not a model change.
+``estimate_success`` and by the scalar triple loop of ``oracles.py`` under
+several noise-model configurations (default, distance-2 crosstalk, residual
+coupling, flux noise off).  The success rates must agree to <= 1e-12 — the
+vectorized estimator is a pure data-plane rewrite, not a model change.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from oracles import estimate_success as scalar_estimate
 from repro.analysis.experiments import STRATEGIES, _make_compiler, build_device_for
 from repro.noise import NoiseModel, estimate_success
 from repro.workloads import benchmark_circuit, fig09_benchmarks
@@ -43,8 +44,8 @@ def _compiled_program(bench_name: str, strategy: str):
 def test_vectorized_matches_scalar_on_fig09_suite(bench_name, strategy):
     program = _compiled_program(bench_name, strategy)
     for name, model in MODEL_CONFIGS.items():
-        scalar = estimate_success(program, model, vectorized=False)
-        fast = estimate_success(program, model, vectorized=True)
+        scalar = scalar_estimate(program, model)
+        fast = estimate_success(program, model)
         context = f"{strategy} on {bench_name} [{name}]"
         assert abs(fast.success_rate - scalar.success_rate) <= TOLERANCE, context
         assert (
@@ -68,8 +69,8 @@ def test_vectorized_handles_gmon_programs():
     program = _compiled_program("xeb(16,5)", "Baseline G")
     for factor in (0.0, 0.2, 0.8):
         model = NoiseModel(residual_coupler_factor=factor)
-        scalar = estimate_success(program, model, vectorized=False)
-        fast = estimate_success(program, model, vectorized=True)
+        scalar = scalar_estimate(program, model)
+        fast = estimate_success(program, model)
         assert abs(fast.success_rate - scalar.success_rate) <= TOLERANCE
 
 
@@ -77,9 +78,8 @@ def test_vectorized_handles_empty_program(device4):
     from repro.program import CompiledProgram
 
     program = CompiledProgram(device=device4, steps=[], name="empty")
-    for vectorized in (False, True):
-        report = estimate_success(program, vectorized=vectorized)
-        assert report.success_rate == pytest.approx(1.0)
+    for estimate in (scalar_estimate, estimate_success):
+        assert estimate(program).success_rate == pytest.approx(1.0)
 
 
 def test_oscillatory_and_idle_idle_modes_agree(device9):
@@ -89,6 +89,6 @@ def test_oscillatory_and_idle_idle_modes_agree(device9):
     circuit = benchmark_circuit("xeb(9,5)", seed=2020)
     program = ColorDynamic(device9).compile(circuit).program
     model = NoiseModel(worst_case=False, include_leakage=False, idle_idle_crosstalk=True)
-    scalar = estimate_success(program, model, vectorized=False)
-    fast = estimate_success(program, model, vectorized=True)
+    scalar = scalar_estimate(program, model)
+    fast = estimate_success(program, model)
     assert abs(fast.success_rate - scalar.success_rate) <= TOLERANCE

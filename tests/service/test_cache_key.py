@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ColorDynamic, Device, benchmark_circuit
+from repro import BaselineStatic, ColorDynamic, Device, benchmark_circuit
 from repro.devices import TransmonParams
 from repro.service import cache_key, make_compiler
 
@@ -69,7 +69,7 @@ COMPILER_PERTURBATIONS = {
     "max_colors": lambda: ColorDynamic(_device(), max_colors=2),
     "conflict_threshold": lambda: ColorDynamic(_device(), conflict_threshold=2),
     "decomposition": lambda: ColorDynamic(_device(), decomposition="cz"),
-    "dynamic": lambda: ColorDynamic(_device(), dynamic=False),
+    "dynamic": lambda: BaselineStatic(_device()),
     "use_routing": lambda: ColorDynamic(_device(), use_routing=False),
     "admission": lambda: ColorDynamic(_device(), admission="success"),
     "admission_beam": lambda: ColorDynamic(

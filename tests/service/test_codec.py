@@ -13,6 +13,7 @@ from repro.program import PROGRAM_CODEC_VERSION, CompiledProgram, Interaction, T
 from repro.service import make_compiler
 
 from codecfaults import FAULTS
+from oracles import estimate_success as scalar_estimate
 
 STRATEGIES = ["Baseline N", "Baseline G", "Baseline U", "Baseline S", "ColorDynamic"]
 
@@ -147,10 +148,8 @@ def _assert_same_program(restored: CompiledProgram, program: CompiledProgram) ->
     assert restored.steps == program.steps
     assert restored.depth == program.depth
     assert restored.total_duration_ns == program.total_duration_ns
-    for vectorized in (True, False):
-        fresh = estimate_success(program, vectorized=vectorized)
-        loaded = estimate_success(restored, vectorized=vectorized)
-        assert loaded == fresh
+    for estimate in (estimate_success, scalar_estimate):
+        assert estimate(restored) == estimate(program)
 
 
 class TestColumnarRoundTrip:
