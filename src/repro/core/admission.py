@@ -11,20 +11,22 @@ step in O(pairs), which makes a second policy possible: let the predicted
 Eq. (4) success rate itself pick the placement.
 
 :class:`StepAdmission` is the protocol between the scheduler and such
-policies.  The scheduler builds each step in two phases — single-qubit
-gates first (gates that are simultaneously ready never share a qubit, so
-these decisions are independent), then two-qubit placement.  For the
-placement it assembles up to ``policy.beam`` complete **candidate
-compositions**: composition *k* admits the *k*-th admissible two-qubit
-gate (criticality order) first and fills the rest of the step structurally
-around it.  Composition 0 therefore *is* the structural step.  The policy picks one
+policies.  Each scheduling cycle runs one fill pass over the ready queue in
+criticality order; that step is composition 0, the structural step.  When
+``policy.beam`` is above 1 and the step admits a two-qubit gate, the
+scheduler runs the same pass up to ``beam - 1`` more times, each with one
+two-qubit *leader* moved to the front, and re-sorts every resulting
+**candidate composition** into criticality order (duplicates are
+skipped).  Single-qubit gates are the same in every composition: gates
+that are ready together never share a qubit.  The policy picks one
 composition per cycle via :meth:`StepAdmission.choose`:
 
 * :class:`StructuralAdmission` (``"structural"``, the default) always picks
-  composition 0 — criticality order, exactly the paper's behavior.
-  Compilers given ``admission="structural"`` do not even route through
-  this module: the scheduler runs its original loops untouched, so the
-  default is bit-identical to prior releases by construction.
+  composition 0 — criticality order, exactly the paper's behavior.  Its
+  beam is 1, so the scheduler never builds an alternative or calls
+  :meth:`~StepAdmission.choose`; compilers given
+  ``admission="structural"`` pass no policy at all, and both run the same
+  single pass.
 * :class:`SuccessAdmission` (``"success"``) annotates each composition
   into the time step it *would* become (the compiler supplies the
   frequency-annotation callback) and admits the composition maximizing the
@@ -75,9 +77,9 @@ class StepAdmission(ABC):
         into compiler cache signatures so differently admitted programs
         never share a store entry.
     beam:
-        How many candidate compositions (one per admissible two-qubit
-        leader, in criticality order) the scheduler assembles before asking
-        :meth:`choose`.  ``1`` degrades to pure criticality order
+        At most how many candidate compositions (the structural step plus
+        one per distinct two-qubit leader) the scheduler assembles before
+        asking :meth:`choose`.  ``1`` degrades to pure criticality order
         regardless of the policy.
     """
 
@@ -91,11 +93,11 @@ class StepAdmission(ABC):
         Parameters
         ----------
         candidates:
-            Complete candidate steps, never empty.  Candidate *k* admits
-            the *k*-th admissible two-qubit gate of the ready queue first
-            and fills the remainder structurally, so candidate 0 is always
-            the structural (criticality-order) step.  All candidates share
-            the same single-qubit gates; treat them as read-only.
+            Complete candidate steps, at least two.  Candidate 0 is the
+            structural (criticality-order) step; every other candidate
+            admits one two-qubit leader first and fills the remainder
+            structurally, listed in criticality order.  All candidates
+            share the same single-qubit gates; treat them as read-only.
 
         Returns
         -------
@@ -115,10 +117,11 @@ class StepAdmission(ABC):
 class StructuralAdmission(StepAdmission):
     """Criticality-order admission — the paper's (and the default) policy.
 
-    Exists so the policy space has an explicit origin; compilers given
-    ``admission="structural"`` skip the policy machinery entirely and run
-    the scheduler's original loops, which this class is decision-identical
-    to (``tests/differential/test_admission_differential.py``).
+    Exists so the policy space has an explicit origin.  With a beam of 1
+    the scheduler never builds alternatives, so passing this policy and
+    passing none run the same single fill pass; compilers given
+    ``admission="structural"`` pass none
+    (``tests/differential/test_admission_differential.py``).
     """
 
     name = "structural"

@@ -19,18 +19,18 @@ trade of parallelism for crosstalk described in the paper.
 The loop runs over integer-indexed kernels: the crosstalk graph is
 flattened into a :class:`~repro.core.coloring.GraphIndex` once, the step's
 active couplings are a bitset updated per admitted gate, crowding is a
-popcount and the ``max_colors`` probe a bitset coloring.  A second,
-policy-driven loop runs when a
-:class:`~repro.core.admission.StepAdmission` policy is passed to
-:meth:`NoiseAwareScheduler.schedule`: single-qubit gates are admitted in
-criticality order as usual, but each two-qubit admission is delegated to
-the policy, which picks among a beam of structurally admissible candidates
-(the ``"success"`` policy scores them with
-:meth:`~repro.noise.IncrementalEstimator.preview_step`).  With no policy —
-or the ``"structural"`` one — the structural loop runs untouched, so the
-default remains bit-identical to the paper's behavior.  The original
-networkx loop survives as a test oracle (``tests/differential/oracles.py``)
-that both loops are pinned against.
+popcount and the ``max_colors`` probe a bitset coloring.  One pass builds a
+step from the ready queue in a given order, and every cycle emits the pass
+in criticality order — unless a
+:class:`~repro.core.admission.StepAdmission` policy with a beam above 1 is
+passed to :meth:`NoiseAwareScheduler.schedule`.  Then the cycle also
+builds alternative compositions, each led by one ready two-qubit gate, and
+the policy picks the one emitted (the ``"success"`` policy scores them
+with :meth:`~repro.noise.IncrementalEstimator.preview_step`).  With no
+policy, or the beam-1 ``"structural"`` one, no alternative is built, so
+the default is the paper's behavior.  The original networkx loop and
+policy-driven loop survive as test oracles
+(``tests/differential/oracles.py``) that production is pinned against.
 """
 
 from __future__ import annotations
@@ -147,13 +147,11 @@ class NoiseAwareScheduler:
             :class:`~repro.noise.IncrementalEstimator` one mutation at a
             time instead of re-deriving whole-program state afterwards.
         admission:
-            Optional :class:`~repro.core.admission.StepAdmission` policy
-            deciding which two-qubit gate enters the current step next.
-            ``None`` — or a policy named ``"structural"`` — runs the
-            criticality-order loop untouched; any other policy routes
-            through the policy-driven loop, which gathers a beam of
-            admissible candidates per decision and admits the policy's
-            choice.
+            Optional :class:`~repro.core.admission.StepAdmission` policy.
+            With a ``beam`` above 1, each cycle that admits a two-qubit
+            gate also builds up to ``beam - 1`` alternative compositions
+            and lets the policy choose which one is emitted; ``None`` (or
+            a beam of 1) emits the criticality-order step.
 
         Returns
         -------
@@ -163,33 +161,14 @@ class NoiseAwareScheduler:
         Raises
         ------
         RuntimeError
-            If a scheduling cycle admits no gate while no tiling pattern is
-            in play (a circular conflict; cannot happen for well-formed
-            circuits).
-        """
-        if admission is not None and admission.name != "structural":
-            return self._schedule_admission(circuit, on_step, admission)
-        return self._schedule_structural(circuit, on_step)
-
-    def _schedule_structural(
-        self,
-        circuit: Circuit,
-        on_step: Optional[Callable[[ScheduledStep], None]] = None,
-    ) -> List[ScheduledStep]:
-        """The criticality-order scheduling loop.
-
-        Flat successor lists and one criticality sweep stand in for a DAG
-        object; per-gate metadata (sorted coupling, qubits) is resolved
-        once instead of per readiness probe; the ready queue is a sorted
-        list maintained incrementally under the static ``(-score, index)``
-        key instead of being re-sorted every cycle; and the crosstalk
-        conflict checks run on the step's active-coupling bitset.
+            If the ready gates can never be admitted: a run of empty
+            cycles comes back to a tiling pattern it already tried (a
+            ready coupling that no pattern allows).
         """
         gates = circuit.gates
         n = len(gates)
         successor_lists, indegree = gate_dependencies(circuit)
         scores = criticality_scores(successor_lists, gates, weighted=True)
-        qubits_of = [gate.qubits for gate in gates]
         specs = [gate.spec for gate in gates]
         duration_of = [spec.duration_ns for spec in specs]
         coupling_of = [
@@ -200,41 +179,36 @@ class NoiseAwareScheduler:
 
         index = self.crosstalk_index
         use_conflict = index is not None and self.crosstalk_graph is not None
-        adjacency = index.adjacency if use_conflict else None
         if use_conflict:
+            adjacency = index.adjacency
             vertex_id = index.vertex_id
             coupling_id_of = [
                 vertex_id.get(coupling) if coupling is not None else None
                 for coupling in coupling_of
             ]
-        else:
-            coupling_id_of = None
         threshold = self.conflict_threshold
         max_colors = self.max_colors
         max_parallel = self.max_parallel_interactions
         allowed_fn = self.allowed_couplings
+        beam = admission.beam if admission is not None else 1
 
-        # The ready queue holds the (-score, index) key tuples themselves:
-        # tuples sort at C speed without a key function, and the queue is
-        # maintained incrementally (filter admitted + merge newly ready)
-        # instead of being rebuilt and re-sorted from a set every cycle.
-        ready_list = sorted(sort_keys[i] for i in range(n) if indegree[i] == 0)
-        steps: List[ScheduledStep] = []
-        step_index = 0
+        def fill(order, allowed, resort: bool = False) -> ScheduledStep:
+            """Admit the ready-queue entries of *order* in turn.
 
-        while ready_list:
+            Gates that are ready together never share a qubit
+            (``gate_dependencies`` chains each qubit's gates), so only
+            two-qubit gates are checked: against the tiling pattern
+            *allowed*, the parallelism cap, the crowding threshold
+            (popcount of the step's active-coupling bitset) and the
+            ``max_colors`` probe.  *resort* puts the admitted gates back
+            into criticality order, for an *order* headed by a leader.
+            """
             step = ScheduledStep()
             step_couplings = step.couplings
-            busy_qubits: Set[int] = set()
             active_mask = 0
             base_duration = 0.0
-            allowed = allowed_fn(step_index) if allowed_fn is not None else None
-
-            for entry in ready_list:
+            for entry in order:
                 candidate = entry[1]
-                qubits = qubits_of[candidate]
-                if qubits[0] in busy_qubits or qubits[-1] in busy_qubits:
-                    continue
                 coupling = coupling_of[candidate]
                 if coupling is not None:
                     if allowed is not None and coupling not in allowed:
@@ -276,18 +250,76 @@ class NoiseAwareScheduler:
                 duration = duration_of[candidate]
                 if duration > base_duration:
                     base_duration = duration
-                busy_qubits.update(qubits)
+            step.base_duration_ns = base_duration
+            if resort:
+                step.indices.sort(key=sort_keys.__getitem__)
+                step.gates = [gates[i] for i in step.indices]
+                interacting = [i for i in step.indices if coupling_of[i] is not None]
+                step.couplings = [coupling_of[i] for i in interacting]
+                step.interaction_gates = [gates[i] for i in interacting]
+            return step
+
+        # The ready queue holds the (-score, index) key tuples themselves:
+        # tuples sort at C speed without a key function, and the queue is
+        # maintained incrementally (filter admitted + merge newly ready)
+        # instead of being rebuilt and re-sorted from a set every cycle.
+        ready_list = sorted(sort_keys[i] for i in range(n) if indegree[i] == 0)
+        steps: List[ScheduledStep] = []
+        step_index = 0
+        # Tiling patterns tried by the current run of empty cycles.
+        tried: Set[Optional[frozenset]] = set()
+
+        while ready_list:
+            allowed = allowed_fn(step_index) if allowed_fn is not None else None
+            step = fill(ready_list, allowed)
+
+            if beam > 1 and step.couplings:
+                # Alternative compositions, most-different first: each
+                # offers one leader before the criticality-order fill —
+                # gates the step deferred (forcing one in changes the set
+                # for sure), then its admitted two-qubit gates after the
+                # first (which differ only when the conflict checks are
+                # order-sensitive).  Duplicates are skipped, so an
+                # unconflicted cycle costs the policy nothing.  A leader
+                # is only ever rejected by the tiling pattern (nothing
+                # else can reject the first gate of a step), and then the
+                # pass repeats the step itself: a duplicate.
+                candidates = [step]
+                seen = {tuple(step.indices)}
+                admitted = set(step.indices)
+                leaders = [
+                    entry[1]
+                    for entry in ready_list
+                    if coupling_of[entry[1]] is not None and entry[1] not in admitted
+                ]
+                leaders += [i for i in step.indices if coupling_of[i] is not None][1:]
+                for leader in leaders:
+                    if len(candidates) >= beam:
+                        break
+                    order = [sort_keys[leader]] + [e for e in ready_list if e[1] != leader]
+                    alternative = fill(order, allowed, resort=True)
+                    if tuple(alternative.indices) in seen:
+                        continue
+                    seen.add(tuple(alternative.indices))
+                    candidates.append(alternative)
+                if len(candidates) > 1:
+                    step = candidates[admission.choose(candidates)]
 
             if not step.gates:
-                # Nothing admitted this cycle (e.g. the tiling pattern blocks
-                # every ready gate); advance the pattern instead of looping
-                # forever, but only when a pattern is in play.
-                if allowed is None:
-                    raise RuntimeError("scheduler made no progress; circular conflict")
+                # The tiling pattern blocks every ready gate: advance it,
+                # until the run of empty cycles returns to a pattern it has
+                # already tried.
+                pattern = frozenset(allowed) if allowed is not None else None
+                if pattern in tried:
+                    blocked = sorted({coupling_of[entry[1]] for entry in ready_list})
+                    raise RuntimeError(
+                        f"scheduler made no progress: coupling(s) {blocked} are never admitted"
+                    )
+                tried.add(pattern)
                 step_index += 1
                 continue
+            tried.clear()
 
-            step.base_duration_ns = base_duration
             steps.append(step)
             if on_step is not None:
                 on_step(step)
@@ -305,233 +337,6 @@ class NoiseAwareScheduler:
                 newly_ready.sort()
                 remaining_ready += newly_ready
                 # Two sorted runs: timsort merges them in one C-level pass.
-                remaining_ready.sort()
-            ready_list = remaining_ready
-            step_index += 1
-
-        return steps
-
-    def _admission_checks(self) -> Tuple[Callable, Callable]:
-        """``(conflicts, extend_mask)`` of the policy-driven loop.
-
-        ``conflicts(coupling, step_couplings, active_mask)`` says whether
-        the crosstalk checks reject *coupling* next to the step's admitted
-        couplings, whose bitset is ``active_mask``;
-        ``extend_mask(active_mask, coupling)`` adds an admitted coupling to
-        that bitset.
-        """
-        index = self.crosstalk_index
-        if index is None or self.crosstalk_graph is None:
-
-            def never_conflicts(coupling, step_couplings, active_mask) -> bool:
-                return False
-
-            def same_mask(active_mask: int, coupling: Coupling) -> int:
-                return active_mask
-
-            return never_conflicts, same_mask
-        threshold = self.conflict_threshold
-        max_colors = self.max_colors
-        adjacency = index.adjacency
-        vertex_id = index.vertex_id
-
-        # Deliberate duplicate of the predicate inlined in
-        # _schedule_structural (kept inline there for hot-loop speed); the
-        # two copies are pinned decision-identical by
-        # tests/core/test_admission.py::TestStructuralPolicy — change one,
-        # change both.
-        def conflicts(coupling, step_couplings, active_mask) -> bool:
-            coupling_id = vertex_id.get(coupling)
-            if (
-                threshold is not None
-                and coupling_id is not None
-                and (adjacency[coupling_id] & active_mask).bit_count() >= threshold
-            ):
-                return True
-            if max_colors is not None:
-                if coupling_id is None:
-                    raise KeyError(f"coupling {coupling} is not an edge of the device")
-                if len(step_couplings) + 1 > max_colors:
-                    _, deferred = index.bounded(max_colors, step_couplings + [coupling])
-                    if deferred:
-                        return True
-            return False
-
-        def extend_mask(active_mask: int, coupling: Coupling) -> int:
-            coupling_id = vertex_id.get(coupling)
-            return active_mask | (1 << coupling_id) if coupling_id is not None else active_mask
-
-        return conflicts, extend_mask
-
-    def _schedule_admission(
-        self,
-        circuit: Circuit,
-        on_step: Optional[Callable[[ScheduledStep], None]],
-        policy: StepAdmission,
-    ) -> List[ScheduledStep]:
-        """Policy-driven scheduling loop (see the module docstring).
-
-        Single-qubit gates are admitted in criticality order exactly like
-        the structural loop.  For the two-qubit placement, up to
-        ``policy.beam`` complete candidate compositions are assembled —
-        composition *k* admits the *k*-th admissible two-qubit gate first
-        and fills the remainder of the step structurally — and the policy
-        chooses which composition the cycle emits.  Composition 0 is the
-        structural step, so a policy that never deviates reproduces the
-        structural loop's decisions exactly.
-
-        Structural admissibility is evaluated by :meth:`_admission_checks`,
-        the same bitset popcount/probe as the structural loop, so for a
-        given admission order the two loops make identical decisions.
-        """
-        gates = circuit.gates
-        n = len(gates)
-        successor_lists, indegree = gate_dependencies(circuit)
-        scores = criticality_scores(successor_lists, gates, weighted=True)
-        coupling_of = [
-            tuple(sorted(gate.qubits)) if gate.spec.num_qubits == 2 else None
-            for gate in gates
-        ]
-        sort_keys = [(-scores[i], i) for i in range(n)]
-
-        max_parallel = self.max_parallel_interactions
-        allowed_fn = self.allowed_couplings
-        beam = max(1, policy.beam)
-        conflicts, extend_mask = self._admission_checks()
-
-        ready_list = sorted(sort_keys[i] for i in range(n) if indegree[i] == 0)
-        steps: List[ScheduledStep] = []
-        step_index = 0
-
-        while ready_list:
-            busy_qubits: Set[int] = set()
-            allowed = allowed_fn(step_index) if allowed_fn is not None else None
-
-            # Phase 1: single-qubit gates in criticality order.  Gates that
-            # are simultaneously ready never share a qubit (dependencies are
-            # per-qubit chains), so these admissions are independent of the
-            # two-qubit placement decisions below.
-            single_qubit: List[int] = []
-            pending: List[int] = []
-            for entry in ready_list:
-                candidate = entry[1]
-                if set(gates[candidate].qubits) & busy_qubits:
-                    continue
-                if coupling_of[candidate] is not None:
-                    pending.append(candidate)
-                    continue
-                single_qubit.append(candidate)
-                busy_qubits.update(gates[candidate].qubits)
-
-            def compose(leader: Optional[int]) -> Optional[List[int]]:
-                """Two-qubit indices of the composition led by *leader*.
-
-                Admits *leader* first (``None`` means pure criticality
-                order), then fills the step structurally: the remaining
-                pending gates are scanned in criticality order through the
-                same busy/allowed/conflict checks as the structural loop.
-                Returns ``None`` when *leader* itself is inadmissible.
-                """
-                admitted: List[int] = []
-                couplings: List[Coupling] = []
-                busy = set(busy_qubits)
-                active_mask = 0
-                order = pending if leader is None else [leader] + [
-                    i for i in pending if i != leader
-                ]
-                for candidate in order:
-                    if max_parallel is not None and len(couplings) >= max_parallel:
-                        break
-                    gate = gates[candidate]
-                    if set(gate.qubits) & busy:
-                        continue
-                    coupling = coupling_of[candidate]
-                    if allowed is not None and coupling not in allowed:
-                        if candidate == leader:
-                            return None
-                        continue
-                    if conflicts(coupling, couplings, active_mask):
-                        if candidate == leader:
-                            return None
-                        continue
-                    admitted.append(candidate)
-                    couplings.append(coupling)
-                    busy.update(gate.qubits)
-                    active_mask = extend_mask(active_mask, coupling)
-                return admitted
-
-            def assemble(two_qubit: List[int]) -> ScheduledStep:
-                """Build a criticality-ordered step from phase-1 + *two_qubit*."""
-                step = ScheduledStep()
-                step.indices = sorted(single_qubit + two_qubit, key=lambda i: sort_keys[i])
-                step.gates = [gates[i] for i in step.indices]
-                interacting = [i for i in step.indices if coupling_of[i] is not None]
-                step.couplings = [coupling_of[i] for i in interacting]
-                step.interaction_gates = [gates[i] for i in interacting]
-                step.base_duration_ns = max(
-                    (g.duration_ns for g in step.gates), default=0.0
-                )
-                return step
-
-            # Phase 2: assemble one candidate composition per admissible
-            # leader (criticality order, up to the beam) and let the policy
-            # pick.  The structural composition is always candidate 0.
-            structural = compose(None)
-            candidates: List[ScheduledStep] = []
-            if structural:
-                candidates.append(assemble(structural))
-                seen = {tuple(sorted(structural))}
-                # Alternative leaders, most-different first: gates the
-                # structural composition deferred (forcing one in changes
-                # the set for sure), then reorderings of the admitted ones
-                # (which differ only when the conflict checks are
-                # order-sensitive).  Duplicate compositions are skipped, so
-                # an unconflicted cycle costs the policy nothing.
-                admitted_set = set(structural)
-                deferred = [i for i in pending if i not in admitted_set]
-                for leader in deferred + structural[1:]:
-                    if len(candidates) >= beam:
-                        break
-                    alternative = compose(leader)
-                    if alternative is None:
-                        continue
-                    key = tuple(sorted(alternative))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    candidates.append(assemble(alternative))
-
-            if candidates:
-                pick = 0 if len(candidates) == 1 else policy.choose(candidates)
-                step = candidates[pick]
-            else:
-                step = assemble([])
-
-            if not step.gates:
-                # Nothing admitted this cycle (e.g. the tiling pattern blocks
-                # every ready gate); advance the pattern instead of looping
-                # forever, but only when a pattern is in play.
-                if allowed is None:
-                    raise RuntimeError("scheduler made no progress; circular conflict")
-                step_index += 1
-                continue
-
-            steps.append(step)
-            if on_step is not None:
-                on_step(step)
-
-            admitted = set(step.indices)
-            newly_ready: List[Tuple[float, int]] = []
-            for admitted_index in step.indices:
-                for successor in successor_lists[admitted_index]:
-                    remaining = indegree[successor] - 1
-                    indegree[successor] = remaining
-                    if remaining == 0:
-                        newly_ready.append(sort_keys[successor])
-            remaining_ready = [e for e in ready_list if e[1] not in admitted]
-            if newly_ready:
-                newly_ready.sort()
-                remaining_ready += newly_ready
                 remaining_ready.sort()
             ready_list = remaining_ready
             step_index += 1

@@ -69,6 +69,7 @@ from .metrics import (
     _flux_rate_rows,
     _step_dense_row,
     _step_spectator_reduction,
+    _success_report,
     spectator_geometry,
 )
 
@@ -209,14 +210,12 @@ class IncrementalEstimator:
         for state in steps:
             for name, count in state.gate_counts.items():
                 counts[name] = counts.get(name, 0) + count
-        gate_fidelity, n2q, n1q, nvirtual = _floor_fidelity_from_counts(counts, model)
+        floor = _floor_fidelity_from_counts(counts, model)
 
         step_fids = np.array([state.fidelity for state in steps])
         step_sums = np.array([state.error_total for state in steps])
         step_worsts = np.array([state.worst for state in steps])
-        crosstalk_fidelity, crosstalk_total, worst_spectator = _combine_step_stats(
-            step_fids, step_sums, step_worsts
-        )
+        crosstalk = _combine_step_stats(step_fids, step_sums, step_worsts)
 
         durations = np.array([state.duration for state in steps])
         num_qubits = self.device.num_qubits
@@ -231,25 +230,8 @@ class IncrementalEstimator:
         decoherence = _decoherence_from_dense(
             self.device, model, durations, present, rates
         )
-
-        decoherence_fidelity = 1.0
-        for err in decoherence.values():
-            decoherence_fidelity *= 1.0 - err
-
-        success = gate_fidelity * crosstalk_fidelity * decoherence_fidelity
-        return SuccessReport(
-            success_rate=success,
-            gate_fidelity_product=gate_fidelity,
-            crosstalk_fidelity_product=crosstalk_fidelity,
-            decoherence_fidelity_product=decoherence_fidelity,
-            crosstalk_error_total=crosstalk_total,
-            decoherence_error_per_qubit=decoherence,
-            worst_spectator_error=worst_spectator,
-            depth=len(steps),
-            duration_ns=sum(state.duration for state in steps),
-            num_two_qubit_gates=n2q,
-            num_single_qubit_gates=n1q,
-            num_virtual_single_qubit_gates=nvirtual,
+        return _success_report(
+            floor, crosstalk, decoherence, len(steps), sum(state.duration for state in steps)
         )
 
     def success_rate(self) -> float:

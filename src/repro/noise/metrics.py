@@ -709,29 +709,43 @@ def _estimate_success_impl(program: CompiledProgram, model: Optional[NoiseModel]
     model = model or NoiseModel()
     geometry = spectator_geometry(program.device, model)
 
-    gate_fidelity, n2q, n1q, nvirtual = _gate_floor_errors(program, model)
+    floor = _gate_floor_errors(program, model)
 
     arrays = _program_arrays(program, geometry)
-    crosstalk_fidelity, crosstalk_total, worst_spectator = _combine_step_stats(
-        *_vectorized_spectator_errors(arrays, model, geometry)
-    )
+    crosstalk = _combine_step_stats(*_vectorized_spectator_errors(arrays, model, geometry))
     decoherence = _vectorized_decoherence_errors(program, model, arrays)
+    return _success_report(floor, crosstalk, decoherence, program.depth, program.total_duration_ns)
 
+
+def _success_report(
+    floor: Tuple[float, int, int, int],
+    crosstalk: Tuple[float, float, float],
+    decoherence: Dict[int, float],
+    depth: int,
+    duration_ns: float,
+) -> SuccessReport:
+    """Fold the Eq. (4) components into a :class:`SuccessReport`.
+
+    ``floor`` is ``(gate fidelity, #2q, #1q, #virtual)`` and ``crosstalk``
+    is ``(fidelity, error total, worst spectator)``.  Shared by
+    :func:`estimate_success` and the incremental estimator, so both fold
+    the decoherence product and the success rate in one order.
+    """
+    gate_fidelity, n2q, n1q, nvirtual = floor
+    crosstalk_fidelity, crosstalk_total, worst_spectator = crosstalk
     decoherence_fidelity = 1.0
     for err in decoherence.values():
         decoherence_fidelity *= 1.0 - err
-
-    success = gate_fidelity * crosstalk_fidelity * decoherence_fidelity
     return SuccessReport(
-        success_rate=success,
+        success_rate=gate_fidelity * crosstalk_fidelity * decoherence_fidelity,
         gate_fidelity_product=gate_fidelity,
         crosstalk_fidelity_product=crosstalk_fidelity,
         decoherence_fidelity_product=decoherence_fidelity,
         crosstalk_error_total=crosstalk_total,
         decoherence_error_per_qubit=decoherence,
         worst_spectator_error=worst_spectator,
-        depth=program.depth,
-        duration_ns=program.total_duration_ns,
+        depth=depth,
+        duration_ns=duration_ns,
         num_two_qubit_gates=n2q,
         num_single_qubit_gates=n1q,
         num_virtual_single_qubit_gates=nvirtual,

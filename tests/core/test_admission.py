@@ -17,6 +17,8 @@ from repro.baselines import BaselineGmon, BaselineNaive, BaselineStatic, Baselin
 from repro.core import NoiseAwareScheduler, build_crosstalk_graph
 from repro.core.compiler import prepare_native_circuit
 
+from oracles import OracleScheduler
+
 SEED = 2020
 ALL_STRATEGIES = [
     ColorDynamic,
@@ -69,63 +71,88 @@ class TestStructuralPolicy:
         assert StructuralAdmission().choose([object(), object(), object()]) == 0
 
     def test_policy_loop_matches_structural_loop(self):
-        """The policy-driven loop under a never-deviating policy emits the
-        structural loop's steps.
+        """A beam-4 policy that always picks candidate 0 emits exactly the
+        steps of ``admission=None``.
 
-        This pins the conflict predicate ``_schedule_admission`` duplicates
-        from ``_schedule_structural``.  The policy is not named
-        ``"structural"``, so ``schedule()`` really runs the policy loop.
+        Candidate 0 is the plain criticality-order fill pass, so building
+        and discarding the alternative compositions must leave no trace.
+        The policy is not named ``"structural"`` and really is consulted.
         """
-        policy = _AlwaysFirst()
-        for bench, num_qubits in [("xeb(9,3)", 9), ("xeb(16,5)", 16), ("qaoa(16)", 16)]:
-            device = _device(num_qubits)
-            native = _native(device, bench)
-            graph = build_crosstalk_graph(device.graph, 1)
-            configs = [
-                dict(crosstalk_graph=graph, max_colors=max_colors, conflict_threshold=threshold)
-                for max_colors in (None, 1, 2, 3)
-                for threshold in (None, 1, 3)
-            ]
-            # Baseline U's serializing caps and Baseline G's coupler tiling.
-            configs.append(
-                dict(
-                    crosstalk_graph=graph,
-                    max_colors=1,
-                    conflict_threshold=1,
-                    max_parallel_interactions=1,
-                )
-            )
-            tiling = BaselineGmon(device)._make_scheduler().allowed_couplings
-            configs.append(dict(conflict_threshold=None, allowed_couplings=tiling))
-            for config in configs:
-                scheduler = NoiseAwareScheduler(**config)
-                default = scheduler.schedule(native)
-                policied = scheduler.schedule(native, admission=policy)
-                context = f"{bench} {config}"
-                assert [s.indices for s in default] == [s.indices for s in policied], context
-                assert [s.couplings for s in default] == [s.couplings for s in policied]
-                assert [s.gates for s in default] == [s.gates for s in policied]
-                assert [s.interaction_gates for s in default] == [
-                    s.interaction_gates for s in policied
-                ]
-                assert [s.base_duration_ns for s in default] == [
-                    s.base_duration_ns for s in policied
-                ]
+        policy = _FixedPick("always-first", lambda candidates: 0)
+        for context, native, scheduler in _policy_grid():
+            assert _step_fields(scheduler.schedule(native)) == _step_fields(
+                scheduler.schedule(native, admission=policy)
+            ), context
         assert policy.calls > 0, "no cycle offered the policy a choice"
 
+    def test_always_last_policy_matches_oracle(self):
+        """Always picking the last alternative matches the frozen oracle loop.
 
-class _AlwaysFirst(StepAdmission):
-    """Always picks candidate 0, the structural composition."""
+        The last alternative usually leads with a deferred gate, so this
+        pins which leaders are tried, leaders the tiling rejects (Baseline
+        G; the oracle drops them, production skips the step they repeat as
+        a duplicate), duplicate skipping and the criticality re-sort of
+        each alternative — against ``schedule_admission_reference``.
+        """
+        policy = _FixedPick("always-last", lambda candidates: len(candidates) - 1)
+        deviated = False
+        for context, native, scheduler in _policy_grid():
+            production = _step_fields(scheduler.schedule(native, admission=policy))
+            reference = _step_fields(
+                OracleScheduler.like(scheduler).schedule(native, admission=policy)
+            )
+            assert production == reference, context
+            deviated = deviated or production != _step_fields(scheduler.schedule(native))
+        assert policy.calls > 0 and deviated, "the policy never changed a step"
 
-    name = "always-first"
+
+def _policy_grid():
+    """``(context, native circuit, scheduler)`` over the policy test grid:
+    ``max_colors`` x threshold, Baseline U's caps and Baseline G's tiling."""
+    for bench, num_qubits in [("xeb(9,3)", 9), ("xeb(16,5)", 16), ("qaoa(16)", 16)]:
+        device = _device(num_qubits)
+        native = _native(device, bench)
+        graph = build_crosstalk_graph(device.graph, 1)
+        configs = [
+            dict(crosstalk_graph=graph, max_colors=max_colors, conflict_threshold=threshold)
+            for max_colors in (None, 1, 2, 3)
+            for threshold in (None, 1, 3)
+        ]
+        # Baseline U's serializing caps and Baseline G's coupler tiling.
+        configs.append(
+            dict(
+                crosstalk_graph=graph,
+                max_colors=1,
+                conflict_threshold=1,
+                max_parallel_interactions=1,
+            )
+        )
+        tiling = BaselineGmon(device)._make_scheduler().allowed_couplings
+        configs.append(dict(conflict_threshold=None, allowed_couplings=tiling))
+        for config in configs:
+            yield f"{bench} {config}", native, NoiseAwareScheduler(**config)
+
+
+def _step_fields(steps):
+    return [
+        (s.indices, s.couplings, s.gates, s.interaction_gates, s.base_duration_ns)
+        for s in steps
+    ]
+
+
+class _FixedPick(StepAdmission):
+    """A beam-4 policy whose pick is a fixed function of the candidates."""
+
     beam = 4
 
-    def __init__(self):
+    def __init__(self, name, pick):
+        self.name = name
+        self.pick = pick
         self.calls = 0
 
     def choose(self, candidates):
         self.calls += 1
-        return 0
+        return self.pick(candidates)
 
 
 class TestSuccessPolicy:

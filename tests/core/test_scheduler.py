@@ -2,9 +2,12 @@
 
 import pytest
 
+from diffgen import random_circuit, random_device
+from repro.analysis.experiments import STRATEGIES
 from repro.circuits import Circuit, decompose_circuit
-from repro.core import NoiseAwareScheduler, build_crosstalk_graph
+from repro.core import ADMISSION_POLICIES, NoiseAwareScheduler, build_crosstalk_graph
 from repro.devices import grid_graph
+from repro.service import make_compiler
 from repro.workloads import xeb_circuit
 
 
@@ -29,9 +32,28 @@ class TestBasicScheduling:
         steps = scheduler.schedule(circuit)
         assert sum(len(s.gates) for s in steps) == len(circuit)
 
-    def test_no_qubit_is_used_twice_in_a_step(self):
-        circuit = decompose_circuit(xeb_circuit(9, 3, seed=2))
-        steps = NoiseAwareScheduler().schedule(circuit)
+    @pytest.mark.parametrize(
+        "strategy, admission, seed",
+        [(None, None, None)]
+        + [
+            (strategy, admission, seed)
+            for strategy in STRATEGIES
+            for admission in ADMISSION_POLICIES
+            for seed in range(12)
+        ],
+    )
+    def test_no_qubit_is_used_twice_in_a_step(self, strategy, admission, seed):
+        """Ready gates never share a qubit, so no step does either: with
+        the bare scheduler on XEB, and with every strategy's scheduler under
+        both admission policies on random circuits and devices."""
+        if strategy is None:
+            circuit = decompose_circuit(xeb_circuit(9, 3, seed=2))
+            steps = NoiseAwareScheduler().schedule(circuit)
+        else:
+            device = random_device(seed)
+            circuit = random_circuit(device.num_qubits, seed)
+            compiler = make_compiler(strategy, device, admission=admission)
+            steps = compiler.compile(circuit).program.steps
         for step in steps:
             qubits = [q for g in step.gates for q in g.qubits]
             assert len(qubits) == len(set(qubits))
@@ -108,6 +130,24 @@ class TestTilingPatterns:
         assert all(len(s.couplings) <= 1 for s in steps)
         scheduled_pairs = [c for s in steps for c in s.couplings]
         assert set(scheduled_pairs) == {(0, 1), (3, 4)}
+
+    def test_coupling_outside_every_pattern_raises(self):
+        """A ready coupling that no tiling pattern allows is an error, not
+        an endless run of empty cycles."""
+        patterns = [{(0, 1)}, {(3, 4)}]
+        calls = 0
+
+        def allowed(step_index):
+            nonlocal calls
+            calls += 1
+            if calls > 1000:
+                raise AssertionError("scheduler kept cycling through the patterns")
+            return patterns[step_index % 2]
+
+        circuit = Circuit(9).h(0).cz(0, 1).cz(0, 8)
+        scheduler = NoiseAwareScheduler(conflict_threshold=None, allowed_couplings=allowed)
+        with pytest.raises(RuntimeError, match=r"\(0, 8\)"):
+            scheduler.schedule(circuit)
 
     def test_criticality_prefers_long_chains(self):
         # Gate on (0,1) heads a long dependent chain; (2,3) is isolated.  With

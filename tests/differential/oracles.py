@@ -9,8 +9,10 @@ scalar loops — as a test oracle:
 * :func:`criticality` — networkx longest-path sweep;
 * :func:`bounded_coloring` and :func:`active_subgraph` — the networkx
   coloring probe;
-* :func:`noise_conflict` and :func:`schedule_reference` — the networkx
-  scheduling loop (:class:`OracleScheduler` plugs them into a scheduler);
+* :func:`noise_conflict`, :func:`schedule_reference` and
+  :func:`schedule_admission_reference` — the networkx scheduling loop and
+  the policy-driven loop (:class:`OracleScheduler` plugs them into a
+  scheduler);
 * :func:`greedy_place`, :func:`solve_max_separation` and
   :func:`assign_color_frequencies` — the scalar max-separation solver;
 * :func:`step_frequencies` — per-step qubit frequencies, resolved through
@@ -35,6 +37,7 @@ import networkx as nx
 
 from repro.baselines import BaselineGmon, BaselineNaive, BaselineStatic, BaselineUniform
 from repro.circuits import Circuit, build_dag
+from repro.core.admission import StepAdmission
 from repro.core.coloring import num_colors, welsh_powell_coloring
 from repro.core.compiler import ColorDynamic
 from repro.core.frequencies import clamp_to_range
@@ -226,12 +229,143 @@ def schedule_reference(
     return steps
 
 
+def schedule_admission_reference(
+    scheduler: NoiseAwareScheduler,
+    circuit: Circuit,
+    on_step: Optional[Callable[[ScheduledStep], None]],
+    policy: StepAdmission,
+) -> List[ScheduledStep]:
+    """The policy-driven scheduling loop, configured by *scheduler*'s knobs.
+
+    Single-qubit gates are admitted in criticality order first.  For the
+    two-qubit placement, up to ``policy.beam`` complete candidate
+    compositions are assembled — composition 0 fills the step in
+    criticality order, each further one admits a *leader* first and fills
+    the rest around it — and the policy chooses which one the cycle emits.
+    Leaders are the gates composition 0 deferred, then its admitted gates
+    after the first; a leader that is itself inadmissible yields no
+    composition, and duplicate compositions are skipped.
+    """
+    gates = circuit.gates
+    scores = criticality(circuit, weighted=True)
+    dag = build_dag(circuit)
+    indegree: Dict[int, int] = {node: dag.graph.in_degree(node) for node in dag.graph.nodes}
+    ready: Set[int] = {node for node, deg in indegree.items() if deg == 0}
+
+    def sort_key(index: int) -> Tuple[float, int]:
+        return (-scores[index], index)
+
+    coupling_of = [
+        tuple(sorted(gate.qubits)) if gate.spec.num_qubits == 2 else None for gate in gates
+    ]
+    max_parallel = scheduler.max_parallel_interactions
+    beam = max(1, policy.beam)
+    steps: List[ScheduledStep] = []
+    step_index = 0
+
+    while ready:
+        ordered = sorted(ready, key=sort_key)
+        busy_qubits: Set[int] = set()
+        allowed = (
+            scheduler.allowed_couplings(step_index)
+            if scheduler.allowed_couplings is not None
+            else None
+        )
+
+        single_qubit: List[int] = []
+        pending: List[int] = []
+        for candidate in ordered:
+            if set(gates[candidate].qubits) & busy_qubits:
+                continue
+            if coupling_of[candidate] is not None:
+                pending.append(candidate)
+                continue
+            single_qubit.append(candidate)
+            busy_qubits.update(gates[candidate].qubits)
+
+        def compose(leader: Optional[int]) -> Optional[List[int]]:
+            admitted: List[int] = []
+            couplings: List[Coupling] = []
+            busy = set(busy_qubits)
+            order = pending if leader is None else [leader] + [i for i in pending if i != leader]
+            for candidate in order:
+                if max_parallel is not None and len(couplings) >= max_parallel:
+                    break
+                gate = gates[candidate]
+                if set(gate.qubits) & busy:
+                    continue
+                coupling = coupling_of[candidate]
+                if (allowed is not None and coupling not in allowed) or noise_conflict(
+                    scheduler, coupling, couplings
+                ):
+                    if candidate == leader:
+                        return None
+                    continue
+                admitted.append(candidate)
+                couplings.append(coupling)
+                busy.update(gate.qubits)
+            return admitted
+
+        def assemble(two_qubit: List[int]) -> ScheduledStep:
+            step = ScheduledStep()
+            step.indices = sorted(single_qubit + two_qubit, key=sort_key)
+            step.gates = [gates[i] for i in step.indices]
+            interacting = [i for i in step.indices if coupling_of[i] is not None]
+            step.couplings = [coupling_of[i] for i in interacting]
+            step.interaction_gates = [gates[i] for i in interacting]
+            step.base_duration_ns = max((g.duration_ns for g in step.gates), default=0.0)
+            return step
+
+        structural = compose(None)
+        candidates: List[ScheduledStep] = []
+        if structural:
+            candidates.append(assemble(structural))
+            seen = {tuple(sorted(structural))}
+            deferred = [i for i in pending if i not in set(structural)]
+            for leader in deferred + structural[1:]:
+                if len(candidates) >= beam:
+                    break
+                alternative = compose(leader)
+                if alternative is None:
+                    continue
+                key = tuple(sorted(alternative))
+                if key in seen:
+                    continue
+                seen.add(key)
+                candidates.append(assemble(alternative))
+
+        if candidates:
+            pick = 0 if len(candidates) == 1 else policy.choose(candidates)
+            step = candidates[pick]
+        else:
+            step = assemble([])
+
+        if not step.gates:
+            if allowed is None:
+                raise RuntimeError("scheduler made no progress; circular conflict")
+            step_index += 1
+            continue
+
+        steps.append(step)
+        if on_step is not None:
+            on_step(step)
+        for index in step.indices:
+            ready.discard(index)
+            for successor in dag.graph.successors(index):
+                indegree[successor] -= 1
+                if indegree[successor] == 0:
+                    ready.add(successor)
+        step_index += 1
+
+    return steps
+
+
 class OracleScheduler(NoiseAwareScheduler):
-    """A scheduler whose crosstalk checks and structural loop are the oracles.
+    """A scheduler whose crosstalk checks and scheduling loops are the oracles.
 
     Without a policy (or with a ``"structural"`` one) it runs
-    :func:`schedule_reference`; a policy runs the production policy-driven
-    loop with :func:`noise_conflict` as its admissibility check.
+    :func:`schedule_reference`; any other policy runs
+    :func:`schedule_admission_reference`.
     """
 
     @classmethod
@@ -248,16 +382,7 @@ class OracleScheduler(NoiseAwareScheduler):
     def schedule(self, circuit, on_step=None, admission=None):
         if admission is None or admission.name == "structural":
             return schedule_reference(self, circuit, on_step)
-        return super().schedule(circuit, on_step=on_step, admission=admission)
-
-    def _admission_checks(self):
-        def conflicts(coupling, step_couplings, active_mask) -> bool:
-            return noise_conflict(self, coupling, step_couplings)
-
-        def extend_mask(active_mask: int, coupling: Coupling) -> int:
-            return active_mask
-
-        return conflicts, extend_mask
+        return schedule_admission_reference(self, circuit, on_step, admission)
 
 
 # ---------------------------------------------------------------------------

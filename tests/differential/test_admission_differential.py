@@ -8,12 +8,13 @@ Three contracts:
   default path at all.
 * ``admission="success"`` emits bit-identical programs through the
   production compilers and the oracle compilers (``oracles.py``): the
-  policy loop evaluates structural admissibility through the bitset
-  kernels or through the oracles' ``noise_conflict``, and those are
-  decision-identical, so the estimator-guided choice must be too.
-* The policy-driven scheduler loop makes exactly the structural loop's
-  decisions when its policy never deviates (covered at the scheduler level
-  in ``tests/core/test_admission.py``).
+  production scheduler builds its candidate compositions with its one
+  bitset fill pass, the oracle with the frozen policy-driven loop and
+  ``noise_conflict``; the candidates are identical, so the
+  estimator-guided choice must be too.
+* A policy that never deviates reproduces the no-policy schedule, and one
+  that always takes the last candidate matches the oracle loop (covered
+  at the scheduler level in ``tests/core/test_admission.py``).
 """
 
 from __future__ import annotations
