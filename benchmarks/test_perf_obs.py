@@ -11,8 +11,9 @@ analytic and deterministic instead:
 * count how many spans one cold compile actually emits (run one traced
   compile per strategy and count the drained records),
 * bound the per-job overhead as ``spans_per_job * per_call_cost`` against
-  the tracked per-job cold compile cost from ``BENCH_compile.json``
-  (measured fresh when the tracked file is absent).
+  the per-job cold compile cost measured in the same run on the same
+  machine (best of three ``bv(16)`` ColorDynamic compiles), so both sides
+  of the ratio come from one machine.
 
 The result is written to the untracked ``.benchmarks/BENCH_obs.json``,
 alongside the other perf results.
@@ -20,9 +21,7 @@ alongside the other perf results.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from benchlib import run_once, write_result
 
@@ -39,9 +38,6 @@ CALLS = 50_000
 REPEATS = 5
 STRATEGIES = ("ColorDynamic", "Baseline U")
 BENCH = "bv(16)"
-
-_ROOT = Path(__file__).resolve().parent.parent
-_COMPILE_BENCH = _ROOT / "BENCH_compile.json"
 
 
 def _disabled_span_cost_ns() -> float:
@@ -75,12 +71,8 @@ def _spans_per_job() -> int:
     return worst
 
 
-def _per_job_compile_ms() -> tuple[float, str]:
-    """Tracked per-job cold compile cost (ms), and where it came from."""
-    if _COMPILE_BENCH.exists():
-        tracked = json.loads(_COMPILE_BENCH.read_text())
-        if tracked.get("num_jobs"):
-            return tracked["cold_fast_ms"] / tracked["num_jobs"], "BENCH_compile.json"
+def _per_job_compile_ms() -> float:
+    """Best-of-three cold compile cost of one job on this machine, in ms."""
     device = build_device_for(BENCH)
     circuit = benchmark_circuit(BENCH, seed=2020)
     best = float("inf")
@@ -89,13 +81,13 @@ def _per_job_compile_ms() -> tuple[float, str]:
         start = time.perf_counter()
         compiler.compile(circuit)
         best = min(best, time.perf_counter() - start)
-    return best * 1e3, "measured"
+    return best * 1e3
 
 
 def _run_obs_suite():
     per_call_ns = _disabled_span_cost_ns()
     spans_per_job = _spans_per_job()
-    per_job_ms, baseline_source = _per_job_compile_ms()
+    per_job_ms = _per_job_compile_ms()
     overhead_ms = spans_per_job * per_call_ns / 1e6
     return {
         "suite": "disabled-tracing overhead",
@@ -103,7 +95,6 @@ def _run_obs_suite():
         "disabled_span_ns": per_call_ns,
         "spans_per_job": spans_per_job,
         "per_job_compile_ms": per_job_ms,
-        "per_job_baseline_source": baseline_source,
         "overhead_ms_per_job": overhead_ms,
         "overhead_fraction": overhead_ms / per_job_ms,
     }
@@ -117,8 +108,7 @@ def test_perf_obs_disabled_overhead(benchmark):
         f"disabled span: {results['disabled_span_ns']:.0f} ns/call, "
         f"{results['spans_per_job']} spans/job -> "
         f"{results['overhead_ms_per_job'] * 1e3:.1f} us/job over "
-        f"{results['per_job_compile_ms']:.2f} ms "
-        f"({results['per_job_baseline_source']}) = "
+        f"{results['per_job_compile_ms']:.2f} ms = "
         f"{results['overhead_fraction']:.4%} "
         f"(target <= {OVERHEAD_TARGET:.0%})"
     )

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd = add_command("cache", "manage the compiled-program store")
     cache_sub = cache_cmd.add_subparsers(dest="cache_command", required=True)
     for sub_name, sub_help in (
-        ("stats", "show entry count and footprint (O(1) via the store index)"),
+        ("stats", "show entry count and footprint (one scan of the entry files)"),
         ("clear", "remove every stored program"),
         ("warm", "precompile the grid behind a figure sweep"),
         ("serve", "share this machine's store over HTTP with a worker fleet"),

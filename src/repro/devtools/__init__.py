@@ -12,7 +12,7 @@ enforced dynamically (and therefore only *after* a wrong artifact ships):
   programs or cache keys;
 * RPL004 — every ``REPRO_*`` environment read names a variable declared in
   the :mod:`repro.envvars` registry;
-* RPL005 — no network or compile calls while the store index lock is held.
+* RPL005 — no network or compile calls while a service lock is held.
 
 See ``docs/static-analysis.md`` for the full rule catalog and waiver
 syntax.

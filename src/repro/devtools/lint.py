@@ -46,8 +46,8 @@ RPL004
 RPL005
     Inside ``with <...lock...>():`` blocks of :mod:`repro.service`, no
     network traffic (urllib/sockets/remote tiers) and no compile calls —
-    the store index lock is held for microseconds by design, and a network
-    round trip under it would serialize a whole worker fleet.  A lock
+    the server's bookkeeping locks are held for microseconds by design, and
+    a network round trip under one would serialize every request.  A lock
     whose documented *purpose* is serializing compilation (the compile
     server holds one cold compile at a time) carries
     ``# repro-lint: serialized-compile(<reason>)`` on the call line.
@@ -84,7 +84,7 @@ RULES: Dict[str, str] = {
     "RPL002": "codec round-trip completeness (dataclass field missing from to_dict/from_dict)",
     "RPL003": "determinism in modules reachable from compile output or cache keys",
     "RPL004": "REPRO_* environment access outside the repro.envvars registry",
-    "RPL005": "network/compile call while the store index lock is held",
+    "RPL005": "network/compile call while a service lock is held",
 }
 
 #: Waiver tag -> the rule it suppresses.

@@ -9,10 +9,11 @@ machines:
 * :mod:`~repro.service.cache_key` — deterministic, content-addressed cache
   keys hashing the circuit, the full device physics and every compiler knob;
 * :mod:`~repro.service.backends` — pluggable storage backends sharing that
-  key scheme: the indexed on-disk :class:`LocalFSBackend` (O(1) ``stats()``,
-  LRU eviction under a byte budget), the :class:`HTTPBackend` client for a
-  shared cache server, and the read-through :class:`TieredStore`
-  composition (local -> remote with write-back);
+  key scheme: the on-disk :class:`LocalFSBackend` (its entry files are
+  the whole record; LRU eviction under a byte budget), the
+  :class:`HTTPBackend` client for a shared cache server, and the
+  read-through :class:`TieredStore` composition (local -> remote with
+  write-back);
 * :mod:`~repro.service.store` — the :class:`ProgramStore` facade composing
   those backends from ``cache_dir`` / ``remote_url`` / ``max_bytes``;
 * :mod:`~repro.service.server` — ``python -m repro cache serve``: a stdlib

@@ -6,9 +6,9 @@ namespaces — and PR 4 makes its *location* pluggable.  Every backend speaks
 the same key scheme, so a compiled program is interchangeable between them:
 
 * :class:`LocalFSBackend` — the original on-disk layout
-  (``<root>/v<codec>/<key[:2]>/<key>.json``), now with a persisted index
-  file (entry count, byte footprint, per-entry ``last_used``) that makes
-  ``stats()`` O(1) and enables LRU eviction under a byte budget;
+  (``<root>/v<codec>/<key[:2]>/<key>.json``); the entry files are its only
+  record, and a scan of them answers ``stats()`` and drives LRU eviction
+  under a byte budget;
 * :class:`HTTPBackend` — a client for the ``python -m repro cache serve``
   server (:mod:`repro.service.server`), so a fleet of CI workers shares one
   warm cache.  Network failures degrade to misses, never to errors;
@@ -36,18 +36,12 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..envvars import read_env
 from ..obs import get_metrics
 from ..program import PROGRAM_CODEC_VERSION
-
-try:  # pragma: no cover - always available on the supported platforms
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback: no inter-process lock
-    fcntl = None
 
 __all__ = [
     "StoreBackend",
@@ -75,8 +69,8 @@ CACHE_TOGGLE_ENV = "REPRO_CACHE"
 #: are tiered local -> remote by default.
 REMOTE_CACHE_ENV = "REPRO_REMOTE_CACHE"
 
-#: Environment variable bounding the local store footprint in bytes (LRU
-#: eviction keeps the store under the budget after every write).
+#: Environment variable bounding the local store footprint in bytes (a
+#: write that crosses the budget LRU-evicts back under it).
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
 #: Environment variable carrying the shared-secret bearer token: clients
@@ -287,9 +281,9 @@ class StoreBackend(abc.ABC):
     def put_many(self, entries: Mapping[str, dict]) -> int:
         """Persist many entries; returns how many writes succeeded.
 
-        The base implementation loops over :meth:`put` (so per-write LRU
-        eviction and index updates still apply); batched backends override
-        it.  A failed write is skipped and not counted, never raised.
+        The base implementation loops over :meth:`put` (so the per-write
+        byte budget still applies); batched backends override it.  A failed
+        write is skipped and not counted, never raised.
         """
         return sum(1 for key, payload in entries.items() if self.put(key, payload))
 
@@ -311,29 +305,26 @@ class StoreBackend(abc.ABC):
 
 
 # ---------------------------------------------------------------------------
-# local filesystem backend (+ persisted index, LRU eviction)
+# local filesystem backend (the entry files are the whole record)
 # ---------------------------------------------------------------------------
 class LocalFSBackend(StoreBackend):
-    """The content-addressed on-disk layout, plus a persisted index.
+    """The content-addressed on-disk layout; the entry files are the store.
 
     Layout (unchanged from PR 2, so existing caches keep working)::
 
         <root>/v<codec-version>/<key[:2]>/<key>.json
 
-    New in PR 4 is ``<root>/v<codec-version>/index.json``: entry count,
-    total byte footprint and per-entry ``[bytes, last_used]`` metadata, kept
-    in lockstep with the entry files under an ``fcntl`` file lock
-    (``index.lock``) so concurrent sweep workers sharing one directory never
-    tear it.  ``stats()`` answers from the index in O(1) instead of
-    statting every entry; a missing or corrupt index is rebuilt from a
-    filesystem scan (entries written by pre-index versions get their file
-    mtime as ``last_used``).  ``evict()`` removes least-recently-used
-    entries until the store fits a byte budget; with ``max_bytes`` set, the
-    budget is enforced after every ``put``.
-    """
+    There is no side index.  ``stats()`` and ``evict()`` scan the entry
+    files: each one's size, and ``max(atime, mtime)`` as its recency (a hit
+    stamps atime, a write stamps mtime).  ``evict()`` removes the oldest
+    entries, ties broken by key, until the store fits a byte budget.
 
-    #: Bumped when the index layout changes; mismatches trigger a rebuild.
-    INDEX_VERSION = 1
+    With ``max_bytes`` set, every ``put`` scans and evicts oldest-first
+    (never the entry it just wrote, unless that entry alone exceeds the
+    budget), so every writer leaves the store within budget after each of
+    its puts.  Two evictors racing over one scan order ignore each other's
+    ``unlink`` misses, so a race costs at most a recompile.
+    """
 
     #: A hit only re-stamps an entry's atime when the current stamp is older
     #: than this.  Minute-level recency is ample for LRU eviction, and the
@@ -350,140 +341,47 @@ class LocalFSBackend(StoreBackend):
         self.format = f"v{PROGRAM_CODEC_VERSION}"
         self.max_bytes = max_bytes
         self._dir = self.root / self.format
-        self._index_path = self._dir / "index.json"
-        # The lock lives *outside* the version directory on purpose: clear()
-        # rmtree's <root>/v*, and unlinking a held lock file would let a
-        # later locker acquire a fresh inode while the old holder still runs
-        # — two "exclusive" holders mutating the index concurrently.
-        self._lock_path = self.root / f"index-{self.format}.lock"
 
     def _path(self, key: str) -> Path:
         return self._dir / key[:2] / f"{key}.json"
 
-    # ------------------------------------------------------------------
-    # index machinery
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _index_lock(self) -> Iterator[None]:
-        """Exclusive inter-process lock guarding index mutations.
+    def _scan(self) -> Dict[str, Tuple[int, float]]:
+        """``{key: (size_bytes, last_used)}`` for every entry file.
 
-        One full index rewrite per mutation under this lock is a deliberate
-        tradeoff: entry counts are small (a full figure grid is ~100
-        entries, low-KB JSON), and the lock is held for microseconds.  If
-        fleet-scale caches ever make the put path contend here, the ROADMAP
-        sketches an append-only journal compacted on stats()/evict().
+        ``last_used`` is the freshest of the file's atime and mtime.
+        Tolerates entries disappearing mid-scan (a concurrent ``clear()`` or
+        eviction): a file deleted between the directory listing and its
+        ``stat()`` is simply left out, never an error.
         """
-        self._dir.mkdir(parents=True, exist_ok=True)
-        if fcntl is None:  # pragma: no cover - non-POSIX: best-effort, no lock
-            yield
-            return
-        with open(self._lock_path, "a+b") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-    def _load_index(self) -> Optional[dict]:
-        """The persisted index, or ``None`` when missing/corrupt."""
-        try:
-            raw = json.loads(self._index_path.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(raw, dict) or raw.get("version") != self.INDEX_VERSION:
-            return None
-        entries = raw.get("entries")
-        total = raw.get("total_bytes")
-        if not isinstance(entries, dict) or not isinstance(total, int):
-            return None
-        for meta in entries.values():
-            # [size_bytes, last_used]; anything else (including well-formed
-            # JSON with the wrong element types) counts as corrupt and
-            # triggers the rebuild scan instead of a downstream TypeError.
-            if not (
-                isinstance(meta, list)
-                and len(meta) == 2
-                and isinstance(meta[0], int)
-                and isinstance(meta[1], (int, float))
-                and not isinstance(meta[0], bool)
-                and not isinstance(meta[1], bool)
-            ):
-                return None
-        return raw
-
-    def _write_index(self, index: dict) -> None:
-        # One json.dumps call runs the C encoder; json.dump streams through
-        # the pure-Python one, a call per token of an index that grows with
-        # every entry.
-        data = json.dumps(index)
-        fd, tmp = tempfile.mkstemp(prefix=".index-", dir=self._dir)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(data)
-            os.replace(tmp, self._index_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-
-    def _scan(self) -> dict:
-        """Rebuild index content from the entry files themselves.
-
-        ``last_used`` is the freshest of the file's atime (refreshed by every
-        cache hit) and mtime (the write stamp).  Tolerates entries
-        disappearing mid-scan (a concurrent ``clear()`` or eviction): a file
-        deleted between the directory listing and its ``stat()`` is simply
-        not indexed, never an error.
-        """
-        entries: Dict[str, list] = {}
-        total = 0
+        entries: Dict[str, Tuple[int, float]] = {}
         if self._dir.is_dir():
             for path in self._dir.glob("*/*.json"):
                 try:
                     info = path.stat()
                 except OSError:
                     continue
-                size = int(info.st_size)
-                entries[path.stem] = [size, max(info.st_atime, info.st_mtime)]
-                total += size
-        return {"version": self.INDEX_VERSION, "entries": entries, "total_bytes": total}
+                entries[path.stem] = (int(info.st_size), max(info.st_atime, info.st_mtime))
+        return entries
 
-    def _mutate_index(self, mutate) -> None:
-        """Apply *mutate(index)* under the lock and persist the result."""
-        with self._index_lock():
-            index = self._load_index()
-            if index is None:
-                index = self._scan()
-            mutate(index)
-            self._write_index(index)
+    def _evict_oldest(
+        self, entries: Mapping[str, Tuple[int, float]], max_bytes: int
+    ) -> Tuple[int, int]:
+        """Unlink the oldest scanned entries until the total fits the budget.
 
-    def _evict_locked(self, index: dict, max_bytes: int) -> Tuple[int, int]:
-        """Drop LRU entries (index + files) until the total fits the budget.
-
-        Runs only when the store is over budget, so the recency refresh —
-        folding each entry's live atime (cache hits touch it without going
-        through the index) into the recorded ``last_used`` — costs one
-        ``stat()`` per entry on eviction events, never on the hot path.
+        Returns ``(entries_removed, bytes_freed)``.  The key breaks
+        exact-timestamp ties, so every evictor sorts one scan into the same
+        order; an entry another process removed first is counted as gone,
+        not raised.
         """
-        entries = index["entries"]
-        if index["total_bytes"] <= max_bytes:
-            return (0, 0)
-        for key, meta in entries.items():
-            try:
-                info = os.stat(self._path(key))
-            except OSError:
-                continue
-            meta[1] = max(meta[1], info.st_atime, info.st_mtime)
+        total = sum(size for size, _ in entries.values())
         removed = freed = 0
-        # Oldest last_used first; the key breaks exact-timestamp ties so the
-        # eviction order is deterministic.
         for key in sorted(entries, key=lambda k: (entries[k][1], k)):
-            if index["total_bytes"] <= max_bytes:
+            if total <= max_bytes:
                 break
-            size = entries.pop(key)[0]
-            index["total_bytes"] -= size
+            size = entries[key][0]
             with contextlib.suppress(OSError):
                 os.unlink(self._path(key))
+            total -= size
             removed += 1
             freed += size
         return removed, freed
@@ -496,9 +394,9 @@ class LocalFSBackend(StoreBackend):
 
         Unreadable or corrupt entries count as misses so a damaged cache
         degrades to recompilation, never to an error.  A hit refreshes the
-        entry's *atime* (one lock-free syscall; the mtime — the write stamp
-        — is preserved), which is what makes the eviction order *least
-        recently used* rather than least recently written.
+        entry's *atime* (one syscall; the mtime — the write stamp — is
+        preserved), which is what makes the eviction order *least recently
+        used* rather than least recently written.
         """
         path = self._path(key)
         start = time.perf_counter()
@@ -526,32 +424,29 @@ class LocalFSBackend(StoreBackend):
             pass  # deleted by a concurrent eviction/clear: nothing to stamp
 
     def put(self, key: str, payload: dict) -> bool:
-        """Atomically persist *payload* under *key* (last writer wins)."""
+        """Atomically persist *payload* under *key* (last writer wins).
+
+        With ``max_bytes`` set, the put then scans and evicts the oldest
+        other entries until the store fits the budget.
+        """
         start = time.perf_counter()
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(payload)
+        data = json.dumps(payload).encode()
         fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", dir=path.parent)
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        size = len(data.encode())
-
-        def update(index: dict) -> None:
-            previous = index["entries"].get(key)
-            if previous is not None:
-                index["total_bytes"] -= previous[0]
-            index["entries"][key] = [size, time.time()]
-            index["total_bytes"] += size
-            if self.max_bytes is not None:
-                self._evict_locked(index, self.max_bytes)
-
-        self._mutate_index(update)
+        if self.max_bytes is not None:
+            entries = self._scan()
+            if key in entries:  # the entry just written goes last
+                entries[key] = (entries[key][0], float("inf"))
+            self._evict_oldest(entries, self.max_bytes)
         _observe_op(start, "local", "put", "ok")
         return True
 
@@ -559,11 +454,7 @@ class LocalFSBackend(StoreBackend):
         return self._path(key).is_file()
 
     def keys(self) -> Iterator[str]:
-        """Iterate over every key stored under the current codec version.
-
-        The filesystem — not the index — is authoritative here, so keys
-        written by pre-index toolchain versions are still served.
-        """
+        """Iterate over every key stored under the current codec version."""
         if not self._dir.is_dir():
             return
         for entry in sorted(self._dir.glob("*/*.json")):
@@ -572,23 +463,9 @@ class LocalFSBackend(StoreBackend):
     def delete(self, key: str) -> bool:
         try:
             os.unlink(self._path(key))
-            existed = True
-        except FileNotFoundError:
-            # The file is already gone (crash between a past unlink and its
-            # index update, or an out-of-band removal) — still retire any
-            # ghost index record below, or it would inflate stats() and
-            # eviction budgets forever.
-            existed = False
         except OSError:
-            return False  # entry still on disk (e.g. permissions): index stays true
-
-        def update(index: dict) -> None:
-            meta = index["entries"].pop(key, None)
-            if meta is not None:
-                index["total_bytes"] -= meta[0]
-
-        self._mutate_index(update)
-        return existed
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # maintenance
@@ -612,34 +489,18 @@ class LocalFSBackend(StoreBackend):
     def evict(self, max_bytes: int) -> Tuple[int, int]:
         """LRU-evict entries until the store footprint fits *max_bytes*.
 
-        The entry set and the recency stamps are both re-derived from the
-        filesystem (atime = last hit, mtime = last write), so eviction never
-        trusts a drifted index; the surviving entries are persisted back as
-        the healed index.
+        Entries and recency come from one scan (atime = last hit, mtime =
+        last write).
         """
-        with self._index_lock():
-            index = self._scan()
-            removed, freed = self._evict_locked(index, max_bytes)
-            self._write_index(index)
-        return removed, freed
+        return self._evict_oldest(self._scan(), max_bytes)
 
     def stats(self) -> Dict[str, object]:
         """Entry count and byte footprint of the current codec version.
 
-        O(1) via the persisted index; a missing or corrupt index triggers a
-        one-time rebuild scan (also persisted, healing the index).  Only
-        the stale-version count still walks other ``v*`` directories.
+        One ``stat()`` per entry file; the stale-version count walks the
+        other ``v*`` directories.
         """
-        index = self._load_index()
-        if index is None:
-            if self._dir.is_dir():
-                with self._index_lock():
-                    index = self._load_index()  # re-check under the lock
-                    if index is None:
-                        index = self._scan()
-                        self._write_index(index)
-            else:
-                index = {"entries": {}, "total_bytes": 0}
+        entries = self._scan()
         stale = 0
         if self.root.is_dir():
             for version_dir in self.root.glob("v*"):
@@ -648,8 +509,8 @@ class LocalFSBackend(StoreBackend):
         return {
             "path": str(self.root),
             "format": self.format,
-            "entries": len(index["entries"]),
-            "total_bytes": index["total_bytes"],
+            "entries": len(entries),
+            "total_bytes": sum(size for size, _ in entries.values()),
             "stale_entries": stale,
             "max_bytes": self.max_bytes,
         }
@@ -694,10 +555,6 @@ class HTTPBackend(StoreBackend):
         self._breaker = CircuitBreaker(
             urllib.parse.urlsplit(self.url).netloc or self.url, trip_after=trip_after
         )
-        # Remembered per-endpoint once an old server answers 404/405/501 to a
-        # batch route, so every later batch call degrades to per-key ops
-        # without re-probing.
-        self._batch_unsupported: set = set()
 
     @property
     def tripped(self) -> bool:
@@ -831,15 +688,12 @@ class HTTPBackend(StoreBackend):
     # batched transfer (POST /v<codec>/batch/{get,put})
     # ------------------------------------------------------------------
     def _batch_post(self, endpoint: str, body: dict) -> Optional[dict]:
-        """One batched round trip, or ``None`` when unavailable.
+        """One batched round trip, or ``None`` when it brought nothing back.
 
-        A 404/405/501 means a pre-batch server: that is a *healthy* answer
-        (the server spoke), so the breaker closes, the endpoint is
-        remembered as unsupported, and the caller falls back to per-key
-        operations.  Network failures count against the breaker as usual.
+        A 4xx (a namespace the server does not serve, a missing token) is a
+        *healthy* refusal: the server spoke, so the breaker closes.  A 5xx,
+        a network failure or a malformed reply counts against the breaker.
         """
-        if endpoint in self._batch_unsupported:
-            return None
         path = f"/{self.format}/batch/{endpoint}"
         start = time.perf_counter()
         try:
@@ -848,12 +702,12 @@ class HTTPBackend(StoreBackend):
             if not isinstance(payload, dict):
                 raise ValueError("batch payload is not an object")
         except urllib.error.HTTPError as error:
-            if error.code in (404, 405, 501):
+            if error.code < 500:
                 self._note_success()
-                self._batch_unsupported.add(endpoint)
+                _observe_op(start, "remote", f"batch_{endpoint}", "refused")
             else:
                 self._note_failure()
-            _observe_op(start, "remote", f"batch_{endpoint}", "error")
+                _observe_op(start, "remote", f"batch_{endpoint}", "error")
             return None
         except (urllib.error.URLError, OSError, ValueError):
             self._note_failure()
@@ -866,7 +720,6 @@ class HTTPBackend(StoreBackend):
     def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
         """Fetch many entries in ``BATCH_CHUNK_ENTRIES``-sized round trips.
 
-        Falls back to per-key ``get`` loops against pre-batch servers.
         Entries whose key or payload shape is wrong are dropped, not
         surfaced — the transfer path never turns junk into cache content.
         """
@@ -878,10 +731,7 @@ class HTTPBackend(StoreBackend):
             chunk = pending[offset : offset + BATCH_CHUNK_ENTRIES]
             payload = self._batch_post("get", {"keys": chunk})
             if payload is None:
-                if "get" in self._batch_unsupported:
-                    found.update(StoreBackend.get_many(self, pending[offset:]))
-                    return found
-                return found  # network trouble: partial results, no retry storm
+                return found  # refused or unreachable: partial results, no retry storm
             entries = payload.get("entries")
             if not isinstance(entries, dict):
                 continue
@@ -894,7 +744,6 @@ class HTTPBackend(StoreBackend):
     def put_many(self, entries: Mapping[str, dict]) -> int:
         """Store many entries in ``BATCH_CHUNK_ENTRIES``-sized round trips.
 
-        Falls back to per-key ``put`` loops against pre-batch servers.
         Returns how many entries the server acknowledged storing.
         """
         if self.tripped:
@@ -905,10 +754,6 @@ class HTTPBackend(StoreBackend):
             chunk = dict(items[offset : offset + BATCH_CHUNK_ENTRIES])
             payload = self._batch_post("put", {"entries": chunk})
             if payload is None:
-                if "put" in self._batch_unsupported:
-                    return stored + StoreBackend.put_many(
-                        self, dict(items[offset:])
-                    )
                 return stored
             count = payload.get("stored")
             stored += count if isinstance(count, int) else 0

@@ -23,7 +23,7 @@ it).  The protocol is deliberately tiny and mirrors the on-disk layout:
   in-flight dedup — two clients requesting the same content hash await one
   compile — and a bounded job queue that answers 429 + ``Retry-After``
   when full,
-* ``GET /stats`` — the backing store's index-backed statistics,
+* ``GET /stats`` — the backing store's statistics (a scan of its entries),
 * ``GET /metrics`` — the process metrics registry in Prometheus text
   exposition format (request counters/latencies, store op latencies,
   circuit-breaker state, server compile outcomes/queue depth; see

@@ -6,8 +6,8 @@ as the composition point the rest of the toolchain talks to:
 
 * a plain ``ProgramStore(root)`` is the original content-addressed on-disk
   store (:class:`~repro.service.backends.LocalFSBackend` — same layout,
-  same atomic-write and corrupt-entry-is-a-miss contracts, now with a
-  persisted index and LRU eviction);
+  same atomic-write and corrupt-entry-is-a-miss contracts, plus LRU
+  eviction under a byte budget);
 * ``ProgramStore(root, remote_url=...)`` tiers the local store in front of
   a shared cache server (read-through local -> remote with write-back, so
   a fleet of workers shares one warm cache);
@@ -213,11 +213,7 @@ class ProgramStore:
         yield from self.backend.keys()
 
     def delete(self, key: str) -> bool:
-        """Remove the entry under *key*; ``True`` if one existed.
-
-        Also retires the entry's index record, so a ghost record can never
-        outlive its file.
-        """
+        """Remove the entry under *key*; ``True`` if one existed."""
         return self.backend.delete(key)
 
     # ------------------------------------------------------------------
@@ -244,8 +240,8 @@ class ProgramStore:
     def stats(self) -> Dict[str, object]:
         """Entry count, byte footprint and store location as a plain dict.
 
-        O(1) via the persisted ``index.json``; a missing or corrupt index
-        is rebuilt from a filesystem scan first.
+        Counted from one scan of the local entry files, so it is never out
+        of step with what ``get`` serves.
         """
         return self.backend.stats()
 

@@ -123,9 +123,8 @@ def test_repeated_process_sweep_recompiles_nothing(tmp_path):
     first = runner.run(jobs)
 
     def entry_files():
-        # Entry payloads live in the two-level sharded layout; the store
-        # index (v*/index.json) is metadata and legitimately changes on
-        # every hit (its last_used stamps are what LRU eviction orders by).
+        # Entry payloads live in the two-level sharded layout; only these
+        # files are the store (hits stamp their atime, never their mtime).
         return sorted(cache_dir.glob("v*/??/*.json"))
 
     entries = entry_files()

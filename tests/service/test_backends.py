@@ -1,4 +1,4 @@
-"""Pluggable store backends: index-backed local store, tiering, syncing."""
+"""Pluggable store backends: the local file store, tiering, syncing."""
 
 import json
 import os
@@ -27,15 +27,7 @@ def pin_recency(backend, key, stamp_s: int) -> None:
     os.utime(backend._path(key), ns=(stamp_s * 10**9, stamp_s * 10**9))
 
 
-class TestLocalIndex:
-    def test_index_file_persisted_next_to_entries(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        assert backend._index_path.is_file()
-        index = json.loads(backend._index_path.read_text())
-        assert set(index["entries"]) == {KEY_A}
-        assert index["total_bytes"] == backend._path(KEY_A).stat().st_size
-
+class TestLocalStats:
     def test_stats_tracks_put_overwrite_delete(self, tmp_path):
         backend = LocalFSBackend(tmp_path)
         backend.put(KEY_A, entry_payload("a"))
@@ -55,80 +47,78 @@ class TestLocalIndex:
         assert stats["entries"] == 1
         assert stats["total_bytes"] == backend._path(KEY_A).stat().st_size
 
-    def test_stats_answers_from_index_not_from_a_scan(self, tmp_path):
-        """O(1) contract: stats() trusts the index instead of statting entries."""
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        index = json.loads(backend._index_path.read_text())
-        index["total_bytes"] = 123456  # a scan would contradict this
-        backend._index_path.write_text(json.dumps(index))
-        assert backend.stats()["total_bytes"] == 123456
-
-    def test_corrupt_index_rebuilt_and_healed(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        backend.put(KEY_B, entry_payload("b"))
-        backend._index_path.write_text("{ not json")
-        stats = backend.stats()
-        assert stats["entries"] == 2
-        assert stats["total_bytes"] == sum(
-            backend._path(k).stat().st_size for k in (KEY_A, KEY_B)
-        )
-        # The rebuild was persisted: the index decodes again.
-        healed = json.loads(backend._index_path.read_text())
-        assert set(healed["entries"]) == {KEY_A, KEY_B}
-
-    def test_missing_index_rebuilt_from_preexisting_entries(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        backend._index_path.unlink()  # e.g. a store written by PR 2/3 code
-        assert backend.stats()["entries"] == 1
-        assert backend._index_path.is_file()
-
-    def test_wrong_index_version_triggers_rebuild(self, tmp_path):
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        index = json.loads(backend._index_path.read_text())
-        index["version"] = 999
-        backend._index_path.write_text(json.dumps(index))
-        assert backend.stats()["entries"] == 1
-
-    def test_index_with_wrong_element_types_counts_as_corrupt(self, tmp_path):
-        """Well-formed JSON with non-numeric metadata rebuilds, never TypeErrors."""
-        backend = LocalFSBackend(tmp_path, max_bytes=10**9)
-        backend.put(KEY_A, entry_payload("a"))
-        backend._index_path.write_text(
-            json.dumps(
-                {"version": 1, "total_bytes": 0, "entries": {KEY_A: ["a", "b"]}}
-            )
-        )
-        assert backend.stats()["entries"] == 1  # rebuilt from the scan
-        backend.put(KEY_B, entry_payload("b"))  # arithmetic on meta must not crash
-        assert backend.evict(0)[0] == 2
-
     def test_stats_on_empty_store_creates_nothing(self, tmp_path):
         backend = LocalFSBackend(tmp_path / "never-written")
         stats = backend.stats()
         assert stats["entries"] == 0 and stats["total_bytes"] == 0
         assert not (tmp_path / "never-written").exists()
 
-    def test_delete_retires_ghost_index_records(self, tmp_path):
-        """delete() of an out-of-band-removed file still cleans the index."""
+    def test_put_writes_the_json_encoding_of_the_payload(self, tmp_path):
+        """Entry bytes are exactly ``json.dumps(payload).encode()``."""
+        payload = {"tag": "\u00e9t\u00e9 \u2014 \U0001f600", "x": 0.1, "n": [1, None, True]}
         backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        os.unlink(backend._path(KEY_A))  # crash/out-of-band removal
-        assert backend.stats()["entries"] == 1  # the ghost record
-        assert backend.delete(KEY_A) is False
-        stats = backend.stats()
-        assert stats["entries"] == 0
-        assert stats["total_bytes"] == 0
+        backend.put(KEY_A, payload)
+        assert backend._path(KEY_A).read_bytes() == json.dumps(payload).encode()
+        assert backend.get(KEY_A) == payload
 
-    def test_index_not_listed_as_an_entry(self, tmp_path):
+    def test_stats_counts_entries_another_backend_wrote(self, tmp_path):
+        """A fresh backend on an existing root sees every entry file."""
+        writer = LocalFSBackend(tmp_path)
+        writer.put(KEY_A, entry_payload("a"))
+        writer.put(KEY_B, entry_payload("b", pad=256))
+        stats = LocalFSBackend(tmp_path).stats()
+        assert stats["entries"] == 2
+        assert stats["total_bytes"] == sum(
+            writer._path(k).stat().st_size for k in (KEY_A, KEY_B)
+        )
+
+    def test_out_of_band_removal_drops_out_of_stats_at_once(self, tmp_path):
+        """An entry file removed behind the backend's back is simply gone."""
         backend = LocalFSBackend(tmp_path)
         backend.put(KEY_A, entry_payload("a"))
-        backend.stats()
-        assert list(backend.keys()) == [KEY_A]
-        assert backend.clear() == 1
+        backend.put(KEY_B, entry_payload("b"))
+        os.unlink(backend._path(KEY_A))  # crash/out-of-band removal
+        stats = backend.stats()
+        assert stats["entries"] == 1
+        assert stats["total_bytes"] == backend._path(KEY_B).stat().st_size
+        assert backend.delete(KEY_A) is False
+        assert backend.evict(0) == (1, stats["total_bytes"])
+
+    def test_clear_removes_a_leftover_index(self, tmp_path):
+        """``clear()`` counts real entries only and takes ``index.json`` along."""
+        backend = LocalFSBackend(tmp_path)
+        backend.put(KEY_A, entry_payload("a"))
+        backend.put(KEY_B, entry_payload("b"))
+        leftover = backend._dir / "index.json"
+        leftover.write_text("{ not json")
+        assert backend.stats()["entries"] == 2
+        assert backend.clear() == 2
+        assert not leftover.exists()
+        assert backend.stats()["entries"] == 0
+
+    def test_leftover_old_layout_index_is_ignored(self, tmp_path):
+        """A store written with ``index.json`` and its lock reads from the files.
+
+        The leftover index claims nothing is stored; stats, listing and
+        eviction all answer from the entry files instead.
+        """
+        backend = LocalFSBackend(tmp_path)
+        backend.put(KEY_A, entry_payload("a"))
+        backend.put(KEY_B, entry_payload("b", pad=256))
+        (backend._dir / "index.json").write_text(
+            json.dumps({"version": 1, "entries": {}, "total_bytes": 0})
+        )
+        (tmp_path / f"index-{backend.format}.lock").touch()
+        stats = backend.stats()
+        assert stats["entries"] == 2
+        assert stats["total_bytes"] == sum(
+            backend._path(k).stat().st_size for k in (KEY_A, KEY_B)
+        )
+        assert list(backend.keys()) == [KEY_A, KEY_B]
+        removed, _ = backend.evict(0)
+        assert removed == 2
+        assert list(backend.keys()) == []
+        assert backend.stats()["entries"] == 0
 
 
 class TestLocalEviction:
@@ -188,17 +178,19 @@ class TestLocalEviction:
         assert bounded.contains(KEY_C)
         assert not bounded.contains(KEY_A)
 
-    def test_evict_rebuilds_from_filesystem_truth(self, tmp_path):
-        """Entries missing from a drifted index are still evictable."""
-        backend = LocalFSBackend(tmp_path)
-        backend.put(KEY_A, entry_payload("a"))
-        backend.put(KEY_B, entry_payload("b"))
-        backend._index_path.write_text(
-            json.dumps({"version": 1, "entries": {}, "total_bytes": 0})
-        )
-        removed, _ = backend.evict(0)
-        assert removed == 2
-        assert list(backend.keys()) == []
+    def test_budgeted_put_counts_entries_it_did_not_write(self, tmp_path):
+        """The budget covers the whole store, not just this writer's puts."""
+        writer = LocalFSBackend(tmp_path)
+        writer.put(KEY_A, entry_payload("a"))
+        writer.put(KEY_B, entry_payload("b"))
+        pin_recency(writer, KEY_A, 1_000)
+        pin_recency(writer, KEY_B, 2_000)
+        budget = 2 * writer._path(KEY_A).stat().st_size
+        bounded = LocalFSBackend(tmp_path, max_bytes=budget)
+        bounded.put(KEY_C, entry_payload("c"))  # alone it fits; the store does not
+        assert bounded.stats()["total_bytes"] <= budget
+        assert not bounded.contains(KEY_A)
+        assert bounded.contains(KEY_B) and bounded.contains(KEY_C)
 
 
 class TestTieredStore:
@@ -478,12 +470,25 @@ class TestBatchedTransfer:
         found = backend.get_many([KEY_A, KEY_B, KEY_C])
         assert found == entries  # KEY_C is simply absent, not an error
 
-    def test_pre_batch_server_falls_back_to_per_key(self, cache_server):
-        backend = HTTPBackend(cache_server.url)
-        backend._batch_unsupported = {"get", "put"}
-        assert backend.put_many({KEY_A: entry_payload("a")}) == 1
-        assert backend.get_many([KEY_A]) == {KEY_A: entry_payload("a")}
-        assert cache_server.backend.get(KEY_A) == entry_payload("a")
+    def test_batch_route_404_is_an_empty_healthy_answer(self):
+        """A 4xx on a batch route: nothing transferred, breaker stays closed."""
+        with stub_server(b'{"error": "not found", "status": 404}', status=404) as url:
+            backend = HTTPBackend(url, trip_after=1)
+            assert backend.get_many([KEY_A, KEY_B]) == {}
+            assert backend.put_many({KEY_A: entry_payload("a")}) == 0
+            assert backend.tripped is False
+            assert backend.errors == 0
+            assert backend.breaker_stats()["breaker_state"] == "closed"
+
+    def test_batch_route_5xx_feeds_the_breaker(self):
+        """A 5xx on a batch route is a failure: two in a row trip the breaker."""
+        with stub_server(b'{"error": "boom", "status": 503}', status=503) as url:
+            backend = HTTPBackend(url, trip_after=2)
+            assert backend.get_many([KEY_A, KEY_B]) == {}
+            assert backend.errors == 1 and not backend.tripped
+            assert backend.put_many({KEY_A: entry_payload("a")}) == 0
+            assert backend.errors == 2 and backend.tripped
+            assert backend.breaker_stats()["breaker_state"] == "open"
 
     def test_push_and_pull_budget_for_110_entries(self, tmp_path, cache_server, monkeypatch):
         """copy_missing moves a 110-entry grid in <= 5 HTTP round trips."""

@@ -74,6 +74,21 @@ class TestCLIPrecedence:
         # Every write was followed by an eviction pass back under the budget.
         assert entries(tmp_path) == 0
 
+    def test_parallel_figure_writers_share_one_byte_budget(self, tmp_path, capsys):
+        """Worker processes each put into one root; the budget holds for all."""
+        argv = ["figure", "fig09", "--benchmarks", "bv(4)", "xeb(4,2)", "--workers", "2"]
+        assert main(argv + ["--cache-dir", str(tmp_path / "free")]) == 0
+        footprint = ProgramStore(tmp_path / "free").stats()["total_bytes"]
+        # Over half the grid, so two workers whose own puts each fit the
+        # budget still overshoot it together unless every put scans.
+        budget = footprint * 3 // 5
+        clear_sweep_caches()
+        reset_service()
+        bounded = tmp_path / "bounded"
+        assert main(argv + ["--cache-dir", str(bounded), "--max-bytes", str(budget)]) == 0
+        stats = ProgramStore(bounded).stats()
+        assert 0 < stats["total_bytes"] <= budget
+
 
 class TestServiceEnvResolution:
     def test_enabled_none_reads_cache_toggle(self, tmp_path, monkeypatch):

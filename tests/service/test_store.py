@@ -104,19 +104,16 @@ class TestMaintenance:
 class TestConcurrentMaintenance:
     """stats()/clear() racing a concurrent writer must degrade, not raise."""
 
-    def _store_with_entries_and_no_index(self, tmp_path):
+    def _store_with_entries(self, tmp_path):
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
         store.put(KEY_B, {"y": 2})
-        # Force the next stats() onto the rebuild-scan path, where the
-        # listing-then-stat race window lives.
-        store.backend._index_path.unlink()
         return store
 
     def test_stats_tolerates_entry_deleted_mid_scan(self, tmp_path, monkeypatch):
         """Regression: a file deleted between iterdir and stat() is a miss,
         not a FileNotFoundError (e.g. `cache clear` racing `cache stats`)."""
-        store = self._store_with_entries_and_no_index(tmp_path)
+        store = self._store_with_entries(tmp_path)
         real_glob = Path.glob
 
         def racing_glob(self, pattern):
@@ -131,7 +128,7 @@ class TestConcurrentMaintenance:
         assert stats["total_bytes"] == store._path(KEY_B).stat().st_size
 
     def test_clear_tolerates_entries_vanishing_mid_walk(self, tmp_path, monkeypatch):
-        store = self._store_with_entries_and_no_index(tmp_path)
+        store = self._store_with_entries(tmp_path)
         real_glob = Path.glob
 
         def racing_glob(self, pattern):
@@ -148,9 +145,8 @@ class TestConcurrentMaintenance:
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
         store.put(KEY_B, {"y": 2})
-        # Simulate another worker deleting an entry the index still lists:
-        # eviction re-derives the index from the filesystem and never
-        # trips over the stale record.
+        # Simulate another worker deleting an entry: eviction scans the
+        # files it finds and never trips over the missing one.
         os.unlink(store._path(KEY_A))
         removed, _ = store.evict(0)
         assert removed == 1
