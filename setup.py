@@ -2,9 +2,11 @@
 
 There is deliberately no pyproject.toml: the package predates one, and the
 CI matrix (.github/workflows/ci.yml) validates exactly what is declared
-here — ``python_requires`` bounds the interpreter matrix and
+here — ``python_requires`` bounds the interpreter matrix,
 ``install_requires`` pins the minimum runtime stack an editable install
-pulls in.
+pulls in, and the ``test`` extra adds what the test suites need (networkx
+is only a test dependency: the differential oracles compare the in-tree
+graph code against it).
 """
 
 import re
@@ -27,8 +29,10 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.24",
-        "networkx>=2.8",
     ],
+    extras_require={
+        "test": ["networkx>=2.8", "pytest", "pytest-benchmark", "hypothesis"],
+    },
     entry_points={
         "console_scripts": ["repro = repro.cli:main"],
     },

@@ -20,7 +20,6 @@ results.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import math
 import threading
@@ -447,12 +446,14 @@ class SweepRunner:
         if self.max_workers == 1 or len(resolved) <= 1:
             with self._service_scope():
                 return [_execute_sweep_job(job) for job in resolved]
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
         if self.executor == "process":
             # Subprocesses build their own service; the initializer forwards
             # this run's effective cache configuration (and the trace flag)
             # to each of them.
             tracing = _trace_enabled()
-            with concurrent.futures.ProcessPoolExecutor(
+            with ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_init_sweep_worker,
                 initargs=self._worker_cache_config() + (tracing,),
@@ -469,9 +470,7 @@ class SweepRunner:
                     tracer.ingest(records)
                     outcomes.append(outcome)
                 return outcomes
-        with self._service_scope(), concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_workers
-        ) as pool:
+        with self._service_scope(), ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             return list(pool.map(_execute_sweep_job, resolved))
 
 

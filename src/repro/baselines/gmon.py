@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..core.scheduler import NoiseAwareScheduler, ScheduledStep
 from ..devices import Device
+from ..graph import line_graph_coloring
 from .base import BaselineCompiler
 
 __all__ = ["BaselineGmon", "tiling_patterns"]
@@ -54,10 +53,8 @@ def tiling_patterns(device: Device) -> List[Set[Coupling]]:
         return [p for p in patterns.values() if p]
 
     # Generic fallback: proper edge coloring via the line graph.
-    line = nx.line_graph(device.graph)
-    coloring = nx.coloring.greedy_color(line, strategy="largest_first")
     classes: Dict[int, Set[Coupling]] = {}
-    for edge, color in coloring.items():
+    for edge, color in line_graph_coloring(device.graph).items():
         classes.setdefault(color, set()).add(tuple(sorted(edge)))
     return [classes[color] for color in sorted(classes)]
 

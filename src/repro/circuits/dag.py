@@ -2,24 +2,20 @@
 
 The noise-aware queueing scheduler in Algorithm 1 sorts the gates of each
 layer "by criticality", where the criticality of a gate is its position along
-the program critical path (Section V-B6).  This module builds the gate
-dependency DAG of a :class:`~repro.circuits.circuit.Circuit` and computes, for
-every gate, the length of the longest dependency chain that still hangs off
-it (the *remaining critical path*), both in gate counts and in nanoseconds.
+the program critical path (Section V-B6).  This module derives the gate
+dependency DAG of a :class:`~repro.circuits.circuit.Circuit` as flat
+successor lists and computes, for every gate, the length of the longest
+dependency chain that still hangs off it (the *remaining critical path*),
+both in gate counts and in nanoseconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
 
 from .circuit import Circuit
 
 __all__ = [
-    "CircuitDAG",
-    "build_dag",
     "gate_dependencies",
     "criticality",
     "criticality_scores",
@@ -27,66 +23,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class CircuitDAG:
-    """Gate dependency DAG of a circuit.
-
-    Nodes are gate indices into ``circuit.gates``; an edge ``i -> j`` means
-    gate ``j`` must execute after gate ``i`` because they share a qubit and
-    ``i`` precedes ``j`` in program order.
-    """
-
-    circuit: Circuit
-    graph: nx.DiGraph
-
-    def predecessors(self, index: int) -> List[int]:
-        return sorted(self.graph.predecessors(index))
-
-    def successors(self, index: int) -> List[int]:
-        return sorted(self.graph.successors(index))
-
-    def front_layer(self) -> List[int]:
-        """Indices of gates with no predecessors (the first executable layer)."""
-        return sorted(n for n in self.graph.nodes if self.graph.in_degree(n) == 0)
-
-    def topological_layers(self) -> List[List[int]]:
-        """Return ASAP layers of gate indices."""
-        depth: Dict[int, int] = {}
-        for node in nx.topological_sort(self.graph):
-            preds = list(self.graph.predecessors(node))
-            depth[node] = 0 if not preds else 1 + max(depth[p] for p in preds)
-        layers: Dict[int, List[int]] = {}
-        for node, d in depth.items():
-            layers.setdefault(d, []).append(node)
-        return [sorted(layers[d]) for d in sorted(layers)]
-
-
-def build_dag(circuit: Circuit) -> CircuitDAG:
-    """Construct the gate dependency DAG of *circuit*.
+def gate_dependencies(circuit: Circuit) -> Tuple[List[List[int]], List[int]]:
+    """Successor lists and in-degrees of the gate dependency DAG, as flat lists.
 
     Dependencies are derived purely from qubit sharing: for each qubit, the
     gates touching it form a chain in program order.  This is the standard
     conservative (no commutation analysis) dependency model the paper uses.
-    """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(circuit.gates)))
-    last_on_qubit: Dict[int, int] = {}
-    for index, gate in enumerate(circuit.gates):
-        for qubit in gate.qubits:
-            if qubit in last_on_qubit:
-                graph.add_edge(last_on_qubit[qubit], index)
-            last_on_qubit[qubit] = index
-    return CircuitDAG(circuit=circuit, graph=graph)
-
-
-def gate_dependencies(circuit: Circuit) -> Tuple[List[List[int]], List[int]]:
-    """Successor lists and in-degrees of the gate dependency DAG, as flat lists.
-
-    The integer-indexed counterpart of :func:`build_dag`: the same
-    qubit-sharing chains, but held as plain Python lists so the scheduler's
-    inner loop never touches a networkx structure.  Gate indices are already
-    topologically ordered (every edge points forward in program order), which
-    downstream consumers exploit.
+    Gate indices are already topologically ordered (every edge points
+    forward in program order), which downstream consumers exploit.
 
     Returns ``(successors, indegree)`` where ``successors[i]`` lists the gate
     indices that depend directly on gate ``i``.
@@ -102,7 +46,7 @@ def gate_dependencies(circuit: Circuit) -> Tuple[List[List[int]], List[int]]:
                 not successors[previous] or successors[previous][-1] != index
             ):
                 # A two-qubit gate sharing both qubits with the same
-                # predecessor contributes one edge, exactly like nx.add_edge.
+                # predecessor contributes one edge, not two.
                 successors[previous].append(index)
                 indegree[index] += 1
             last_on_qubit[qubit] = index

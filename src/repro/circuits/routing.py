@@ -11,9 +11,9 @@ non-adjacent.  This module provides the mapping/routing substrate:
   in dependency order and, when a two-qubit gate spans non-adjacent physical
   qubits, SWAPs are inserted along a shortest path to bring them together.
 
-The router works on an arbitrary ``networkx`` coupling graph so it stays
-decoupled from :mod:`repro.devices` (which wraps it with device-aware
-helpers).
+The router works on an arbitrary :class:`~repro.graph.Graph` coupling graph
+so it stays decoupled from :mod:`repro.devices` (which wraps it with
+device-aware helpers).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import networkx as nx
-
+from ..graph import Graph, bfs_distances, shortest_path
 from .circuit import Circuit
 from .gates import Gate
 
@@ -64,7 +63,7 @@ def _interaction_weights(circuit: Circuit) -> Dict[Tuple[int, int], int]:
     return weights
 
 
-def initial_layout(circuit: Circuit, coupling: nx.Graph) -> Dict[int, int]:
+def initial_layout(circuit: Circuit, coupling: Graph) -> Dict[int, int]:
     """Choose an initial logical→physical placement.
 
     A greedy heuristic: logical qubits are placed in decreasing order of
@@ -89,12 +88,12 @@ def initial_layout(circuit: Circuit, coupling: nx.Graph) -> Dict[int, int]:
     order = sorted(range(circuit.num_qubits), key=lambda q: -degree[q])
     layout: Dict[int, int] = {}
     free = set(physical_nodes)
-    lengths = dict(nx.all_pairs_shortest_path_length(coupling))
+    physical_degree = dict(coupling.degree)
 
     for logical in order:
         if not layout:
             # Seed with the highest-degree physical node so neighbours exist.
-            seed = max(free, key=lambda n: coupling.degree[n])
+            seed = max(free, key=physical_degree.__getitem__)
             layout[logical] = seed
             free.discard(seed)
             continue
@@ -110,7 +109,8 @@ def initial_layout(circuit: Circuit, coupling: nx.Graph) -> Dict[int, int]:
             anchor = layout[anchor_logical]
         else:
             anchor = next(iter(layout.values()))
-        best = min(free, key=lambda n: lengths[anchor].get(n, len(physical_nodes)))
+        lengths = bfs_distances(coupling, anchor)
+        best = min(free, key=lambda n: lengths.get(n, len(physical_nodes)))
         layout[logical] = best
         free.discard(best)
     return layout
@@ -118,7 +118,7 @@ def initial_layout(circuit: Circuit, coupling: nx.Graph) -> Dict[int, int]:
 
 def route_circuit(
     circuit: Circuit,
-    coupling: nx.Graph,
+    coupling: Graph,
     layout: Optional[Dict[int, int]] = None,
 ) -> RoutedCircuit:
     """Insert SWAPs so every two-qubit gate acts on adjacent physical qubits.
@@ -155,7 +155,13 @@ def route_circuit(
         a, b = gate.qubits
         pa, pb = logical_to_physical[a], logical_to_physical[b]
         if not coupling.has_edge(pa, pb):
-            path = nx.shortest_path(coupling, pa, pb)
+            try:
+                path = shortest_path(coupling, pa, pb)
+            except ValueError:
+                raise ValueError(
+                    f"cannot route {gate.name} on logical qubits {a} and {b}: physical "
+                    f"qubits {pa} and {pb} are not connected"
+                ) from None
             # Walk qubit `a` along the path until it neighbours `b`.
             for hop in path[1:-1]:
                 routed.append(Gate("swap", (logical_to_physical[a], hop)))

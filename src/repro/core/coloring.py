@@ -10,18 +10,18 @@ Two colorings appear in the paper (Section IV-C):
   distinct *interaction* frequencies are needed for the simultaneously
   executing two-qubit gates.
 
-The paper uses the polynomial-time Welsh–Powell greedy heuristic; we
-implement it directly (rather than delegating to networkx) so the ordering
-rule is explicit and deterministic.  :class:`GraphIndex` re-runs it, plus
-the ``max_colors``-bounded variant used by the tunability study of Fig. 11,
-as bitset kernels over subsets of one frozen graph.
+The paper uses the polynomial-time Welsh–Powell greedy heuristic; it is
+implemented here directly so the ordering rule is explicit and
+deterministic.  :class:`GraphIndex` re-runs it, plus the
+``max_colors``-bounded variant used by the tunability study of Fig. 11, as
+bitset kernels over subsets of one frozen graph.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
+from ..graph import Graph, largest_first_coloring
 
 __all__ = [
     "GraphIndex",
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-def _degree_order(graph: nx.Graph) -> List[Hashable]:
+def _degree_order(graph: Graph) -> List[Hashable]:
     """Vertices by decreasing degree, ties broken naturally.
 
     Degree ties are broken by the vertices' own ordering — ``(1, 2)`` sorts
@@ -43,13 +43,14 @@ def _degree_order(graph: nx.Graph) -> List[Hashable]:
     ``(1, 10)`` before ``(1, 2)`` lexicographically.)  Graphs mixing
     incomparable vertex types fall back to the string ordering.
     """
+    degree = dict(graph.degree)
     try:
-        return sorted(graph.nodes, key=lambda v: (-graph.degree[v], v))
+        return sorted(graph.nodes, key=lambda v: (-degree[v], v))
     except TypeError:
-        return sorted(graph.nodes, key=lambda v: (-graph.degree[v], str(v)))
+        return sorted(graph.nodes, key=lambda v: (-degree[v], str(v)))
 
 
-def welsh_powell_coloring(graph: nx.Graph) -> Dict[Hashable, int]:
+def welsh_powell_coloring(graph: Graph) -> Dict[Hashable, int]:
     """Color *graph* with the Welsh–Powell heuristic.
 
     Vertices are processed in order of decreasing degree (ties broken by the
@@ -79,17 +80,23 @@ def welsh_powell_coloring(graph: nx.Graph) -> Dict[Hashable, int]:
     return coloring
 
 
-def greedy_coloring(graph: nx.Graph, strategy: str = "welsh_powell") -> Dict[Hashable, int]:
+def greedy_coloring(graph: Graph, strategy: str = "welsh_powell") -> Dict[Hashable, int]:
     """Color *graph* with the requested heuristic.
 
-    ``"welsh_powell"`` (default) uses this module's implementation; any other
-    strategy string is forwarded to :func:`networkx.coloring.greedy_color`
-    (e.g. ``"largest_first"``, ``"DSATUR"``) so alternative orderings can be
-    compared in ablation benchmarks.
+    ``"welsh_powell"`` (default) is :func:`welsh_powell_coloring`.
+    ``"largest_first"`` is :func:`~repro.graph.largest_first_coloring`:
+    vertices by decreasing degree, ties in node order, each taking the
+    smallest color its neighbours lack — the rule
+    :func:`~repro.graph.line_graph_coloring` applies to line graphs.  Any
+    other strategy raises ``ValueError``.
     """
     if strategy == "welsh_powell":
         return welsh_powell_coloring(graph)
-    return dict(nx.coloring.greedy_color(graph, strategy=strategy))
+    if strategy == "largest_first":
+        return largest_first_coloring(graph)
+    raise ValueError(
+        f"unknown coloring strategy {strategy!r}; expected 'welsh_powell' or 'largest_first'"
+    )
 
 
 class GraphIndex:
@@ -98,13 +105,13 @@ class GraphIndex:
     The compiler colors *subsets* of one fixed graph over and over — the
     active couplings of every time step, plus one candidate subset per
     ``noise_conflict`` probe in the scheduler's inner loop.  Building an
-    ``nx`` subgraph and walking adjacency dicts per call dominates the cold
-    compile path, so this class indexes the graph once — vertices become
-    dense integers in natural sort order, adjacency becomes one Python-int
-    bitset per vertex — and runs Welsh–Powell and a budgeted greedy
-    coloring as pure integer/bit operations.
+    induced subgraph and walking adjacency dicts per call dominates the
+    cold compile path, so this class indexes the graph once — vertices
+    become dense integers in natural sort order, adjacency becomes one
+    Python-int bitset per vertex — and runs Welsh–Powell and a budgeted
+    greedy coloring as pure integer/bit operations.
 
-    Every kernel is **behaviour-identical** to a networkx formulation on
+    Every kernel is **behaviour-identical** to a graph-object formulation on
     the induced subgraph (same ordering rule, same tie-breaks, same output),
     which ``tests/differential`` enforces case by case against the oracles
     in ``tests/differential/oracles.py``:
@@ -118,7 +125,7 @@ class GraphIndex:
     the id order *is* the :func:`_degree_order` tie-break order.
     """
 
-    def __init__(self, graph: nx.Graph) -> None:
+    def __init__(self, graph: Graph) -> None:
         try:
             vertices = sorted(graph.nodes)
         except TypeError:  # incomparable vertex types
@@ -255,7 +262,7 @@ def num_colors(coloring: Dict[Hashable, int]) -> int:
     return len(set(coloring.values())) if coloring else 0
 
 
-def validate_coloring(graph: nx.Graph, coloring: Dict[Hashable, int]) -> bool:
+def validate_coloring(graph: Graph, coloring: Dict[Hashable, int]) -> bool:
     """Return ``True`` when no edge of *graph* joins two same-colored vertices."""
     return not any(
         u in coloring and v in coloring and coloring[u] == coloring[v]

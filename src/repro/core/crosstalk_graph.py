@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set, Tuple
 
-import networkx as nx
+from ..graph import Graph, bfs_distances
 
 __all__ = [
     "build_crosstalk_graph",
@@ -36,13 +36,14 @@ def _edge_key(edge: Iterable[int]) -> Coupling:
     return (a, b) if a <= b else (b, a)
 
 
-def build_crosstalk_graph(connectivity: nx.Graph, distance: int = 1) -> nx.Graph:
+def build_crosstalk_graph(connectivity: Graph, distance: int = 1) -> Graph:
     """Construct the distance-``d`` crosstalk graph of a connectivity graph.
 
-    Implementation of Algorithm 2: start from the line graph of ``Gc`` (two
-    couplings sharing a qubit are always in conflict) and additionally
-    connect two couplings when any pair of their endpoints is within
-    ``distance`` hops of each other in ``Gc``.
+    Implementation of Algorithm 2: two couplings sharing a qubit are always
+    in conflict (the line graph of ``Gc``), and two couplings are
+    additionally connected when any pair of their endpoints is within
+    ``distance`` hops of each other in ``Gc``.  Both reduce to one test:
+    the closest pair of endpoints is at most ``distance`` hops apart.
 
     Parameters
     ----------
@@ -55,43 +56,30 @@ def build_crosstalk_graph(connectivity: nx.Graph, distance: int = 1) -> nx.Graph
 
     Returns
     -------
-    networkx.Graph
+    Graph
         Graph whose nodes are sorted qubit pairs; an edge means the two
         couplings must not share an interaction frequency.
     """
     if distance < 1:
         raise ValueError("crosstalk distance must be >= 1")
 
-    line = nx.line_graph(connectivity)
-    crosstalk = nx.Graph()
+    # Every qubit within ``distance`` hops of each qubit (itself included).
+    near = {
+        node: set(bfs_distances(connectivity, node, cutoff=distance))
+        for node in connectivity.nodes
+    }
+    crosstalk = Graph()
     crosstalk.add_nodes_from(_edge_key(edge) for edge in connectivity.edges)
-    for u, v in line.edges:
-        crosstalk.add_edge(_edge_key(u), _edge_key(v))
-
-    # Pre-compute shortest-path distances up to the cutoff once.
-    lengths = dict(nx.all_pairs_shortest_path_length(connectivity, cutoff=distance))
-
     couplings: List[Coupling] = sorted(crosstalk.nodes)
-    extra: List[Tuple[Coupling, Coupling]] = []
-    for i, e1 in enumerate(couplings):
-        for e2 in couplings[i + 1 :]:
-            if crosstalk.has_edge(e1, e2):
-                continue
-            u1, v1 = e1
-            u2, v2 = e2
-            close = (
-                lengths.get(u1, {}).get(u2, distance + 1) <= distance
-                or lengths.get(u1, {}).get(v2, distance + 1) <= distance
-                or lengths.get(v1, {}).get(u2, distance + 1) <= distance
-                or lengths.get(v1, {}).get(v2, distance + 1) <= distance
-            )
-            if close:
-                extra.append((e1, e2))
-    crosstalk.add_edges_from(extra)
+    for i, (u1, v1) in enumerate(couplings):
+        reach = near[u1] | near[v1]
+        for u2, v2 in couplings[i + 1 :]:
+            if u2 in reach or v2 in reach:
+                crosstalk.add_edge((u1, v1), (u2, v2))
     return crosstalk
 
 
-def crosstalk_neighbours(crosstalk: nx.Graph, coupling: Coupling) -> Set[Coupling]:
+def crosstalk_neighbours(crosstalk: Graph, coupling: Coupling) -> Set[Coupling]:
     """The couplings that conflict with *coupling* (its crosstalk-graph neighbours)."""
     key = _edge_key(coupling)
     if key not in crosstalk:

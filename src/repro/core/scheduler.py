@@ -28,7 +28,7 @@ builds alternative compositions, each led by one ready two-qubit gate, and
 the policy picks the one emitted (the ``"success"`` policy scores them
 with :meth:`~repro.noise.IncrementalEstimator.preview_step`).  With no
 policy, or the beam-1 ``"structural"`` one, no alternative is built, so
-the default is the paper's behavior.  The original networkx loop and
+the default is the paper's behavior.  The original graph-object loop and
 policy-driven loop survive as test oracles
 (``tests/differential/oracles.py``) that production is pinned against.
 """
@@ -38,10 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..circuits import Circuit, Gate, gate_dependencies
 from ..circuits.dag import criticality_scores
+from ..graph import Graph
 from .admission import StepAdmission
 from .coloring import GraphIndex
 
@@ -103,7 +102,7 @@ class NoiseAwareScheduler:
 
     def __init__(
         self,
-        crosstalk_graph: Optional[nx.Graph] = None,
+        crosstalk_graph: Optional[Graph] = None,
         max_colors: Optional[int] = None,
         conflict_threshold: Optional[int] = 3,
         allowed_couplings=None,

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
+from ..graph import Graph, bfs_distances
 from .topologies import grid_graph, topology_by_name, grid_coordinates
 from .transmon import Transmon, TransmonParams
 
@@ -68,7 +68,7 @@ class Device:
         Human-readable description used in reports.
     """
 
-    graph: nx.Graph  # repro-lint: noncodec(serialized as the canonical 'edges' list, rebuilt by from_dict)
+    graph: Graph  # repro-lint: noncodec(serialized as the canonical 'edges' list, rebuilt by from_dict)
     qubits: List[Transmon]
     couplings: Dict[Tuple[int, int], float]
     tunable_couplers: bool = False
@@ -91,7 +91,7 @@ class Device:
     @classmethod
     def from_graph(
         cls,
-        graph: nx.Graph,
+        graph,
         *,
         omega_max_mean: float = DEFAULT_OMEGA_MAX_MEAN_GHZ,
         omega_max_std: float = DEFAULT_OMEGA_MAX_STD_GHZ,
@@ -103,6 +103,11 @@ class Device:
     ) -> "Device":
         """Build a device on an arbitrary connectivity graph.
 
+        *graph* is a :class:`~repro.graph.Graph` or any graph object with
+        ``nodes`` and ``edges`` (and optionally ``name``).  Its nodes are
+        relabelled ``0..n-1`` in sorted order; the copy keeps the node order
+        and adds the edges in ``graph.edges`` order.
+
         Maximum qubit frequencies are drawn i.i.d. from
         ``N(omega_max_mean, omega_max_std)`` to model fabrication spread, as
         in the paper's experimental setup.  Pass a ``seed`` for
@@ -110,8 +115,11 @@ class Device:
         """
         rng = np.random.default_rng(seed)  # repro-lint: determinism-ok(documented fabrication-spread sampler; compiled devices pin a seed)
         template = base_params or TransmonParams()
-        n = graph.number_of_nodes()
-        relabelled = nx.convert_node_labels_to_integers(graph, ordering="sorted")
+        label = {node: i for i, node in enumerate(sorted(graph.nodes))}
+        n = len(label)
+        relabelled = Graph(name=getattr(graph, "name", ""))
+        relabelled.add_nodes_from(label[node] for node in graph.nodes)
+        relabelled.add_edges_from((label[u], label[v]) for u, v in graph.edges)
         qubits = []
         for index in range(n):
             omega_max = float(rng.normal(omega_max_mean, omega_max_std))
@@ -170,8 +178,14 @@ class Device:
         return self.couplings[key]
 
     def distance(self, a: int, b: int) -> int:
-        """Shortest-path distance between two qubits on the connectivity graph."""
-        return nx.shortest_path_length(self.graph, a, b)
+        """Shortest-path distance between two qubits on the connectivity graph.
+
+        Raises ``ValueError`` when the two lie in different components.
+        """
+        distance = bfs_distances(self.graph, a).get(b)
+        if distance is None:
+            raise ValueError(f"qubits {a} and {b} are not connected on {self.name}")
+        return distance
 
     # ------------------------------------------------------------------
     # frequency ranges
@@ -192,10 +206,7 @@ class Device:
         side = int(round(math.sqrt(self.num_qubits)))
         if side * side != self.num_qubits:
             return None
-        expected = grid_graph(self.num_qubits)
-        if nx.utils.graphs_equal(expected, nx.Graph(self.graph.edges)) or set(
-            expected.edges
-        ) <= {tuple(sorted(e)) for e in self.graph.edges}:
+        if set(grid_graph(self.num_qubits).edges) <= set(self.edges()):
             return grid_coordinates(self.num_qubits)
         return None
 
@@ -227,7 +238,7 @@ class Device:
         the same iteration order (deterministic downstream numerics).
         """
         num_qubits = int(payload["num_qubits"])
-        graph = nx.Graph()
+        graph = Graph()
         graph.add_nodes_from(range(num_qubits))
         edges = [tuple(sorted(edge)) for edge in payload["edges"]]
         graph.add_edges_from(edges)

@@ -4,7 +4,10 @@ Section IV explores a 2-D mesh; Section VII-F (Fig. 13) additionally studies
 a family of topologies with increasing density built from *express cubes*
 (Dally, 1991): a base 1-D path or 2-D grid augmented with express channels
 that connect every ``k``-th node.  This module generates all of them as
-``networkx`` graphs with integer node labels ``0..n-1``.
+:class:`~repro.graph.Graph` objects with integer node labels ``0..n-1``,
+built in the node and edge order of the reference generators pinned by
+``tests/differential`` (node and neighbour order reach compiled programs
+through routing and edge colorings).
 
 The graph-name vocabulary matches Fig. 13's x-axis:
 
@@ -15,9 +18,10 @@ The graph-name vocabulary matches Fig. 13's x-axis:
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Dict, Tuple
 
-import networkx as nx
+from ..graph import Graph
 
 __all__ = [
     "grid_graph",
@@ -59,10 +63,10 @@ def grid_coordinates(num_qubits: int) -> Dict[int, Tuple[int, int]]:
     return {r * side + c: (r, c) for r in range(side) for c in range(side)}
 
 
-def grid_graph(num_qubits: int) -> nx.Graph:
+def grid_graph(num_qubits: int) -> Graph:
     """N x N nearest-neighbour mesh (the paper's default topology)."""
     side = _validated_square_side(num_qubits)
-    graph = nx.Graph(name=f"grid-{side}x{side}")
+    graph = Graph(name=f"grid-{side}x{side}")
     graph.add_nodes_from(range(num_qubits))
     for r in range(side):
         for c in range(side):
@@ -74,21 +78,24 @@ def grid_graph(num_qubits: int) -> nx.Graph:
     return graph
 
 
-def linear_graph(num_qubits: int) -> nx.Graph:
+def linear_graph(num_qubits: int) -> Graph:
     """1-D chain of qubits."""
-    graph = nx.path_graph(num_qubits)
-    graph.name = f"linear-{num_qubits}"
+    graph = Graph(name=f"linear-{num_qubits}")
+    graph.add_nodes_from(range(num_qubits))
+    graph.add_edges_from((q, q + 1) for q in range(num_qubits - 1))
     return graph
 
 
-def ring_graph(num_qubits: int) -> nx.Graph:
+def ring_graph(num_qubits: int) -> Graph:
     """1-D ring (used by some QAOA hardware demonstrations)."""
-    graph = nx.cycle_graph(num_qubits)
+    graph = linear_graph(num_qubits)
     graph.name = f"ring-{num_qubits}"
+    if num_qubits > 1:
+        graph.add_edge(num_qubits - 1, 0)
     return graph
 
 
-def express_1d(num_qubits: int, k: int) -> nx.Graph:
+def express_1d(num_qubits: int, k: int) -> Graph:
     """1-D express cube: a path plus express links between every k-th node.
 
     Following Dally's express-cube construction, interchange nodes are placed
@@ -105,7 +112,7 @@ def express_1d(num_qubits: int, k: int) -> nx.Graph:
     return graph
 
 
-def express_2d(num_qubits: int, k: int) -> nx.Graph:
+def express_2d(num_qubits: int, k: int) -> Graph:
     """2-D express cube: a mesh plus express links every k-th node per row/column."""
     if k < 2:
         raise ValueError("express spacing k must be at least 2")
@@ -121,7 +128,7 @@ def express_2d(num_qubits: int, k: int) -> nx.Graph:
     return graph
 
 
-def heavy_hex_graph(distance: int = 3) -> nx.Graph:
+def heavy_hex_graph(distance: int = 3) -> Graph:
     """IBM-style heavy-hexagon lattice (for context; not used in Fig. 13).
 
     The construction follows the heavy-hex unit cell: a hexagonal lattice
@@ -130,11 +137,13 @@ def heavy_hex_graph(distance: int = 3) -> nx.Graph:
     """
     if distance < 1:
         raise ValueError("distance must be at least 1")
-    hex_lattice = nx.hexagonal_lattice_graph(distance, distance)
+    hex_lattice = _hexagonal_lattice(distance, distance)
     # Relabel the (row, col) tuples to consecutive integers.
     mapping = {node: i for i, node in enumerate(sorted(hex_lattice.nodes))}
-    base = nx.relabel_nodes(hex_lattice, mapping)
-    heavy = nx.Graph(name=f"heavy-hex-{distance}")
+    base = Graph()
+    base.add_nodes_from(mapping[node] for node in hex_lattice.nodes)
+    base.add_edges_from((mapping[u], mapping[v]) for u, v in hex_lattice.edges)
+    heavy = Graph(name=f"heavy-hex-{distance}")
     heavy.add_nodes_from(base.nodes)
     next_node = base.number_of_nodes()
     for u, v in base.edges:
@@ -145,14 +154,34 @@ def heavy_hex_graph(distance: int = 3) -> nx.Graph:
     return heavy
 
 
-def all_to_all_graph(num_qubits: int) -> nx.Graph:
+def _hexagonal_lattice(rows: int, cols: int) -> Graph:
+    """Hexagonal lattice of ``rows x cols`` hexagons; nodes are ``(col, row)``.
+
+    Column edges first, then row edges.  The two corner nodes with a single
+    edge are left out; the reference generator adds and then deletes them,
+    which leaves every other node and neighbour in the same order.
+    """
+    height = 2 * rows
+    corners = {(0, height + 1), (cols, (height + 1) * (cols % 2))}
+    col_edges = (((i, j), (i, j + 1)) for i in range(cols + 1) for j in range(height + 1))
+    row_edges = (
+        ((i, j), (i + 1, j)) for i in range(cols) for j in range(height + 2) if i % 2 == j % 2
+    )
+    lattice = Graph()
+    for edges in (col_edges, row_edges):
+        lattice.add_edges_from((u, v) for u, v in edges if u not in corners and v not in corners)
+    return lattice
+
+
+def all_to_all_graph(num_qubits: int) -> Graph:
     """Complete graph — an idealised (trapped-ion-like) connectivity reference."""
-    graph = nx.complete_graph(num_qubits)
-    graph.name = f"all-to-all-{num_qubits}"
+    graph = Graph(name=f"all-to-all-{num_qubits}")
+    graph.add_nodes_from(range(num_qubits))
+    graph.add_edges_from(combinations(range(num_qubits), 2))
     return graph
 
 
-def topology_by_name(name: str, num_qubits: int) -> nx.Graph:
+def topology_by_name(name: str, num_qubits: int) -> Graph:
     """Build a topology from its Fig. 13 name (case-insensitive).
 
     Parameters

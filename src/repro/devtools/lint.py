@@ -101,6 +101,7 @@ WAIVER_TAGS: Dict[str, str] = {
 #: scope.
 DETERMINISM_SCOPE: Tuple[str, ...] = (
     "program.py",
+    "graph.py",
     "core/",
     "circuits/",
     "devices/",

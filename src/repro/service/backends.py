@@ -33,9 +33,6 @@ import re
 import shutil
 import tempfile
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -546,6 +543,8 @@ class HTTPBackend(StoreBackend):
         trip_after: int = 3,
         token: Optional[str] = None,
     ) -> None:
+        from urllib.parse import urlsplit
+
         if "://" not in base_url:
             base_url = f"http://{base_url}"
         self.url = base_url.rstrip("/")
@@ -553,7 +552,7 @@ class HTTPBackend(StoreBackend):
         self.format = f"v{PROGRAM_CODEC_VERSION}"
         self.token = token if token is not None else cache_token_default()
         self._breaker = CircuitBreaker(
-            urllib.parse.urlsplit(self.url).netloc or self.url, trip_after=trip_after
+            urlsplit(self.url).netloc or self.url, trip_after=trip_after
         )
 
     @property
@@ -584,6 +583,8 @@ class HTTPBackend(StoreBackend):
         return self._breaker.stats()
 
     def _open(self, method: str, path: str, body: Optional[bytes] = None):
+        import urllib.request
+
         headers = {"Content-Type": "application/json"} if body is not None else {}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
@@ -593,6 +594,8 @@ class HTTPBackend(StoreBackend):
         return urllib.request.urlopen(request, timeout=self.timeout_s)
 
     def get(self, key: str) -> Optional[dict]:
+        import urllib.error
+
         if self.tripped:
             return None
         start = time.perf_counter()
@@ -616,6 +619,8 @@ class HTTPBackend(StoreBackend):
         return payload
 
     def put(self, key: str, payload: dict) -> bool:
+        import urllib.error
+
         if self.tripped:
             return False
         body = json.dumps(payload).encode()
@@ -642,6 +647,8 @@ class HTTPBackend(StoreBackend):
         return True
 
     def contains(self, key: str) -> bool:
+        import urllib.error
+
         if self.tripped:
             return False
         try:
@@ -667,6 +674,8 @@ class HTTPBackend(StoreBackend):
         non-iterable, or junk keys — degrades to an empty listing and
         counts as a backend failure, never as data.
         """
+        import urllib.error
+
         if self.tripped:
             return
         try:
@@ -694,6 +703,8 @@ class HTTPBackend(StoreBackend):
         *healthy* refusal: the server spoke, so the breaker closes.  A 5xx,
         a network failure or a malformed reply counts against the breaker.
         """
+        import urllib.error
+
         path = f"/{self.format}/batch/{endpoint}"
         start = time.perf_counter()
         try:
@@ -760,6 +771,8 @@ class HTTPBackend(StoreBackend):
         return stored
 
     def delete(self, key: str) -> bool:
+        import urllib.error
+
         if self.tripped:
             return False
         try:
@@ -778,6 +791,8 @@ class HTTPBackend(StoreBackend):
         return True
 
     def stats(self) -> Dict[str, object]:
+        import urllib.error
+
         if self.tripped:
             return {
                 "url": self.url,

@@ -24,7 +24,6 @@ sweep runner uses this to honour per-run ``--cache-dir`` / ``--no-cache``).
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import time
 from contextlib import contextmanager
@@ -606,7 +605,9 @@ class CompileService:
                 missing = still_missing
 
         if len(missing) > 1 and max_workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=max_workers) as pool:
                 cold = list(pool.map(_compile_job_cold, [job for _, job in missing]))
             for (key, _), result in zip(missing, cold):
                 self._record_miss(key, result)

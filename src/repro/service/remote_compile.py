@@ -24,15 +24,15 @@ from __future__ import annotations
 import json
 import random
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import asdict
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..program import PROGRAM_CODEC_VERSION
 from .backends import CircuitBreaker, cache_token_default
 from .compile_service import CompileJob
+
+if TYPE_CHECKING:
+    import urllib.error
 
 __all__ = ["RemoteCompileClient"]
 
@@ -81,6 +81,8 @@ class RemoteCompileClient:
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ) -> None:
+        from urllib.parse import urlsplit
+
         if "://" not in base_url:
             base_url = f"http://{base_url}"
         self.url = base_url.rstrip("/")
@@ -92,7 +94,7 @@ class RemoteCompileClient:
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
         self._breaker = CircuitBreaker(
-            urllib.parse.urlsplit(self.url).netloc or self.url, trip_after=trip_after
+            urlsplit(self.url).netloc or self.url, trip_after=trip_after
         )
 
     @property
@@ -108,6 +110,8 @@ class RemoteCompileClient:
     # wire
     # ------------------------------------------------------------------
     def _post_jobs(self, jobs: List[CompileJob]):
+        import urllib.request
+
         body = json.dumps({"jobs": [asdict(job) for job in jobs]}).encode()
         headers = {"Content-Type": "application/json"}
         if self.token:
@@ -127,6 +131,8 @@ class RemoteCompileClient:
 
     def _compile_chunk(self, jobs: List[CompileJob]) -> Optional[List[dict]]:
         """One chunk through the wire, with 429 backoff; ``None`` on failure."""
+        import urllib.error
+
         for attempt in range(self.max_attempts):
             delay: Optional[float] = None
             try:

@@ -13,21 +13,25 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..circuits import Circuit
+from ..devices.topologies import ring_graph
+from ..graph import Graph, gnp_edges
 
 __all__ = ["qaoa_maxcut", "qaoa", "random_maxcut_graph"]
 
 
 def random_maxcut_graph(
-    num_vertices: int, edge_probability: float = 0.5, seed: Optional[int] = None
-) -> nx.Graph:
-    """Erdős–Rényi instance used as the MAX-CUT problem graph."""
-    graph = nx.erdos_renyi_graph(num_vertices, edge_probability, seed=seed)
-    if graph.number_of_edges() == 0:  # degenerate draw: fall back to a ring
-        graph = nx.cycle_graph(num_vertices)
+    num_vertices: int, edge_probability: float = 0.5, seed: int = 2020
+) -> Graph:
+    """Erdős–Rényi instance ``G(n, p)`` used as the MAX-CUT problem graph."""
+    edges = gnp_edges(num_vertices, edge_probability, seed)
+    if not edges:  # degenerate draw: fall back to a ring
+        return ring_graph(num_vertices)
+    graph = Graph(name=f"gnp-{num_vertices}")
+    graph.add_nodes_from(range(num_vertices))
+    graph.add_edges_from(edges)
     return graph
 
 
@@ -38,7 +42,7 @@ def qaoa_maxcut(
     gammas: Optional[Sequence[float]] = None,
     betas: Optional[Sequence[float]] = None,
     seed: Optional[int] = None,
-    problem_graph: Optional[nx.Graph] = None,
+    problem_graph: Optional[Graph] = None,
 ) -> Circuit:
     """Build a ``p``-round QAOA MAX-CUT circuit on ``num_qubits`` qubits.
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..circuits import Circuit
 from ..devices.topologies import grid_graph
+from ..graph import Graph, line_graph_coloring
 
 __all__ = ["xeb_circuit", "xeb", "xeb_patterns"]
 
@@ -33,7 +33,7 @@ Coupling = Tuple[int, int]
 _SINGLE_QUBIT_CHOICES = ("sx", "sy", "sw")
 
 
-def xeb_patterns(coupling_graph: nx.Graph) -> List[List[Coupling]]:
+def xeb_patterns(coupling_graph: Graph) -> List[List[Coupling]]:
     """Partition a coupling graph's edges into simultaneously executable patterns."""
     n = coupling_graph.number_of_nodes()
     side = int(round(math.sqrt(n)))
@@ -48,10 +48,8 @@ def xeb_patterns(coupling_graph: nx.Graph) -> List[List[Coupling]]:
                 key = "C" if min(ra, rb) % 2 == 0 else "D"
             patterns[key].append((a, b))
         return [p for p in patterns.values() if p]
-    line = nx.line_graph(coupling_graph)
-    coloring = nx.coloring.greedy_color(line, strategy="largest_first")
     classes: dict = {}
-    for edge, color in coloring.items():
+    for edge, color in line_graph_coloring(coupling_graph).items():
         classes.setdefault(color, []).append(tuple(sorted(edge)))
     return [sorted(classes[c]) for c in sorted(classes)]
 
@@ -74,7 +72,7 @@ def xeb_circuit(
     cycles: int,
     two_qubit_gate: str = "iswap",
     seed: Optional[int] = None,
-    coupling_graph: Optional[nx.Graph] = None,
+    coupling_graph: Optional[Graph] = None,
 ) -> Circuit:
     """Build an XEB circuit with ``cycles`` entangling cycles.
 

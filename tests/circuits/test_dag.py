@@ -1,9 +1,14 @@
-"""Unit tests for the circuit dependency DAG and criticality analysis."""
+"""Unit tests for the circuit dependency DAG and criticality analysis.
+
+``build_dag`` is the networkx DAG the oracles keep; production derives the
+same dependencies as flat lists (``gate_dependencies``).
+"""
 
 import networkx as nx
 import pytest
 
-from repro.circuits import Circuit, build_dag, criticality, critical_path_length
+from oracles import build_dag
+from repro.circuits import Circuit, criticality, critical_path_length, gate_dependencies
 
 
 class TestBuildDag:
@@ -32,6 +37,14 @@ class TestBuildDag:
         dag = build_dag(ghz4_circuit)
         assert dag.predecessors(2) == [1]
         assert dag.successors(1) == [2]
+
+    def test_gate_dependencies_match_dag(self, ghz4_circuit):
+        circuit = Circuit(3).h(0).cz(0, 1).cz(0, 1).h(2).cz(1, 2).h(0)
+        for subject in (ghz4_circuit, circuit):
+            dag = build_dag(subject)
+            successors, indegree = gate_dependencies(subject)
+            assert successors == [dag.successors(i) for i in range(len(subject.gates))]
+            assert indegree == [dag.graph.in_degree(i) for i in range(len(subject.gates))]
 
 
 class TestCriticality:

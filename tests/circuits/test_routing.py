@@ -4,8 +4,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import as_networkx
 from repro.circuits import Circuit, initial_layout, route_circuit
 from repro.devices import grid_graph, linear_graph
+from repro.graph import Graph
 
 
 def _check_routed(routed, coupling):
@@ -34,7 +36,7 @@ class TestInitialLayout:
         circuit = Circuit(2).cx(0, 1).cx(0, 1).cx(0, 1)
         coupling = grid_graph(9)
         layout = initial_layout(circuit, coupling)
-        assert nx.shortest_path_length(coupling, layout[0], layout[1]) == 1
+        assert nx.shortest_path_length(as_networkx(coupling), layout[0], layout[1]) == 1
 
 
 class TestRouting:
@@ -51,6 +53,12 @@ class TestRouting:
         routed = route_circuit(circuit, coupling, layout={i: i for i in range(4)})
         assert routed.num_swaps >= 1
         _check_routed(routed, coupling)
+
+    def test_unreachable_qubits_raise_value_error(self):
+        coupling = Graph([(0, 1), (2, 3)])
+        circuit = Circuit(4).cx(0, 3)
+        with pytest.raises(ValueError, match="physical qubits 0 and 3 are not connected"):
+            route_circuit(circuit, coupling, layout={i: i for i in range(4)})
 
     def test_single_qubit_gates_follow_the_layout(self):
         coupling = linear_graph(3)

@@ -110,10 +110,17 @@ class TestGreedyStrategies:
         graph = nx.cycle_graph(8)
         assert greedy_coloring(graph) == welsh_powell_coloring(graph)
 
-    def test_networkx_strategies_are_forwarded(self):
+    def test_largest_first_matches_networkx(self):
         graph = nx.erdos_renyi_graph(15, 0.4, seed=1)
         coloring = greedy_coloring(graph, strategy="largest_first")
         assert validate_coloring(graph, coloring)
+        assert list(coloring.items()) == list(
+            nx.coloring.greedy_color(graph, strategy="largest_first").items()
+        )
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="DSATUR"):
+            greedy_coloring(nx.cycle_graph(4), strategy="DSATUR")
 
 
 class TestBoundedColoring:

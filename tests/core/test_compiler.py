@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import active_subgraph
 from repro import BaselineStatic, ColorDynamic, Device, benchmark_circuit
 from repro.baselines import BaselineNaive, BaselineUniform
 from repro.circuits import Circuit, NATIVE_TWO_QUBIT_GATES
@@ -77,7 +78,7 @@ class TestCompilation:
             pairs = list(step.interacting_pairs())
             if len(pairs) < 2:
                 continue
-            sub = compiler.crosstalk_graph.subgraph(pairs)
+            sub = active_subgraph(compiler.crosstalk_graph, pairs)
             freq_of = {i.pair: round(i.frequency, 6) for i in step.interactions}
             for a, b in sub.edges:
                 assert freq_of[a] != freq_of[b], "conflicting gates share a frequency"

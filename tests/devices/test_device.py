@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.devices import DEFAULT_COUPLING_GHZ, Device, TransmonParams, linear_graph
+from repro.graph import Graph
 
 
 class TestConstruction:
@@ -33,9 +34,15 @@ class TestConstruction:
         assert device.name.startswith("1EX-3")
 
     def test_from_graph_relabels_nodes(self):
-        graph = nx.relabel_nodes(linear_graph(4), {0: "a", 1: "b", 2: "c", 3: "d"})
+        graph = Graph([("c", "d"), ("a", "b"), ("b", "c")])
         device = Device.from_graph(graph, seed=0)
-        assert set(device.graph.nodes) == {0, 1, 2, 3}
+        assert list(device.graph.nodes) == [2, 3, 0, 1]
+        assert device.edges() == [(0, 1), (1, 2), (2, 3)]
+
+    def test_from_graph_accepts_a_networkx_graph(self):
+        graph = nx.relabel_nodes(nx.path_graph(4), {0: "a", 1: "b", 2: "c", 3: "d"})
+        device = Device.from_graph(graph, seed=0)
+        assert device.edges() == Device.from_graph(linear_graph(4), seed=0).edges()
 
     def test_base_params_are_propagated(self):
         base = TransmonParams(t1_ns=5000.0, t2_ns=6000.0)
@@ -65,6 +72,11 @@ class TestQueries:
     def test_distance(self, device9):
         assert device9.distance(0, 8) == 4
         assert device9.distance(0, 1) == 1
+
+    def test_distance_between_components_raises_value_error(self):
+        device = Device.from_graph(Graph([(0, 1), (2, 3)]), seed=0)
+        with pytest.raises(ValueError, match="qubits 0 and 3 are not connected"):
+            device.distance(0, 3)
 
     def test_common_tunable_range_is_intersection(self, device9):
         low, high = device9.common_tunable_range()

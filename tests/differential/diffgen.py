@@ -16,6 +16,8 @@ from repro.circuits import Circuit
 from repro.core.crosstalk_graph import build_crosstalk_graph
 from repro.devices import Device, grid_graph
 
+from oracles import as_networkx
+
 Coupling = Tuple[int, int]
 
 
@@ -23,7 +25,7 @@ def random_connectivity(seed: int) -> nx.Graph:
     """A random connected device-like graph: a grid with edges dropped/added."""
     rng = random.Random(seed)
     side = rng.choice([2, 3, 4, 5, 6])
-    graph = grid_graph(side * side)
+    graph = as_networkx(grid_graph(side * side))
     edges = sorted(graph.edges)
     rng.shuffle(edges)
     for edge in edges[: rng.randrange(0, max(1, len(edges) // 4))]:

@@ -6,7 +6,8 @@ frequency assigner and a dense NumPy Eq. (4) estimator.  This module keeps
 the original, straightforward formulation of each one — networkx graphs,
 scalar loops — as a test oracle:
 
-* :func:`criticality` — networkx longest-path sweep;
+* :class:`CircuitDAG`/:func:`build_dag` and :func:`criticality` — the
+  networkx gate dependency DAG and its longest-path sweep;
 * :func:`bounded_coloring` and :func:`active_subgraph` — the networkx
   coloring probe;
 * :func:`noise_conflict`, :func:`schedule_reference` and
@@ -17,7 +18,11 @@ scalar loops — as a test oracle:
   :func:`assign_color_frequencies` — the scalar max-separation solver;
 * :func:`step_frequencies` — per-step qubit frequencies, resolved through
   the device every call;
-* :func:`estimate_success` — the scalar triple loop of Eq. (4).
+* :func:`estimate_success` — the scalar triple loop of Eq. (4);
+* the networkx formulations of the in-tree graph code (:mod:`repro.graph`,
+  the topology builders, :func:`build_crosstalk_graph`): line graph plus
+  ``largest_first`` greedy coloring, ``shortest_path``, BFS distances,
+  ``gnp_random_graph`` and the generators behind each topology.
 
 The oracles are frozen: they wrote ``perfbench/expected_fig09_seed2020.json``
 and must keep reproducing it exactly.  The differential suites compare
@@ -31,12 +36,14 @@ frequencies, step frequencies — and runs the production compile pipeline.
 from __future__ import annotations
 
 import functools
+import math
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from repro.baselines import BaselineGmon, BaselineNaive, BaselineStatic, BaselineUniform
-from repro.circuits import Circuit, build_dag
+from repro.circuits import Circuit
 from repro.core.admission import StepAdmission
 from repro.core.coloring import num_colors, welsh_powell_coloring
 from repro.core.compiler import ColorDynamic
@@ -44,6 +51,7 @@ from repro.core.frequencies import clamp_to_range
 from repro.core.scheduler import NoiseAwareScheduler, ScheduledStep
 from repro.core.solver import FrequencySolution
 from repro.devices import Device
+from repro.graph import Graph
 from repro.noise.crosstalk import spectator_error
 from repro.noise.decoherence import combined_qubit_error
 from repro.noise.flux import flux_dephasing_rate
@@ -60,8 +68,195 @@ Coupling = Tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
+# graphs: conversions and the networkx formulations of repro.graph
+# ---------------------------------------------------------------------------
+def as_networkx(graph) -> nx.Graph:
+    """*graph* as a networkx graph: nodes in order, then edges in order.
+
+    A networkx graph is returned as is.  Rebuilding from ``edges`` keeps
+    every adjacency order that edge-order construction produces, which
+    covers the topology builders and ``Device.from_graph``.
+    """
+    if isinstance(graph, nx.Graph):
+        return graph
+    converted = nx.Graph(name=graph.name)
+    converted.add_nodes_from(graph.nodes)
+    converted.add_edges_from(graph.edges)
+    return converted
+
+
+def as_graph(nx_graph: nx.Graph) -> Graph:
+    """An in-tree :class:`Graph` with *nx_graph*'s node and adjacency order."""
+    graph = Graph(name=nx_graph.name)
+    for node, neighbours in nx_graph.adj.items():
+        graph.adj[node] = dict.fromkeys(neighbours)
+    return graph
+
+
+def line_graph_coloring(graph: nx.Graph) -> Dict[Tuple, int]:
+    """Largest-first greedy coloring of the line graph (an edge coloring)."""
+    return nx.coloring.greedy_color(nx.line_graph(graph), strategy="largest_first")
+
+
+def largest_first_coloring(graph: nx.Graph) -> Dict[Hashable, int]:
+    return nx.coloring.greedy_color(graph, strategy="largest_first")
+
+
+def shortest_path(graph: nx.Graph, source, target) -> List:
+    return nx.shortest_path(graph, source, target)
+
+
+def bfs_distances(graph: nx.Graph, source, cutoff: Optional[int] = None) -> Dict:
+    return dict(nx.single_source_shortest_path_length(graph, source, cutoff=cutoff))
+
+
+def gnp_edges(num_nodes: int, probability: float, seed: int) -> List[Tuple[int, int]]:
+    return list(nx.gnp_random_graph(num_nodes, probability, seed=seed).edges)
+
+
+def device_graph(graph: nx.Graph) -> nx.Graph:
+    """The connectivity graph ``Device.from_graph`` derives from *graph*."""
+    return nx.convert_node_labels_to_integers(graph, ordering="sorted")
+
+
+def build_crosstalk_graph(connectivity: nx.Graph, distance: int = 1) -> nx.Graph:
+    """Algorithm 2 as a line graph plus all-pairs BFS distances."""
+    line = nx.line_graph(connectivity)
+    crosstalk = nx.Graph()
+    crosstalk.add_nodes_from(tuple(sorted(edge)) for edge in connectivity.edges)
+    for u, v in line.edges:
+        crosstalk.add_edge(tuple(sorted(u)), tuple(sorted(v)))
+    lengths = dict(nx.all_pairs_shortest_path_length(connectivity, cutoff=distance))
+    couplings = sorted(crosstalk.nodes)
+    for i, (u1, v1) in enumerate(couplings):
+        for u2, v2 in couplings[i + 1 :]:
+            if any(
+                lengths[a].get(b, distance + 1) <= distance
+                for a in (u1, v1)
+                for b in (u2, v2)
+            ):
+                crosstalk.add_edge((u1, v1), (u2, v2))
+    return crosstalk
+
+
+def _grid(num_qubits: int) -> nx.Graph:
+    side = int(round(math.sqrt(num_qubits)))
+    graph = nx.Graph(name=f"grid-{side}x{side}")
+    graph.add_nodes_from(range(num_qubits))
+    for r in range(side):
+        for c in range(side):
+            node = r * side + c
+            if c + 1 < side:
+                graph.add_edge(node, node + 1)
+            if r + 1 < side:
+                graph.add_edge(node, node + side)
+    return graph
+
+
+def topology(name: str, num_qubits: int) -> nx.Graph:
+    """The networkx construction of each ``topology_by_name`` topology."""
+    key = name.lower()
+    side = int(round(math.sqrt(num_qubits)))
+    if key in ("linear", "ring", "all-to-all") or key.startswith("1ex-"):
+        if key == "ring":
+            graph = nx.cycle_graph(num_qubits)
+        elif key == "all-to-all":
+            graph = nx.complete_graph(num_qubits)
+        else:
+            graph = nx.path_graph(num_qubits)
+        if key.startswith("1ex-"):
+            k = int(key.split("-")[1])
+            for start in range(0, num_qubits - k, k):
+                graph.add_edge(start, start + k)
+            graph.name = f"1EX-{k}-{num_qubits}"
+        else:
+            graph.name = f"{key}-{num_qubits}"
+        return graph
+    if key == "grid":
+        return _grid(num_qubits)
+    if key.startswith("2ex-"):
+        k = int(key.split("-")[1])
+        graph = _grid(num_qubits)
+        graph.name = f"2EX-{k}-{side}x{side}"
+        for r in range(side):
+            for c in range(0, side - k, k):
+                graph.add_edge(r * side + c, r * side + c + k)
+        for c in range(side):
+            for r in range(0, side - k, k):
+                graph.add_edge(r * side + c, (r + k) * side + c)
+        return graph
+    if key == "heavy-hex":
+        distance = max(1, side // 2)
+        lattice = nx.hexagonal_lattice_graph(distance, distance)
+        mapping = {node: i for i, node in enumerate(sorted(lattice.nodes))}
+        base = nx.relabel_nodes(lattice, mapping)
+        heavy = nx.Graph(name=f"heavy-hex-{distance}")
+        heavy.add_nodes_from(base.nodes)
+        next_node = base.number_of_nodes()
+        for u, v in base.edges:
+            heavy.add_node(next_node)
+            heavy.add_edge(u, next_node)
+            heavy.add_edge(next_node, v)
+            next_node += 1
+        return heavy
+    raise ValueError(f"no networkx construction for topology {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # criticality
 # ---------------------------------------------------------------------------
+@dataclass
+class CircuitDAG:
+    """Gate dependency DAG of a circuit.
+
+    Nodes are gate indices into ``circuit.gates``; an edge ``i -> j`` means
+    gate ``j`` must execute after gate ``i`` because they share a qubit and
+    ``i`` precedes ``j`` in program order.
+    """
+
+    circuit: Circuit
+    graph: nx.DiGraph
+
+    def predecessors(self, index: int) -> List[int]:
+        return sorted(self.graph.predecessors(index))
+
+    def successors(self, index: int) -> List[int]:
+        return sorted(self.graph.successors(index))
+
+    def front_layer(self) -> List[int]:
+        """Indices of gates with no predecessors (the first executable layer)."""
+        return sorted(n for n in self.graph.nodes if self.graph.in_degree(n) == 0)
+
+    def topological_layers(self) -> List[List[int]]:
+        """Return ASAP layers of gate indices."""
+        depth: Dict[int, int] = {}
+        for node in nx.topological_sort(self.graph):
+            preds = list(self.graph.predecessors(node))
+            depth[node] = 0 if not preds else 1 + max(depth[p] for p in preds)
+        layers: Dict[int, List[int]] = {}
+        for node, d in depth.items():
+            layers.setdefault(d, []).append(node)
+        return [sorted(layers[d]) for d in sorted(layers)]
+
+
+def build_dag(circuit: Circuit) -> CircuitDAG:
+    """Construct the gate dependency DAG of *circuit*.
+
+    Dependencies are derived purely from qubit sharing: for each qubit, the
+    gates touching it form a chain in program order (no commutation
+    analysis), the model ``repro.circuits.gate_dependencies`` flattens.
+    """
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(circuit.gates)))
+    last_on_qubit: Dict[int, int] = {}
+    for index, gate in enumerate(circuit.gates):
+        for qubit in gate.qubits:
+            if qubit in last_on_qubit:
+                graph.add_edge(last_on_qubit[qubit], index)
+            last_on_qubit[qubit] = index
+    return CircuitDAG(circuit=circuit, graph=graph)
+
+
 def criticality(circuit: Circuit, weighted: bool = True) -> Dict[int, float]:
     """Remaining-critical-path length per gate, over a networkx DAG."""
     dag = build_dag(circuit)
@@ -121,7 +316,7 @@ def bounded_coloring(
     return coloring, deferred
 
 
-def active_subgraph(crosstalk: nx.Graph, active_couplings) -> nx.Graph:
+def active_subgraph(crosstalk, active_couplings) -> nx.Graph:
     """Induced subgraph of the couplings active in one time step.
 
     Couplings not present in the crosstalk graph raise ``KeyError``.
@@ -130,7 +325,7 @@ def active_subgraph(crosstalk: nx.Graph, active_couplings) -> nx.Graph:
     for key in keys:
         if key not in crosstalk:
             raise KeyError(f"coupling {key} is not an edge of the device")
-    return crosstalk.subgraph(keys).copy()
+    return as_networkx(crosstalk).subgraph(keys).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Differential: the Fig. 9 grid compiles to the pinned programs, byte for byte.
+"""Differential: pinned compiled programs, byte for byte.
 
 ``golden_fig09_programs.json`` holds, for each of the 110 Fig. 9 points
 (22 benchmarks x 5 strategies, device and circuit seed 2020), the sha256 of
@@ -7,6 +7,15 @@ removed.  The digests were written by the compile pipeline that predates
 the single shared ``compile()`` body, so this test pins that refactor —
 strategy names, metadata keys, frequencies, durations and color counts —
 against the output of the code it replaced.
+
+``golden_fig13_programs.json`` pins the 100 Fig. 13 points (5 benchmarks x
+10 topologies x 2 strategies) the same way, and
+``golden_graph_paths.json`` pins programs whose graph work the Fig. 9 grid
+never reaches: the line-graph edge coloring behind Baseline G's tiling and
+the XEB patterns on non-grid connectivities, Baseline S on non-grid
+devices, the Erdős–Rényi problem graphs of QAOA, and multi-hop SWAP
+routing.  Both were recorded while every graph in ``src/`` was still a
+networkx graph, so they pin the in-tree graph code to networkx's orders.
 
 Regenerate (only for a deliberate change of compiled output) from the
 repository root with::
@@ -24,6 +33,8 @@ from typing import Dict
 import pytest
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_fig09_programs.json"
+GOLDEN_FIG13_FILE = GOLDEN_FILE.with_name("golden_fig13_programs.json")
+GOLDEN_PATHS_FILE = GOLDEN_FILE.with_name("golden_graph_paths.json")
 GRID_SEED = 2020
 
 
@@ -56,6 +67,102 @@ def fig09_digests() -> Dict[str, str]:
     return digests
 
 
+def fig13_digests() -> Dict[str, str]:
+    """Digest of every Fig. 13 point, keyed ``"<benchmark>|<topology>|<strategy>"``."""
+    from repro.analysis.experiments import FIG13_STRATEGIES
+    from repro.devices.topologies import FIG13_TOPOLOGY_NAMES
+    from repro.service import make_compiler
+    from repro.service.compile_service import build_device_for
+    from repro.workloads import benchmark_circuit, fig13_benchmarks
+
+    digests: Dict[str, str] = {}
+    for benchmark in fig13_benchmarks():
+        circuit = benchmark_circuit(benchmark, seed=GRID_SEED)
+        for topology in FIG13_TOPOLOGY_NAMES:
+            device = build_device_for(benchmark, topology=topology, seed=GRID_SEED)
+            for strategy in FIG13_STRATEGIES:
+                result = make_compiler(strategy, device).compile(circuit)
+                digests[f"{benchmark}|{topology}|{strategy}"] = canonical_digest(result)
+    return digests
+
+
+def graph_path_digests() -> Dict[str, str]:
+    """Digests of programs that exercise the graph code the Fig. 9 grid skips."""
+    from repro.circuits import Circuit
+    from repro.devices import Device
+    from repro.devices.topologies import express_1d, heavy_hex_graph, linear_graph, ring_graph
+    from repro.service import make_compiler
+    from repro.service.compile_service import build_device_for
+    from repro.workloads import benchmark_circuit
+    from repro.workloads.qaoa import qaoa_maxcut
+    from repro.workloads.xeb import xeb_circuit
+
+    digests: Dict[str, str] = {}
+
+    def pin(key, strategy, device, circuit):
+        digests[key] = canonical_digest(make_compiler(strategy, device).compile(circuit))
+
+    # Baseline G tiles by a line-graph edge coloring wherever the device is
+    # not a square mesh; Baseline S colors the whole crosstalk graph.
+    for topology in ("linear", "ring", "1EX-3", "2EX-2", "heavy-hex", "all-to-all"):
+        for benchmark in ("bv(9)", "ising(4)", "xeb(16,1)"):
+            device = build_device_for(benchmark, topology=topology, seed=GRID_SEED)
+            circuit = benchmark_circuit(benchmark, seed=GRID_SEED)
+            for strategy in ("Baseline G", "Baseline S"):
+                pin(f"nongrid|{topology}|{benchmark}|{strategy}", strategy, device, circuit)
+
+    # XEB patterns from the greedy edge coloring of a non-grid coupling graph.
+    for label, graph, cycles in (
+        ("path-6", linear_graph(6), 2),
+        ("ring-6", ring_graph(6), 2),
+        ("1EX-3-8", express_1d(8, 3), 3),
+        ("heavy-hex-2", heavy_hex_graph(2), 2),
+    ):
+        device = Device.from_graph(graph, seed=GRID_SEED)
+        circuit = xeb_circuit(
+            graph.number_of_nodes(), cycles, seed=GRID_SEED, coupling_graph=graph
+        )
+        for strategy in ("ColorDynamic", "Baseline G"):
+            pin(f"xeb-fallback|{label}|{strategy}", strategy, device, circuit)
+
+    # QAOA problem graphs replay the G(n, p) draws of random.Random(seed).
+    for n in (4, 9, 16):
+        device = Device.grid(n, seed=GRID_SEED)
+        for seed in range(10):
+            pin(f"qaoa|{n}|seed={seed}", "ColorDynamic", device, qaoa_maxcut(n, seed=seed))
+        for p in (0.0, 1.0):
+            circuit = qaoa_maxcut(n, edge_probability=p, seed=3)
+            pin(f"qaoa|{n}|p={p}", "ColorDynamic", device, circuit)
+
+    # Far-apart two-qubit gates: SWAP chains along multi-hop shortest paths.
+    circuit = Circuit(9, name="far").h(0).cz(0, 8).cz(1, 7).cz(2, 6).cz(0, 4).cz(3, 8)
+    for topology in ("linear", "1EX-3", "heavy-hex"):
+        device = build_device_for("bv(9)", topology=topology, seed=GRID_SEED)
+        for strategy in ("ColorDynamic", "Baseline N", "Baseline G"):
+            pin(f"routed|{topology}|{strategy}", strategy, device, circuit)
+    return digests
+
+
+def _assert_matches(golden_file: Path, actual: Dict[str, str], count: int, what: str) -> None:
+    golden = json.loads(golden_file.read_text())
+    assert golden["seed"] == GRID_SEED
+    expected = golden["digests"]
+    assert len(expected) == count
+    assert sorted(actual) == sorted(expected)
+    diverged = [point for point in expected if actual[point] != expected[point]]
+    assert not diverged, f"{len(diverged)} {what} programs changed: {diverged[:5]}"
+
+
+@pytest.mark.differential
+def test_fig13_grid_matches_golden_digests():
+    _assert_matches(GOLDEN_FIG13_FILE, fig13_digests(), 100, "Fig. 13")
+
+
+@pytest.mark.differential
+def test_graph_paths_match_golden_digests():
+    _assert_matches(GOLDEN_PATHS_FILE, graph_path_digests(), 89, "graph-path")
+
+
 @pytest.mark.differential
 def test_fig09_grid_matches_golden_digests():
     golden = json.loads(GOLDEN_FILE.read_text())
@@ -69,6 +176,9 @@ def test_fig09_grid_matches_golden_digests():
 
 
 if __name__ == "__main__":
-    GOLDEN_FILE.write_text(
-        json.dumps({"seed": GRID_SEED, "digests": fig09_digests()}, indent=1) + "\n"
-    )
+    for path, digests in (
+        (GOLDEN_FILE, fig09_digests),
+        (GOLDEN_FIG13_FILE, fig13_digests),
+        (GOLDEN_PATHS_FILE, graph_path_digests),
+    ):
+        path.write_text(json.dumps({"seed": GRID_SEED, "digests": digests()}, indent=1) + "\n")
