@@ -20,6 +20,7 @@ modelled at evaluation time through the noise model's
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.scheduler import NoiseAwareScheduler, ScheduledStep
@@ -70,7 +71,11 @@ class BaselineGmon(BaselineCompiler):
             low, high = self.partition.interaction_range
             interaction_frequency = (low + high) / 2.0
         self.interaction_frequency = interaction_frequency
-        self.patterns = tiling_patterns(self.device)
+
+    @cached_property
+    def patterns(self) -> List[Set[Coupling]]:
+        """The device's coupler tiling patterns, built on first use."""
+        return tiling_patterns(self.device)
 
     def _signature_extras(self):
         return {"interaction_frequency": self.interaction_frequency}

@@ -12,7 +12,8 @@ step — which is exactly why the dynamic strategy wins in Fig. 9.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Sequence, Tuple
 
 from ..core.coloring import num_colors
 from ..core.compiler import ColorDynamic, StepFrequencies
@@ -30,7 +31,8 @@ class BaselineStatic(ColorDynamic):
     Takes the shared pipeline parameters of
     :class:`~repro.core.compiler.CompilerPipeline`.  The scheduler applies
     no parallelism throttling: the static assignment is safe for fully
-    parallel execution by construction.
+    parallel execution by construction.  The full-graph coloring and its
+    frequencies are built on first compile.
     """
 
     name = "Baseline S"
@@ -38,13 +40,22 @@ class BaselineStatic(ColorDynamic):
 
     def __init__(self, device: Device, **kwargs) -> None:
         super().__init__(device, max_colors=None, conflict_threshold=None, **kwargs)
-        self._static_coloring = self.crosstalk_index.welsh_powell()
-        self._static_frequencies, _ = assign_color_frequencies(
+
+    @cached_property
+    def _static_coloring(self) -> Dict[Coupling, int]:
+        """Welsh–Powell coloring of the whole crosstalk graph."""
+        return self.crosstalk_index.welsh_powell()
+
+    @cached_property
+    def _static_frequencies(self) -> Dict[int, float]:
+        """Interaction frequency of every color of :attr:`_static_coloring`."""
+        frequencies, _ = assign_color_frequencies(
             self._static_coloring,
             self.partition.interaction_low,
             self.partition.interaction_high,
-            anharmonicity=device.qubits[0].params.anharmonicity,
+            anharmonicity=self.device.qubits[0].params.anharmonicity,
         )
+        return frequencies
 
     def _interaction_frequencies(self, couplings: Sequence[Coupling]) -> StepFrequencies:
         if not couplings:

@@ -7,7 +7,9 @@
 2. decompose every entangling gate into hardware-native gates using the
    hybrid strategy (CNOT → CZ, SWAP → sqrt-iSWAP family),
 3. color the device connectivity graph once to obtain parking (idle)
-   frequencies, and build the distance-``d`` crosstalk graph once,
+   frequencies, and build the distance-``d`` crosstalk graph once (both
+   on first compile, so a compiler that only keys a cache hit builds
+   neither),
 4. slice the program into time steps with the noise-aware queueing
    scheduler (criticality ordering + crosstalk throttling),
 5. give every step's active couplings their interaction frequencies and
@@ -41,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..circuits import Circuit, decompose_circuit, route_circuit
 from ..devices import Device
 from ..devices.device import PREPARED_CACHE_ATTR
+from ..graph import Graph
 from ..noise.flux import tuning_overhead_ns
 from ..obs import span as _span
 from ..program import CompiledProgram, Interaction, TimeStep
@@ -207,6 +210,11 @@ class CompilerPipeline(ABC):
     :meth:`_interaction_frequencies`, and may override
     :meth:`_active_couplers`, :meth:`_signature_extras` and
     :meth:`_metadata`.
+
+    Construction only stores knobs: the compile stages (crosstalk graph,
+    idle coloring, step-frequency assigner and each strategy's own) are
+    cached properties built on first use, so a compiler that serves only
+    :meth:`cache_signature` — every cache hit — builds none of them.
     """
 
     name = "Pipeline"
@@ -236,11 +244,21 @@ class CompilerPipeline(ABC):
         self.use_routing = use_routing
         self.admission = admission
         self.admission_beam = admission_beam
-        self.crosstalk_graph = build_crosstalk_graph(device.graph, crosstalk_distance)
-        self.idle_assignment: IdleAssignment = assign_idle_frequencies(device, self.partition)
-        self._assign_step_frequencies = StepFrequencyAssigner(
-            device, self.idle_assignment.qubit_frequencies
-        )
+
+    @cached_property
+    def crosstalk_graph(self) -> Graph:
+        """Distance-``d`` crosstalk graph of the device, built on first use."""
+        return build_crosstalk_graph(self.device.graph, self.crosstalk_distance)
+
+    @cached_property
+    def idle_assignment(self) -> IdleAssignment:
+        """Parking frequencies from coloring the connectivity graph, built on first use."""
+        return assign_idle_frequencies(self.device, self.partition)
+
+    @cached_property
+    def _assign_step_frequencies(self) -> StepFrequencyAssigner:
+        """Per-step qubit frequencies around the idle assignment, built on first use."""
+        return StepFrequencyAssigner(self.device, self.idle_assignment.qubit_frequencies)
 
     @cached_property
     def crosstalk_index(self) -> GraphIndex:
@@ -300,6 +318,8 @@ class CompilerPipeline(ABC):
         The :mod:`repro.service` cache key hashes this dict together with the
         circuit, so any change to the device physics (couplings, qubit
         parameters, topology) or to a compiler knob produces a different key.
+        It reads only the knobs, the partition and the device, never a
+        compile stage.
         """
         p = self.partition
         signature: Dict[str, object] = {

@@ -670,11 +670,18 @@ def _decoherence_from_dense(
 def _vectorized_decoherence_errors(
     program: CompiledProgram, model: NoiseModel, arrays: _ProgramArrays
 ) -> Dict[int, float]:
-    """Per-qubit decoherence errors through the dense data plane."""
+    """Per-qubit decoherence errors through the dense data plane.
+
+    The flux kernel runs once per distinct frequency row of the program's
+    columns and is then gathered per step: the kernel is elementwise, so
+    every rate is bit-identical to evaluating the full ``(S, Q)`` matrix.
+    """
     device = program.device
     rates = None
     if model.include_flux_noise and arrays.durations.size:
-        rates = _flux_rate_rows(arrays.frequencies, _device_param_arrays(device), model)
+        columns = program.columns
+        row_rates = _flux_rate_rows(columns.frequency_rows, _device_param_arrays(device), model)
+        rates = row_rates[columns.frequency_index]
     return _decoherence_from_dense(
         device, model, arrays.durations, arrays.present, rates
     )

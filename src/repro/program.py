@@ -12,19 +12,23 @@ sequence of :class:`TimeStep` objects.  Each time step records
 * for gmon-style hardware, which couplers are switched on.
 
 Internally a program also has one columnar form, :class:`ProgramColumns`:
-the same schedule as a handful of NumPy arrays (a steps x qubits frequency
-matrix, the step durations, per-step runs of gates, interactions and active
-couplers).  The Eq. (4) estimator in :mod:`repro.noise` reads the columns
-directly, so it is strategy-agnostic — exactly the role played by the
-heuristic of Eq. (4) in the paper — and the program codec stores them as
-raw little-endian buffers.
+the same schedule as a handful of NumPy arrays (a table of the distinct
+per-step frequency rows plus each step's row, the step durations, per-step
+runs of gates, interactions and active couplers).  The Eq. (4) estimator
+in :mod:`repro.noise` reads the columns directly, so it is
+strategy-agnostic — exactly the role played by the heuristic of Eq. (4) in
+the paper — and the program codec stores them as raw little-endian
+buffers.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
+import math
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,13 +50,15 @@ Coupling = Tuple[int, int]
 #: shape changes (or whenever compilation semantics change in a way that
 #: makes previously stored programs stale); the on-disk program store
 #: namespaces its entries by this version, so a bump silently invalidates
-#: every cached program.  Version 2 stores the schedule as the columnar
-#: block of :class:`ProgramColumns`.
-PROGRAM_CODEC_VERSION: int = 2
+#: every cached program.  Version 2 stored the schedule as the columnar
+#: block of :class:`ProgramColumns`; version 3 stores each distinct
+#: per-step frequency row once, plus every step's row index.
+PROGRAM_CODEC_VERSION: int = 3
 
 #: Dtype of every raw buffer in the stored columnar block (all little-endian).
 _BUFFER_DTYPES: Dict[str, str] = {
-    "frequencies": "<f8",
+    "frequency_rows": "<f8",
+    "frequency_index": "<u4",
     "present": "|u1",
     "durations": "<f8",
     "gate_offsets": "<u4",
@@ -189,6 +195,12 @@ def _gate_shapes(names: Sequence[str], gate_names: np.ndarray) -> Tuple[np.ndarr
     return arity, num_params
 
 
+@functools.cache
+def _float_packer(count: int) -> Callable[..., bytes]:
+    """``pack(*values)`` -> the raw little-endian float64 bytes of *count* values."""
+    return struct.Struct(f"<{count}d").pack
+
+
 def _b64(array: np.ndarray, key: str) -> str:
     raw = np.ascontiguousarray(array, dtype=_BUFFER_DTYPES[key]).tobytes()
     return base64.b64encode(raw).decode("ascii")
@@ -231,12 +243,16 @@ class _BlockReader:
 class ProgramColumns:
     """The schedule of a :class:`CompiledProgram` as columns (struct of arrays).
 
-    With ``S`` steps, ``Q`` device qubits, ``G`` gates, ``I`` interactions
-    and ``C`` active couplers in total:
+    With ``S`` steps, ``R`` distinct per-step frequency rows, ``Q`` device
+    qubits, ``G`` gates, ``I`` interactions and ``C`` active couplers in
+    total:
 
-    * ``frequencies`` — ``(S, Q)`` float64, NaN where a step carries no
-      frequency for a qubit; ``present`` — the ``(S, Q)`` bool mask of the
-      carried frequencies, or ``None`` when every step carries every qubit;
+    * ``frequency_rows`` — ``(R, Q)`` float64, the distinct frequency rows,
+      NaN where a row carries no frequency for a qubit; ``frequency_index``
+      — ``(S,)``, each step's row; ``frequencies`` — the ``(S, Q)`` matrix
+      ``frequency_rows[frequency_index]``; ``present`` — the ``(S, Q)``
+      bool mask of the carried frequencies (exactly the non-NaN cells), or
+      ``None`` when every step carries every qubit;
     * ``durations`` — ``(S,)`` float64;
     * ``gate_offsets`` — ``(S + 1,)``: step ``s`` owns gates
       ``gate_offsets[s]:gate_offsets[s + 1]``; ``gate_names`` — ``(G,)`` ids
@@ -254,12 +270,14 @@ class ProgramColumns:
     ``names`` is the per-program name table, in first-appearance order.
     Integer and mask columns use the stored buffer dtypes.  Columns are
     never mutated after construction; most decoded ones are read-only views
-    of the decoded buffers.
+    of the decoded buffers.  ``frequencies`` is derived from the row table
+    and is not a constructor argument.
     """
 
     __slots__ = (
         "names",
-        "frequencies",
+        "frequency_rows",
+        "frequency_index",
         "present",
         "durations",
         "gate_offsets",
@@ -273,11 +291,13 @@ class ProgramColumns:
         "coupler_steps",
         "coupler_offsets",
         "coupler_pairs",
+        "frequencies",
     )
 
     def __init__(self, **columns) -> None:
-        for name in self.__slots__:
+        for name in self.__slots__[:-1]:
             setattr(self, name, columns[name])
+        self.frequencies = self.frequency_rows[self.frequency_index]
 
     @property
     def num_steps(self) -> int:
@@ -285,7 +305,7 @@ class ProgramColumns:
 
     @property
     def num_qubits(self) -> int:
-        return self.frequencies.shape[1]
+        return self.frequency_rows.shape[1]
 
     def presence(self) -> np.ndarray:
         """The ``(S, Q)`` bool mask of carried frequencies (never ``None``)."""
@@ -306,21 +326,35 @@ class ProgramColumns:
     # ------------------------------------------------------------------
     @classmethod
     def from_steps(cls, steps: Sequence[TimeStep], num_qubits: int) -> "ProgramColumns":
-        """Columns of *steps* on a *num_qubits*-qubit device."""
+        """Columns of *steps* on a *num_qubits*-qubit device.
+
+        Steps share a frequency row when their frequency items — qubits in
+        dict order and the raw bits of the values — are identical, so
+        ``-0.0`` and ``0.0`` never merge.  A carried NaN frequency is a
+        ``ValueError``: NaN marks the frequencies a row does not carry.
+        """
         ids: Dict[str, int] = {}
         durations: List[float] = []
-        freq_counts: List[int] = []
-        freq_qubits: List[int] = []
-        freq_values: List[float] = []
+        row_ids: Dict[Tuple[Tuple[int, ...], bytes], int] = {}
+        frequency_index: List[int] = []
+        row_counts: List[int] = []
+        row_qubits: List[int] = []
+        row_values = bytearray()
         gate_offsets, gate_names, gate_qubits, gate_params = [0], [], [], []
         inter_offsets, inter_pairs, inter_names, inter_freqs = [0], [], [], []
         coupler_steps, coupler_offsets, coupler_pairs = [], [0], []
         for step in steps:
             durations.append(step.duration_ns)
             frequencies = step.frequencies
-            freq_counts.append(len(frequencies))
-            freq_qubits.extend(frequencies)
-            freq_values.extend(frequencies.values())
+            qubits = tuple(frequencies)
+            values = _float_packer(len(qubits))(*frequencies.values())
+            row = row_ids.get((qubits, values))
+            if row is None:
+                row = row_ids[qubits, values] = len(row_counts)
+                row_counts.append(len(qubits))
+                row_qubits.extend(qubits)
+                row_values += values
+            frequency_index.append(row)
             for gate in step.gates:
                 gate_names.append(ids.setdefault(gate.name, len(ids)))
                 gate_qubits.extend(gate.qubits)
@@ -337,15 +371,20 @@ class ProgramColumns:
                 coupler_pairs.extend(sorted(active))
             coupler_offsets.append(len(coupler_pairs))
 
-        num_steps = len(durations)
-        rows = np.repeat(np.arange(num_steps), freq_counts)
-        cols = np.array(freq_qubits, dtype=np.intp)
-        frequencies = np.full((num_steps, num_qubits), np.nan)
-        frequencies[rows, cols] = freq_values
+        num_rows = len(row_counts)
+        row_of = np.repeat(np.arange(num_rows), row_counts)
+        cols = np.array(row_qubits, dtype=np.intp)
+        values = np.frombuffer(row_values, dtype=_BUFFER_DTYPES["frequency_rows"])
+        if np.isnan(values).any():
+            raise ValueError("a step carries a NaN frequency")
+        frequency_rows = np.full((num_rows, num_qubits), np.nan)
+        frequency_rows[row_of, cols] = values
+        index = np.array(frequency_index, dtype=_BUFFER_DTYPES["frequency_index"])
         present: Optional[np.ndarray] = None
-        if len(freq_qubits) != num_steps * num_qubits:
-            present = np.zeros((num_steps, num_qubits), dtype=bool)
-            present[rows, cols] = True
+        if len(row_qubits) != num_rows * num_qubits:
+            row_present = np.zeros((num_rows, num_qubits), dtype=bool)
+            row_present[row_of, cols] = True
+            present = row_present[index]
         gmon = any(coupler_steps)
 
         def column(key: str, values) -> np.ndarray:
@@ -353,7 +392,8 @@ class ProgramColumns:
 
         return cls(
             names=tuple(ids),
-            frequencies=frequencies,
+            frequency_rows=frequency_rows,
+            frequency_index=index,
             present=present,
             durations=column("durations", durations),
             gate_offsets=column("gate_offsets", gate_offsets),
@@ -380,8 +420,17 @@ class ProgramColumns:
         names = self.names
         arity, num_params = (a.tolist() for a in _gate_shapes(names, self.gate_names))
         durations = self.durations.tolist()
-        freq_rows = self.frequencies.tolist()
-        present_rows = None if self.present is None else self.present.tolist()
+        # One map per distinct row, copied per step; a row's NaN cells are
+        # exactly the frequencies its steps do not carry.
+        rows = self.frequency_rows.tolist()
+        if self.present is None:
+            row_maps = [dict(enumerate(row)) for row in rows]
+        else:
+            row_maps = [
+                {qubit: value for qubit, value in enumerate(row) if not math.isnan(value)}
+                for row in rows
+            ]
+        frequency_index = self.frequency_index.tolist()
         gate_offsets = self.gate_offsets.tolist()
         gate_names = self.gate_names.tolist()
         qubits = self.gate_qubits.tolist()
@@ -414,12 +463,6 @@ class ProgramColumns:
                 attrs["params"] = tuple(params[p:end])
                 p = end
                 gates.append(gate)
-            row = freq_rows[s]
-            if present_rows is None:
-                frequencies = dict(enumerate(row))
-            else:
-                mask = present_rows[s]
-                frequencies = {qubit: value for qubit, value in enumerate(row) if mask[qubit]}
             interactions = [
                 presorted(inter_pairs[k], names[inter_names[k]], inter_freqs[k])
                 for k in range(inter_offsets[s], inter_offsets[s + 1])
@@ -430,7 +473,7 @@ class ProgramColumns:
             steps.append(
                 TimeStep(
                     gates=gates,
-                    frequencies=frequencies,
+                    frequencies=dict(row_maps[frequency_index[s]]),
                     interactions=interactions,
                     duration_ns=duration,
                     active_couplers=active,
@@ -444,6 +487,9 @@ class ProgramColumns:
     def to_payload(self) -> Dict[str, object]:
         """The stored columnar block: counts, name table, base64 raw buffers.
 
+        The frequencies are stored as the row table: ``num_rows`` distinct
+        rows in ``frequency_rows`` and each step's row in ``frequency_index``.
+
         Optional columns are written only when they carry information: no
         ``present`` mask under full coverage, no coupler columns on
         fixed-coupler programs, no ``coupler_steps`` when every step lists
@@ -452,6 +498,7 @@ class ProgramColumns:
         block: Dict[str, object] = {
             "num_steps": self.num_steps,
             "num_qubits": self.num_qubits,
+            "num_rows": self.frequency_rows.shape[0],
             "names": list(self.names),
         }
         for key in _BUFFER_DTYPES:  # every buffer is the column of that name
@@ -467,16 +514,23 @@ class ProgramColumns:
 
         Every buffer length is checked against the stored shape, every
         offset array must rise monotonically from 0 to its column's length,
-        and every name id and qubit index must be in range — so a decoded
-        program can never fail later, when its steps are built.
+        every name id, qubit index and row index must be in range, and the
+        rows' NaN cells must be exactly the cells the ``present`` mask (all
+        cells when none is stored) leaves out — so a decoded program can
+        never fail later, when its steps are built.
         """
         if not isinstance(block, Mapping):
             raise ValueError("stored schedule is not a columnar block")
         num_steps = block["num_steps"]
         stored_qubits = block["num_qubits"]
+        num_rows = block["num_rows"]
         names = block["names"]
         if not (type(num_steps) is int and num_steps >= 0):
             raise ValueError(f"bad step count {num_steps!r}")
+        if not (type(num_rows) is int and 0 <= num_rows <= num_steps) or (
+            num_rows == 0 and num_steps > 0
+        ):
+            raise ValueError(f"bad row count {num_rows!r} for {num_steps} steps")
         if stored_qubits != num_qubits or type(stored_qubits) is not int:
             raise ValueError(f"stored block has {stored_qubits!r} qubits, device has {num_qubits}")
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
@@ -484,12 +538,18 @@ class ProgramColumns:
         reader = _BlockReader(block)
         num_names = len(names)
 
-        shape = (num_steps, num_qubits)
-        frequencies = reader.read("frequencies", num_steps * num_qubits).reshape(shape)
+        rows = reader.read("frequency_rows", num_rows * num_qubits)
+        rows = rows.reshape(num_rows, num_qubits)
+        index = reader.indices("frequency_index", num_steps, num_rows)
+        absent = np.isnan(rows)
         present: Optional[np.ndarray] = None
         if "present" in block:
+            shape = (num_steps, num_qubits)
             present = reader.mask("present", num_steps * num_qubits).reshape(shape)
-            frequencies = np.where(present, frequencies, np.nan)
+            if not np.array_equal(present, ~absent[index]):
+                raise ValueError("stored presence mask disagrees with the frequency rows")
+        elif absent.any():
+            raise ValueError("frequency rows hold NaN but every frequency is present")
         durations = reader.read("durations", num_steps)
 
         gate_offsets = reader.offsets("gate_offsets", num_steps)
@@ -519,7 +579,8 @@ class ProgramColumns:
 
         return cls(
             names=tuple(names),
-            frequencies=frequencies,
+            frequency_rows=rows,
+            frequency_index=index,
             present=present,
             durations=durations,
             gate_offsets=gate_offsets,

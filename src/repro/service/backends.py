@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import functools
 import json
 import os
 import re
@@ -34,11 +35,14 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..envvars import read_env
 from ..obs import get_metrics
 from ..program import PROGRAM_CODEC_VERSION
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import urllib.request
 
 __all__ = [
     "StoreBackend",
@@ -113,6 +117,44 @@ _BREAKER_TRIPS = get_metrics().counter(
     "Times a remote's circuit breaker has opened.",
     ("remote",),
 )
+
+
+def _is_loopback(host: Optional[str]) -> bool:
+    """Whether *host* names this machine: ``localhost``, ``127.0.0.0/8`` or ``::1``."""
+    import ipaddress
+
+    if not host:
+        return False
+    if host.lower() == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
+@functools.cache
+def _direct_opener():
+    """An opener with no proxy handler configured (built once per process)."""
+    import urllib.request
+
+    return urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+
+def open_request(request: urllib.request.Request, timeout_s: float):
+    """Send *request*; a loopback host never goes through an environment proxy.
+
+    urllib's global opener reads ``http_proxy`` once, at its first use, and
+    with ``no_proxy`` unset it sends ``127.0.0.1`` through that proxy for
+    the rest of the process.  Requests to loopback hosts therefore use a
+    proxy-free opener; every other host keeps urllib's behaviour.
+    """
+    import urllib.request
+    from urllib.parse import urlsplit
+
+    if _is_loopback(urlsplit(request.full_url).hostname):
+        return _direct_opener().open(request, timeout=timeout_s)
+    return urllib.request.urlopen(request, timeout=timeout_s)
 
 
 def _observe_op(start: float, backend: str, op: str, outcome: str) -> None:
@@ -591,7 +633,7 @@ class HTTPBackend(StoreBackend):
         request = urllib.request.Request(
             f"{self.url}{path}", data=body, method=method, headers=headers
         )
-        return urllib.request.urlopen(request, timeout=self.timeout_s)
+        return open_request(request, self.timeout_s)
 
     def get(self, key: str) -> Optional[dict]:
         import urllib.error

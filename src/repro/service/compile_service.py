@@ -354,9 +354,10 @@ class CompileService:
         redundant upload per grid point.
         """
         try:
-            result = CompilationResult.from_dict(
-                payload, device=self._compiler_for(job).device
-            )
+            with _span("codec.decode"):
+                result = CompilationResult.from_dict(
+                    payload, device=self._compiler_for(job).device
+                )
         except (KeyError, TypeError, ValueError):
             return None
         if name is not None:
@@ -364,7 +365,8 @@ class CompileService:
         self.stats.remote_compiles += 1
         _COMPILE_REQUESTS.inc(outcome="remote")
         if self.store is not None and key is not None:
-            self.store.put_local(key, payload)
+            with _span("store.put"):
+                self.store.put_local(key, payload)
         return result
 
     def _renamed(
@@ -412,7 +414,8 @@ class CompileService:
             # interning the live instance skips decoding the stored copy and
             # lets every program of a sweep share one Device (and its cached
             # spectator geometry) instead of rebuilding both per warm load.
-            result = CompilationResult.from_dict(payload, device=device)
+            with _span("codec.decode"):
+                result = CompilationResult.from_dict(payload, device=device)
         except (KeyError, TypeError, ValueError):
             return None
         elapsed_s = time.perf_counter() - start
@@ -439,13 +442,15 @@ class CompileService:
         _COMPILE_REQUESTS.inc(outcome="miss")
         _COMPILE_COLD_SECONDS.observe(result.compile_time_s)
         if self.store is not None and key is not None:
-            payload = result.to_dict()
+            with _span("codec.encode"):
+                payload = result.to_dict()
             if canonical_name is not None:
                 # Store under the circuit's own name regardless of the name
                 # this caller requested: a cache entry is name-independent,
                 # and hits re-apply the requesting caller's name.
                 payload["program"]["name"] = canonical_name
-            self.store.put(key, payload)
+            with _span("store.put"):
+                self.store.put(key, payload)
 
     def compile_circuit(
         self, compiler, circuit: Circuit, name: Optional[str] = None

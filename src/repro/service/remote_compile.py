@@ -28,7 +28,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..program import PROGRAM_CODEC_VERSION
-from .backends import CircuitBreaker, cache_token_default
+from .backends import CircuitBreaker, cache_token_default, open_request
 from .compile_service import CompileJob
 
 if TYPE_CHECKING:
@@ -120,7 +120,7 @@ class RemoteCompileClient:
             f"{self.url}/{self.format}/compile", data=body, method="POST",
             headers=headers,
         )
-        return urllib.request.urlopen(request, timeout=self.timeout_s)
+        return open_request(request, self.timeout_s)
 
     def _retry_after_s(self, error: urllib.error.HTTPError) -> float:
         try:

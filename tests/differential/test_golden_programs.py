@@ -2,11 +2,12 @@
 
 ``golden_fig09_programs.json`` holds, for each of the 110 Fig. 9 points
 (22 benchmarks x 5 strategies, device and circuit seed 2020), the sha256 of
-the compiled result's canonical JSON with the wall-clock ``compile_time_s``
-removed.  The digests were written by the compile pipeline that predates
-the single shared ``compile()`` body, so this test pins that refactor —
-strategy names, metadata keys, frequencies, durations and color counts —
-against the output of the code it replaced.
+the compiled result's decoded content (:func:`canonical_digest`) with the
+wall-clock ``compile_time_s`` removed.  The digest reads the schedule as
+:class:`~repro.program.TimeStep` objects, never the stored columnar block,
+so it pins what was compiled — strategy names, metadata keys, frequencies,
+durations and color counts — independently of the program codec: a codec
+change that round-trips bit-exactly leaves every digest unchanged.
 
 ``golden_fig13_programs.json`` pins the 100 Fig. 13 points (5 benchmarks x
 10 topologies x 2 strategies) the same way, and
@@ -14,8 +15,9 @@ against the output of the code it replaced.
 never reaches: the line-graph edge coloring behind Baseline G's tiling and
 the XEB patterns on non-grid connectivities, Baseline S on non-grid
 devices, the Erdős–Rényi problem graphs of QAOA, and multi-hop SWAP
-routing.  Both were recorded while every graph in ``src/`` was still a
-networkx graph, so they pin the in-tree graph code to networkx's orders.
+routing.  The programs both files pin were first recorded while every
+graph in ``src/`` was still a networkx graph, so they pin the in-tree
+graph code to networkx's orders.
 
 Regenerate (only for a deliberate change of compiled output) from the
 repository root with::
@@ -39,10 +41,33 @@ GRID_SEED = 2020
 
 
 def canonical_digest(result) -> str:
-    """sha256 of the result's sorted-key JSON, ``compile_time_s`` stripped."""
+    """sha256 of a result's decoded content, ``compile_time_s`` stripped.
+
+    Hashes the non-schedule fields of the result and its program (device,
+    name, strategy, idle frequencies, metadata, color counts, separations)
+    plus, for every :class:`~repro.program.TimeStep`, its gates, its
+    frequencies in qubit order, its interactions, its duration and its
+    active couplers.  Floats go through ``repr`` (JSON), so ``-0.0`` and
+    ``0.0`` hash differently: the digest is bit-exact.
+    """
     payload = result.to_dict()
     payload.pop("compile_time_s")
-    payload["program"]["metadata"].pop("compile_time_s", None)
+    program = payload["program"]
+    for codec_field in ("codec_version", "steps"):
+        program.pop(codec_field)
+    program["metadata"].pop("compile_time_s", None)
+    program["schedule"] = [
+        {
+            "gates": [[g.name, list(g.qubits), list(g.params)] for g in step.gates],
+            "frequencies": sorted(step.frequencies.items()),
+            "interactions": [[list(i.pair), i.gate_name, i.frequency] for i in step.interactions],
+            "duration_ns": step.duration_ns,
+            "active_couplers": (
+                None if step.active_couplers is None else sorted(step.active_couplers)
+            ),
+        }
+        for step in result.program.steps
+    ]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 

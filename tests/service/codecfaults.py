@@ -1,4 +1,4 @@
-"""Corruptions of a stored columnar program block (codec v2).
+"""Corruptions of a stored columnar program block (codec v3).
 
 Shared by the codec and store suites: each fault mutates the ``steps``
 block of a ``CompiledProgram.to_dict()`` payload in place, the way bit rot,
@@ -26,13 +26,32 @@ def write_buffer(block: dict, key: str, array) -> None:
 
 
 def truncated_base64(block: dict) -> None:
-    """The frequency buffer loses its last characters (invalid base64)."""
-    block["frequencies"] = block["frequencies"][:-3]
+    """The frequency-row buffer loses its last characters (invalid base64)."""
+    block["frequency_rows"] = block["frequency_rows"][:-3]
 
 
 def truncated_buffer(block: dict) -> None:
-    """Valid base64, but the frequency buffer lost a whole value."""
-    write_buffer(block, "frequencies", read_buffer(block, "frequencies")[:-1])
+    """Valid base64, but the frequency-row buffer lost a whole value."""
+    write_buffer(block, "frequency_rows", read_buffer(block, "frequency_rows")[:-1])
+
+
+def row_index_out_of_range(block: dict) -> None:
+    """A step points one past the end of the frequency-row table."""
+    index = read_buffer(block, "frequency_index")
+    index[0] = block["num_rows"]
+    write_buffer(block, "frequency_index", index)
+
+
+def row_count_mismatch(block: dict) -> None:
+    """``num_rows`` claims one row more than the row buffer holds."""
+    block["num_rows"] += 1
+
+
+def rows_disagree_with_present(block: dict) -> None:
+    """A stored presence mask drops a frequency the rows still carry."""
+    present = np.ones(block["num_steps"] * block["num_qubits"])
+    present[0] = 0
+    write_buffer(block, "present", present)
 
 
 def short_offsets(block: dict) -> None:
@@ -68,4 +87,7 @@ FAULTS = {
     "descending_offsets": descending_offsets,
     "name_id_out_of_range": name_id_out_of_range,
     "qubit_out_of_range": qubit_out_of_range,
+    "row_index_out_of_range": row_index_out_of_range,
+    "row_count_mismatch": row_count_mismatch,
+    "rows_disagree_with_present": rows_disagree_with_present,
 }

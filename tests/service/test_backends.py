@@ -497,13 +497,13 @@ class TestBatchedTransfer:
             source.put(f"{index:04x}" + "0" * 60, entry_payload(str(index)))
 
         requests = []
-        real_urlopen = urllib.request.urlopen
+        real_open = backends_mod.open_request
 
-        def counting_urlopen(request, **kwargs):
+        def counting_open(request, timeout_s):
             requests.append(request.get_method() + " " + request.full_url)
-            return real_urlopen(request, **kwargs)
+            return real_open(request, timeout_s)
 
-        monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
+        monkeypatch.setattr(backends_mod, "open_request", counting_open)
         remote = HTTPBackend(cache_server.url)
         assert copy_missing(source, remote) == (110, 0)
         # 1 listing + ceil(110 / BATCH_CHUNK_ENTRIES) batched puts.
@@ -515,3 +515,57 @@ class TestBatchedTransfer:
         assert copy_missing(remote, destination) == (110, 0)
         assert len(requests) == 1 + 2 <= 5
         assert destination.stats()["entries"] == 110
+
+
+class TestLoopbackSkipsEnvironmentProxy:
+    """A dead ``http_proxy`` must not cut the clients off a loopback server."""
+
+    @pytest.fixture()
+    def dead_proxy(self, monkeypatch):
+        for var in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(var, "http://127.0.0.1:9")
+        for var in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(var, raising=False)
+        # urllib builds its global opener, reading the proxy, on first use.
+        monkeypatch.setattr(urllib.request, "_opener", None)
+
+    def test_http_backend_reaches_loopback_server(self, cache_server, dead_proxy):
+        backend = HTTPBackend(cache_server.url)
+        assert backend.put(KEY_A, entry_payload("a"))
+        assert backend.get(KEY_A) == entry_payload("a")
+        assert "unreachable" not in backend.stats()
+        assert backend.errors == 0
+
+    def test_remote_compile_reaches_loopback_server(self, cache_server, dead_proxy):
+        from repro.service import CompileJob, RemoteCompileClient
+
+        client = RemoteCompileClient(cache_server.url, max_attempts=1)
+        job = CompileJob(benchmark="bv(4)", strategy="ColorDynamic")
+        payloads = client.compile_jobs([job])
+        assert payloads is not None and len(payloads) == 1
+        assert not client.tripped
+
+    @pytest.mark.parametrize(
+        "host, loopback",
+        [
+            ("localhost", True),
+            ("LOCALHOST", True),
+            ("127.0.0.1", True),
+            ("127.3.2.1", True),
+            ("::1", True),
+            ("10.0.0.1", False),
+            ("128.0.0.1", False),
+            ("cache.example", False),
+            (None, False),
+        ],
+    )
+    def test_loopback_hosts(self, host, loopback):
+        assert backends_mod._is_loopback(host) is loopback
+
+    def test_other_hosts_keep_urllib_behaviour(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda request, timeout: seen.append(request.full_url)
+        )
+        backends_mod.open_request(urllib.request.Request("http://cache.example:8080/stats"), 1.0)
+        assert seen == ["http://cache.example:8080/stats"]

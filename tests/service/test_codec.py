@@ -229,6 +229,34 @@ class TestColumnarRoundTrip:
         assert restored.depth == 0
         assert restored.total_duration_ns == 0
 
+    def test_repeated_frequency_rows_are_stored_once(self):
+        program = _compile("ColorDynamic").program
+        block = program.to_dict()["steps"]
+        columns = program.columns
+        assert block["num_rows"] == columns.frequency_rows.shape[0] < columns.num_steps
+        assert "frequencies" not in block
+        assert (columns.frequencies == columns.frequency_rows[columns.frequency_index]).all()
+        _assert_same_program(_program_round_trip(program), program)
+
+    def test_signed_zero_rows_do_not_merge(self, device4):
+        steps = [
+            TimeStep(frequencies={q: 5.0 for q in range(4)}, duration_ns=25.0),
+            TimeStep(frequencies={0: 0.0, 1: 5.0, 2: 5.0, 3: 5.0}, duration_ns=25.0),
+            TimeStep(frequencies={0: -0.0, 1: 5.0, 2: 5.0, 3: 5.0}, duration_ns=25.0),
+            TimeStep(frequencies={0: 0.0, 1: 5.0, 2: 5.0, 3: 5.0}, duration_ns=25.0),
+        ]
+        program = CompiledProgram(device=device4, steps=steps, name="zeros")
+        assert program.columns.frequency_index.tolist() == [0, 1, 2, 1]
+        restored = _program_round_trip(program)
+        signs = [math.copysign(1.0, step.frequencies[0]) for step in restored.steps]
+        assert signs == [1.0, 1.0, -1.0, 1.0]
+
+    def test_nan_frequency_is_rejected(self, device4):
+        step = TimeStep(frequencies={0: math.nan, 1: 5.0}, duration_ns=25.0)
+        program = CompiledProgram(device=device4, steps=[step], name="nan")
+        with pytest.raises(ValueError, match="NaN"):
+            program.to_dict()
+
     def test_decoded_program_builds_steps_lazily(self):
         result = _compile("ColorDynamic")
         restored = _json_round_trip(result).program
@@ -253,6 +281,12 @@ class TestCorruptColumns:
         payload = _compile("ColorDynamic").program.to_dict()
         FAULTS[fault](payload["steps"])
         with pytest.raises(ValueError):
+            CompiledProgram.from_dict(payload)
+
+    def test_zero_rows_for_nonempty_program_is_rejected(self):
+        payload = _compile("ColorDynamic").program.to_dict()
+        payload["steps"]["num_rows"] = 0
+        with pytest.raises(ValueError, match="row count"):
             CompiledProgram.from_dict(payload)
 
     def test_unregistered_gate_name_is_rejected(self):

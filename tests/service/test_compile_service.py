@@ -167,3 +167,60 @@ class TestServiceOverride:
         service = CompileService(cache_dir=tmp_path)
         with pytest.raises(ValueError, match="unknown strategy"):
             service.compile(CompileJob(benchmark="bv(4)", strategy="Magic"))
+
+
+class TestWarmSweepBuildsNoStages:
+    """A cache hit needs a compiler's signature and device, never its stages."""
+
+    #: (module, attribute) of every compile-stage builder, by stage name.
+    STAGES = {
+        "build_crosstalk_graph": [("repro.core.compiler", "build_crosstalk_graph")],
+        "assign_idle_frequencies": [("repro.core.compiler", "assign_idle_frequencies")],
+        "tiling_patterns": [("repro.baselines.gmon", "tiling_patterns")],
+        "assign_color_frequencies": [
+            ("repro.core.compiler", "assign_color_frequencies"),
+            ("repro.baselines.static", "assign_color_frequencies"),
+        ],
+    }
+
+    def _count_stage_builds(self, monkeypatch):
+        import importlib
+
+        calls = dict.fromkeys(self.STAGES, 0)
+        for stage, targets in self.STAGES.items():
+            for module_name, attribute in targets:
+                module = importlib.import_module(module_name)
+                real = getattr(module, attribute)
+
+                def counted(*args, _real=real, _stage=stage, **kwargs):
+                    calls[_stage] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, attribute, counted)
+        return calls
+
+    def test_warm_fig09_sweep_builds_no_stages(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.analysis import SweepJob, SweepRunner, clear_sweep_caches, figure_compile_jobs
+        from test_golden_programs import GOLDEN_FILE, canonical_digest
+
+        jobs = figure_compile_jobs("fig09")
+        calls = self._count_stage_builds(monkeypatch)
+        cold = CompileService(cache_dir=tmp_path).compile_batch(jobs)
+        assert all(count > 0 for count in calls.values()), calls
+        golden = json.loads(GOLDEN_FILE.read_text())["digests"]
+        assert {
+            f"{job.benchmark}|{job.strategy}": canonical_digest(result)
+            for job, result in zip(jobs, cold)
+        } == golden
+
+        calls.update(dict.fromkeys(calls, 0))
+        clear_sweep_caches()
+        sweep = [SweepJob(benchmark=job.benchmark, strategy=job.strategy) for job in jobs]
+        warm = SweepRunner(max_workers=1, cache_dir=str(tmp_path)).run(sweep)
+        clear_sweep_caches()
+        assert calls == dict.fromkeys(calls, 0)
+        assert [outcome.success_rate for outcome in warm] == [
+            estimate_success(result.program).success_rate for result in cold
+        ]
