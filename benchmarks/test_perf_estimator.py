@@ -15,8 +15,9 @@ from benchlib import run_once, write_result
 from oracles import estimate_success as scalar_estimate
 
 from repro.analysis import format_table
-from repro.analysis.experiments import _make_compiler, build_device_for
+from repro.analysis.experiments import build_device_for
 from repro.noise import NoiseModel, estimate_success
+from repro.service import make_compiler
 from repro.workloads import benchmark_circuit, fig09_benchmarks
 
 #: 6x6 grid benchmark backing the headline >= 5x speedup target.
@@ -44,7 +45,7 @@ def _run_perf_suite():
     for name in suite:
         device = build_device_for(name)
         circuit = benchmark_circuit(name, seed=2020)
-        program = _make_compiler("ColorDynamic", device).compile(circuit).program
+        program = make_compiler("ColorDynamic", device).compile(circuit).program
         estimate_success(program, model)  # warm the geometry cache
         repeats = 5 if name == STRESS_BENCHMARK else 3
         scalar_s = _time_engine(scalar_estimate, program, model, repeats)

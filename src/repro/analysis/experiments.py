@@ -11,19 +11,17 @@ same code path can run both as a quick smoke test and as the full
 paper-scale reproduction.
 
 The figure sweeps (9-13) are expressed as flat lists of :class:`SweepJob`
-grid points executed by a :class:`SweepRunner`: a ``concurrent.futures``
-fan-out with per-worker device/compiler/program caches, so the same job list
-runs serially in-process (the default, fully deterministic) or across
-processes (``max_workers > 1`` or ``REPRO_SWEEP_WORKERS=N``) with identical
-results.
+grid points executed by a :class:`SweepRunner`, which hands the grid's
+distinct compilations to :meth:`repro.service.CompileService.compile_batch`
+and scores every point in-process.  The same job list runs serially (the
+default) or with cold compiles fanned out across processes
+(``max_workers > 1`` or ``REPRO_SWEEP_WORKERS=N``), with identical results.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,15 +31,9 @@ from ..core.compiler import CompilationResult
 from ..devices import Device, grid_graph
 from ..envvars import read_env_int
 from ..noise import NoiseModel, estimate_success
-from ..obs import get_tracer, is_enabled as _trace_enabled, span as _span
+from ..obs import span as _span
 from ..noise.crosstalk import effective_coupling, exchange_probability
-from ..service import (
-    CompileJob,
-    configure_service,
-    get_service,
-    make_compiler,
-    service_override,
-)
+from ..service import CompileJob, get_service, make_compiler
 from ..service.compile_service import build_device_for as _service_build_device_for
 from ..workloads import (
     benchmark_circuit,
@@ -123,11 +115,6 @@ def build_device_for(
     return _service_build_device_for(benchmark, topology=topology, seed=seed)
 
 
-def _make_compiler(strategy: str, device: Device, max_colors: Optional[int] = None):
-    """Back-compat alias for :func:`repro.service.make_compiler`."""
-    return make_compiler(strategy, device, max_colors=max_colors)
-
-
 def _evaluate(
     benchmark: str,
     strategy: str,
@@ -178,7 +165,8 @@ class SweepJob:
     ``noise_model`` carries per-point model variations (e.g. the Fig. 12
     residual-coupling factors); ``key`` is an opaque label the figure
     functions use to regroup flat results (color budget, factor, topology).
-    Jobs are immutable and picklable so they can cross process boundaries.
+    Only the compile spec of a job (everything but ``noise_model`` and
+    ``key``) reaches the compile service; scoring stays in-process.
     """
 
     benchmark: str
@@ -191,287 +179,84 @@ class SweepJob:
     admission: str = "structural"
 
 
-# Per-process memo of compiled programs so a worker compiles each grid point
-# at most once even when the grid revisits it (Fig. 11 budgets share devices,
-# Fig. 12 evaluates one program under many noise models).  Keyed by value —
-# never by object identity — so results are independent of which worker runs
-# which job.  Devices, compilers and circuits are *not* memoized here:
-# compiler identity lives in exactly one place, the
-# :class:`~repro.service.CompileService` value-keyed memos that
-# ``service.compile`` resolves a job through.
-_ProgramKey = Tuple[str, str, str, int, Optional[int], str]
-_PROGRAM_CACHE: Dict[_ProgramKey, CompilationResult] = {}
-# Per-key locks so thread-pool sweeps compile each distinct grid point
-# exactly once (two threads hitting the same cold key serialize on the key,
-# not on the whole sweep).
-_PROGRAM_LOCKS: Dict[_ProgramKey, threading.Lock] = {}
-_PROGRAM_LOCKS_GUARD = threading.Lock()
+# Per-process memo of compiled programs, keyed by compile spec, so a grid
+# that revisits a point (Fig. 11 budgets share devices, Fig. 12 scores one
+# program under many noise models) compiles it at most once per process.
+# Devices, compilers and circuits are *not* memoized here: compiler identity
+# lives in the :class:`~repro.service.CompileService` value-keyed memos.
+_PROGRAM_CACHE: Dict[CompileJob, CompilationResult] = {}
 
 
 def clear_sweep_caches() -> None:
     """Reset the per-process program memo (the service holds the rest)."""
     _PROGRAM_CACHE.clear()
-    with _PROGRAM_LOCKS_GUARD:
-        _PROGRAM_LOCKS.clear()
 
 
-def _cached_compilation(job: SweepJob) -> CompilationResult:
-    program_key: _ProgramKey = (
-        job.strategy, job.benchmark, job.topology, job.seed, job.max_colors,
-        job.admission,
+def _compile_spec(job: SweepJob) -> CompileJob:
+    return CompileJob(
+        benchmark=job.benchmark,
+        strategy=job.strategy,
+        topology=job.topology,
+        seed=job.seed,
+        max_colors=job.max_colors,
+        admission=job.admission,
     )
-    result = _PROGRAM_CACHE.get(program_key)
-    if result is not None:
-        return result
-    with _PROGRAM_LOCKS_GUARD:
-        lock = _PROGRAM_LOCKS.setdefault(program_key, threading.Lock())
-    with lock:
-        result = _PROGRAM_CACHE.get(program_key)
-        if result is None:
-            # The compile service resolves the job spec through its own
-            # value-keyed device/compiler/circuit memos and adds the
-            # cross-run layer underneath: on-disk cache hits skip
-            # compilation entirely, misses compile here and are persisted
-            # for the next run.
-            result = get_service().compile(
-                CompileJob(
-                    benchmark=job.benchmark,
-                    strategy=job.strategy,
-                    topology=job.topology,
-                    seed=job.seed,
-                    max_colors=job.max_colors,
-                    admission=job.admission,
-                )
-            )
-            _PROGRAM_CACHE[program_key] = result
-    return result
-
-
-def _execute_sweep_job(job: SweepJob) -> StrategyOutcome:
-    """Run one grid point (compile if not cached, then score)."""
-    with _span("sweep.job", benchmark=job.benchmark, strategy=job.strategy):
-        result = _cached_compilation(job)
-        model = job.noise_model or NoiseModel()
-        return _evaluate(job.benchmark, job.strategy, result, model)
-
-
-def _execute_sweep_job_traced(job: SweepJob) -> Tuple[StrategyOutcome, list]:
-    """Worker-side wrapper shipping each job's span buffer back with it.
-
-    Used only on the process-pool path when the parent is tracing: the
-    worker drains its process-local tracer after every job, so span records
-    ride the existing result pickle instead of a side channel, and a reused
-    worker never re-sends earlier jobs' spans.  Records carry the worker's
-    pid (stamped at span exit) and ``perf_counter_ns`` timestamps, which on
-    Linux share the parent's monotonic clock — the merged timeline lines up
-    without any offset arithmetic.
-    """
-    outcome = _execute_sweep_job(job)
-    return outcome, get_tracer().drain()
-
-
-def _init_sweep_worker(
-    cache_dir: Optional[str],
-    use_cache: Optional[bool],
-    remote_cache: Optional[str],
-    max_bytes: Optional[int],
-    remote_compile: Optional[str] = None,
-    trace: bool = False,
-) -> None:
-    """Configure the per-process compile service in a sweep subprocess.
-
-    The parent always resolves its *effective* cache configuration and sends
-    it explicitly (see :meth:`SweepRunner._worker_cache_config`), so workers
-    behave identically under fork and spawn start methods — a spawned worker
-    cannot inherit the parent's in-memory ``service_override``.  The same
-    goes for *trace*: a forked worker would inherit the parent's span
-    buffer, so the tracer is cleared here and re-enabled only when the
-    parent was tracing.
-    """
-    configure_service(
-        cache_dir=cache_dir,
-        enabled=use_cache,
-        remote_cache=remote_cache,
-        max_bytes=max_bytes,
-        remote_compile=remote_compile,
-    )
-    tracer = get_tracer()
-    tracer.clear()
-    tracer.enabled = bool(trace)
 
 
 class SweepRunner:
-    """Executes experiment grids, optionally fanning out across processes.
+    """Executes experiment grids through the compile service.
 
     Parameters
     ----------
     noise_model:
         Default noise model for jobs that don't carry their own.
     max_workers:
-        ``1`` (default) runs jobs serially in-process; ``> 1`` fans out via
-        ``concurrent.futures``.  ``None`` reads ``REPRO_SWEEP_WORKERS`` from
-        the environment (falling back to 1) so the CLI and CI can opt in
-        without code changes.
-    executor:
-        ``"process"`` (default) isolates workers in subprocesses — each
-        builds its own device/compiler caches; ``"thread"`` shares the
-        caches of the current process, which is mainly useful for tests.
-    cache_dir:
-        Root directory of the on-disk compiled-program store for this run
-        (default: the process-wide service, i.e. ``REPRO_CACHE_DIR`` or the
-        XDG cache path).
-    use_cache:
-        ``False`` disables the on-disk store for this run; ``None`` defers
-        to the ``REPRO_CACHE`` toggle.  Only the disk layer is governed
-        here — the in-process program memo still applies, so call
-        :func:`clear_sweep_caches` first to force truly cold compiles
-        within one process.
-    remote_cache:
-        Shared cache server URL for this run (``python -m repro cache
-        serve``); the store becomes tiered local -> remote, so a fleet of
-        runners shares one warm cache.  ``None`` defers to the
-        ``REPRO_REMOTE_CACHE`` environment variable.
-    cache_max_bytes:
-        LRU byte budget for the local store tier, enforced after every
-        write (``None`` defers to ``REPRO_CACHE_MAX_BYTES``).
-    remote_compile:
-        Remote compile-server URL for this run; spec-driven store misses
-        are compiled server-side (with cross-client dedup) instead of
-        locally.  ``None`` defers to ``REPRO_REMOTE_COMPILE``; an empty
-        string forces local compilation.  Remote failures degrade to local
-        cold compiles, so results never depend on server availability.
+        Worker processes for the grid's cold compiles, passed to
+        :meth:`~repro.service.CompileService.compile_batch`; ``1`` (the
+        default) compiles in-process.  ``None`` reads ``REPRO_SWEEP_WORKERS``
+        from the environment (falling back to 1) so the CLI and CI can opt
+        in without code changes.
 
-    Results are returned in job order regardless of completion order, and a
-    grid produces identical numbers at any worker count and any cache state:
-    every job is a pure function of its (value-keyed) inputs, and cached
-    programs deserialize bit-exactly.
+    Each run sends the distinct compilations that the in-process program
+    memo does not hold to the default service (:func:`repro.service.get_service`;
+    install another with :func:`repro.service.service_override`) in one
+    batch, so store reads, store writes and remote compiles happen once, in
+    this process, at any worker count.  Every job is then scored here, in
+    job order.  A grid produces identical numbers at any worker count and any
+    cache state: every job is a pure function of its (value-keyed) inputs,
+    and cached or worker-compiled programs decode bit-exactly.
     """
 
     def __init__(
         self,
         noise_model: Optional[NoiseModel] = None,
         max_workers: Optional[int] = None,
-        executor: str = "process",
-        cache_dir: Optional[str] = None,
-        use_cache: Optional[bool] = None,
-        remote_cache: Optional[str] = None,
-        cache_max_bytes: Optional[int] = None,
-        remote_compile: Optional[str] = None,
     ) -> None:
         if max_workers is None:
             max_workers = read_env_int("REPRO_SWEEP_WORKERS", 1)
-        if executor not in ("process", "thread"):
-            raise ValueError(f"unknown executor {executor!r}; use 'process' or 'thread'")
         self.noise_model = noise_model or NoiseModel()
         self.max_workers = max(1, max_workers)
-        self.executor = executor
-        self.cache_dir = cache_dir
-        self.use_cache = use_cache
-        self.remote_cache = remote_cache
-        self.cache_max_bytes = cache_max_bytes
-        self.remote_compile = remote_compile
-
-    def _resolve(self, job: SweepJob) -> SweepJob:
-        if job.noise_model is None:
-            return replace(job, noise_model=self.noise_model)
-        return job
-
-    def _has_cache_config(self) -> bool:
-        return not (
-            self.cache_dir is None
-            and self.use_cache is None
-            and self.remote_cache is None
-            and self.cache_max_bytes is None
-            and self.remote_compile is None
-        )
-
-    def _service_scope(self):
-        """Install this run's cache configuration on the compile service."""
-        if not self._has_cache_config():
-            return contextlib.nullcontext()
-        return service_override(
-            cache_dir=self.cache_dir,
-            enabled=self.use_cache,
-            remote_cache=self.remote_cache,
-            max_bytes=self.cache_max_bytes,
-            remote_compile=self.remote_compile,
-        )
-
-    def _worker_cache_config(
-        self,
-    ) -> Tuple[
-        Optional[str], Optional[bool], Optional[str], Optional[int], Optional[str]
-    ]:
-        """The effective worker cache/compile configuration, as a 5-tuple
-        ``(cache_dir, enabled, remote_cache, max_bytes, remote_compile)``.
-
-        When this runner has no explicit configuration, the currently
-        installed service's state is forwarded instead, so an enclosing
-        ``service_override`` reaches spawn-based workers too.  The remote
-        URLs are forwarded as ``""`` (not ``None``) when the parent has no
-        remote tier, so a worker never re-resolves ``REPRO_REMOTE_CACHE`` /
-        ``REPRO_REMOTE_COMPILE`` into a configuration the parent did not
-        have.
-
-        Only this standard shape crosses the process boundary: a service
-        mounted on a hand-built backend composition (e.g. a pure
-        ``HTTPBackend`` store or a read-only ``TieredStore``) cannot be
-        pickled into workers, and subprocesses will approximate it from
-        these values.  Run such sweeps with ``executor="thread"`` or
-        ``max_workers=1`` if the exact composition matters.
-        """
-        if self._has_cache_config():
-            return (
-                self.cache_dir,
-                self.use_cache,
-                self.remote_cache,
-                self.cache_max_bytes,
-                self.remote_compile,
-            )
-        service = get_service()
-        if service.store is None:
-            return (None, False, None, None, service.remote_compile or "")
-        root = service.store.root
-        return (
-            str(root) if root is not None else None,
-            True,
-            service.store.remote_url or "",
-            service.store.max_bytes,
-            service.remote_compile or "",
-        )
 
     def run(self, jobs: Iterable[SweepJob]) -> List[StrategyOutcome]:
         """Execute all jobs and return their outcomes in job order."""
-        resolved = [self._resolve(job) for job in jobs]
-        if self.max_workers == 1 or len(resolved) <= 1:
-            with self._service_scope():
-                return [_execute_sweep_job(job) for job in resolved]
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-        if self.executor == "process":
-            # Subprocesses build their own service; the initializer forwards
-            # this run's effective cache configuration (and the trace flag)
-            # to each of them.
-            tracing = _trace_enabled()
-            with ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_sweep_worker,
-                initargs=self._worker_cache_config() + (tracing,),
-            ) as pool:
-                if not tracing:
-                    return list(pool.map(_execute_sweep_job, resolved))
-                # Each worker ships its span buffer back with the outcome;
-                # ingesting preserves job order here, and exports sort by
-                # (ts_ns, pid, tid, name) anyway, so the merged timeline is
-                # deterministic regardless of completion order.
-                tracer = get_tracer()
-                outcomes: List[StrategyOutcome] = []
-                for outcome, records in pool.map(_execute_sweep_job_traced, resolved):
-                    tracer.ingest(records)
-                    outcomes.append(outcome)
-                return outcomes
-        with self._service_scope(), ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(_execute_sweep_job, resolved))
+        jobs = list(jobs)
+        specs = [_compile_spec(job) for job in jobs]
+        pending = [spec for spec in dict.fromkeys(specs) if spec not in _PROGRAM_CACHE]
+        if pending:
+            results = get_service().compile_batch(pending, max_workers=self.max_workers)
+            _PROGRAM_CACHE.update(zip(pending, results))
+        outcomes = []
+        for job, spec in zip(jobs, specs):
+            with _span("sweep.job", benchmark=job.benchmark, strategy=job.strategy):
+                outcomes.append(
+                    _evaluate(
+                        job.benchmark,
+                        job.strategy,
+                        _PROGRAM_CACHE[spec],
+                        job.noise_model or self.noise_model,
+                    )
+                )
+        return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +512,9 @@ def fig12_residual_coupling(
 ) -> Dict[str, Dict[float, float]]:
     """Baseline G success rate as deactivated couplers leak residual coupling.
 
-    Each benchmark is compiled once (the program cache inside the sweep
-    workers de-duplicates the grid) and scored under one noise model per
-    residual-coupling factor.
+    Each benchmark is compiled once (the runner sends only a grid's distinct
+    compilations to the compile service) and scored under one noise model
+    per residual-coupling factor.
     """
     benchmarks = list(benchmarks) if benchmarks is not None else fig12_benchmarks()
     base_model = noise_model or NoiseModel()

@@ -19,8 +19,8 @@ Usage (after ``pip install -e .``)::
 The CLI is a thin wrapper over :mod:`repro.analysis`; every command prints
 the same tables the benchmark harness produces.  Figure sweeps run through
 :class:`~repro.analysis.SweepRunner` — pass ``--workers N`` (or set
-``REPRO_SWEEP_WORKERS``) to fan the grid out across processes; results are
-identical at any worker count.
+``REPRO_SWEEP_WORKERS``) to fan the grid's cold compiles out across
+processes; results are identical at any worker count.
 
 Compilation is served by the :mod:`repro.service` layer: compiled programs
 are cached on disk (``REPRO_CACHE_DIR`` or an XDG path; ``--cache-dir``
@@ -91,6 +91,7 @@ from .service import (
     cache_max_bytes_default,
     copy_missing,
     remote_cache_default,
+    service_override,
 )
 from .workloads import fig09_benchmarks, table2_rows
 
@@ -448,12 +449,9 @@ def _run_admission_report(args: argparse.Namespace) -> int:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    name = args.name
-    trace_path = _trace_destination(args, f"figure-{name}")
+    trace_path = _trace_destination(args, f"figure-{args.name}")
     if trace_path is not None:
         obs.set_enabled(True)
-    benchmarks = args.benchmarks or None
-    workers = getattr(args, "workers", None)
     cache_dir = getattr(args, "cache_dir", None)
     remote_cache = getattr(args, "remote_cache", None)
     # Precedence: --no-cache beats everything; an explicit --cache-dir or
@@ -465,14 +463,28 @@ def _run_figure(args: argparse.Namespace) -> int:
         use_cache = True
     else:
         use_cache = None
-    runner = SweepRunner(
-        max_workers=workers,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        remote_cache=remote_cache,
-        cache_max_bytes=getattr(args, "max_bytes", None),
-        remote_compile=getattr(args, "remote_compile", None),
-    )
+    settings = {
+        "cache_dir": cache_dir,
+        "enabled": use_cache,
+        "remote_cache": remote_cache,
+        "max_bytes": getattr(args, "max_bytes", None),
+        "remote_compile": getattr(args, "remote_compile", None),
+    }
+    # Without a cache flag the current default service (the environment's,
+    # or an enclosing service_override) runs the figure.
+    if any(value is not None for value in settings.values()):
+        scope = service_override(**settings)
+    else:
+        scope = contextlib.nullcontext()
+    with scope:
+        _print_figure(args, SweepRunner(max_workers=getattr(args, "workers", None)))
+    _finish_trace(trace_path)
+    return 0
+
+
+def _print_figure(args: argparse.Namespace, runner: SweepRunner) -> None:
+    name = args.name
+    benchmarks = args.benchmarks or None
     admission = getattr(args, "admission", "structural")
     if name == "fig02":
         data = fig02_interaction_strength()
@@ -569,8 +581,6 @@ def _run_figure(args: argparse.Namespace) -> int:
         print("First interaction step:")
         for pair, freq in sorted(data["interaction_steps"][0].items()):
             print(f"  {pair}: {freq:.3f} GHz")
-    _finish_trace(trace_path)
-    return 0
 
 
 def _store_remote_errors(store) -> int:

@@ -35,10 +35,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..noise.incremental import IncrementalEstimator
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuits import Circuit, decompose_circuit, route_circuit
 from ..devices import Device
@@ -295,11 +292,10 @@ class CompilerPipeline(ABC):
     def _make_admission(self, build_step) -> Optional[StepAdmission]:
         """Admission policy for one compile, or ``None`` for structural.
 
-        The ``"success"`` policy gets its *own* fresh
+        The ``"success"`` policy gets a fresh
         :class:`~repro.noise.IncrementalEstimator` under the default noise
-        model: reusing a caller-supplied estimator (whose model and prior
-        steps are not part of :meth:`cache_signature`) would make the
-        emitted program depend on state outside the cache key.
+        model per compile, so the emitted program depends only on state
+        inside :meth:`cache_signature`.
         """
         if self.admission != "success":
             return None
@@ -345,20 +341,8 @@ class CompilerPipeline(ABC):
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def compile(
-        self,
-        circuit: Circuit,
-        name: Optional[str] = None,
-        estimator: Optional["IncrementalEstimator"] = None,
-    ) -> CompilationResult:
-        """Compile *circuit* for this device; see the module docstring for stages.
-
-        When an :class:`~repro.noise.IncrementalEstimator` is passed, every
-        finalized time step is appended to it *inside* the compile loop — the
-        scheduler hands steps over one at a time via its ``on_step`` hook —
-        so the caller gets an Eq. (4) estimate that only ever paid O(step)
-        per scheduling decision instead of an O(program) pass afterwards.
-        """
+    def compile(self, circuit: Circuit, name: Optional[str] = None) -> CompilationResult:
+        """Compile *circuit* for this device; see the module docstring for stages."""
         start = time.perf_counter()
         # Manually paired (__enter__ here, __exit__ after the schedule loop)
         # so the method body keeps its indentation; if the compile raises,
@@ -417,8 +401,6 @@ class CompilerPipeline(ABC):
             nonlocal previous_freqs
             step, n_colors, separation = annotate(sched_step)
             steps.append(step)
-            if estimator is not None:
-                estimator.append_step(step)
             if admission is not None:
                 admission.observe(step)
             colors_per_step.append(n_colors)

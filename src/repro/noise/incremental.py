@@ -41,14 +41,10 @@ decoherence average) are re-evaluated per :meth:`~IncrementalEstimator.report`
 call over the per-step scalars, which is what keeps every mutation O(one
 step) while the report stays a pure function of the current step sequence.
 
-The compilers feed an estimator directly from the scheduling loop: pass one
-to :meth:`ColorDynamic.compile(..., estimator=...)
-<repro.core.ColorDynamic.compile>` (or any baseline's ``compile``) and every
-finalized step is appended as the scheduler emits it.  Since PR 5 the
-estimator can also *drive* the loop: ``compile(admission="success")`` makes
-the scheduler score candidate step compositions with :meth:`preview_step`
-and emit the one maximizing predicted success (see
-:mod:`repro.core.admission`).
+The estimator can also *drive* compilation: a compiler built with
+``admission="success"`` makes the scheduler score candidate step
+compositions with :meth:`~IncrementalEstimator.preview_step` and emit the
+one maximizing predicted success (see :mod:`repro.core.admission`).
 """
 
 from __future__ import annotations

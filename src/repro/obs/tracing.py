@@ -6,7 +6,7 @@ shared no-op context manager, so an instrumented call site costs one
 function call and one attribute read when tracing is off.  When enabled,
 each span records its wall time via :func:`time.perf_counter_ns` — on
 Linux that is ``CLOCK_MONOTONIC``, which is system-wide, so spans recorded
-in sweep worker processes land on the same timeline as the parent process
+in batch worker processes land on the same timeline as the parent process
 and can be merged without clock alignment.
 
 Span records are plain dicts of primitives (picklable, JSON-able)::

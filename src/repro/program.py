@@ -186,7 +186,8 @@ def _gate_shapes(names: Sequence[str], gate_names: np.ndarray) -> Tuple[np.ndarr
     """
     arity = np.zeros(len(names), dtype=np.int64)
     num_params = np.zeros(len(names), dtype=np.int64)
-    for index in np.unique(gate_names).tolist():
+    # Not np.unique: its first call imports numpy.ma (~30 ms per process).
+    for index in sorted(set(gate_names.tolist())):
         spec = GATE_REGISTRY.get(names[index])
         if spec is None:
             raise ValueError(f"stored gate name {names[index]!r} is not a registered gate")

@@ -58,7 +58,6 @@ from .compile_service import (
     CompileJob,
     CompileService,
     ServiceStats,
-    configure_service,
     get_service,
     make_compiler,
     reset_service,
@@ -87,7 +86,6 @@ __all__ = [
     "CompileService",
     "ServiceStats",
     "RemoteCompileClient",
-    "configure_service",
     "get_service",
     "make_compiler",
     "reset_service",

@@ -13,13 +13,13 @@ and the benchmark harness use to obtain a :class:`CompilationResult`:
   knobs, mirroring the sweep runner's job shape).  ``compile_batch``
   deduplicates identical jobs within the batch, answers what it can from the
   store, and fans the remaining cold compilations out over worker processes
-  with ``concurrent.futures`` — the same machinery (and the same
-  value-keyed determinism argument) as :class:`repro.analysis.SweepRunner`.
+  with ``concurrent.futures``.  It is the only fan-out in the package:
+  :class:`repro.analysis.SweepRunner` hands its figure grids to it.
 
 Every service instance keeps hit/miss/latency statistics in ``stats``.
 A process-wide default instance is available via :func:`get_service`, and
 :func:`service_override` installs a replacement for a scoped block (the
-sweep runner uses this to honour per-run ``--cache-dir`` / ``--no-cache``).
+``figure`` command uses this to honour ``--cache-dir`` / ``--no-cache``).
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import copy
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..circuits import Circuit
 from ..core.compiler import ColorDynamic, CompilationResult
 from ..devices import Device
-from ..obs import get_metrics
+from ..obs import get_metrics, get_tracer
 from ..obs import span as _span
 from ..workloads import benchmark_circuit, parse_benchmark_name
 from .cache_key import cache_key, circuit_digest, compiler_digest
@@ -51,7 +51,6 @@ __all__ = [
     "ServiceStats",
     "make_compiler",
     "get_service",
-    "configure_service",
     "service_override",
 ]
 
@@ -166,34 +165,55 @@ class ServiceStats:
         self.compile_time_s = self.load_time_s = 0.0
 
 
-def build_device(topology: str, num_qubits: int, seed: int) -> Device:
-    """The single source of truth for (topology, size, seed) -> Device.
+def build_device_for(benchmark: str, topology: str = "grid", seed: int = 2020) -> Device:
+    """Device sized for a benchmark (square grid by default, as in the paper).
 
-    The figure sweeps (via :func:`repro.analysis.build_device_for` and the
-    sweep workers' device cache) and the service's job resolution all call
-    this, so warmed cache keys always match the keys a later sweep computes.
+    The single source of truth for (benchmark, topology, seed) -> Device:
+    :func:`repro.analysis.build_device_for` and the service's job resolution
+    both call it, so warmed cache keys always match the keys a later sweep
+    computes.
     """
+    num_qubits = parse_benchmark_name(benchmark).num_qubits
     if topology == "grid":
         return Device.grid(num_qubits, seed=seed)
     return Device.from_topology_name(topology, num_qubits, seed=seed)
 
 
-def build_device_for(benchmark: str, topology: str = "grid", seed: int = 2020) -> Device:
-    """Device sized for a benchmark (square grid by default, as in the paper)."""
-    return build_device(topology, parse_benchmark_name(benchmark).num_qubits, seed)
+#: A batch worker's own service: store-less and local-only, so store I/O and
+#: remote compiles stay with the parent that owns the batch, and a reused
+#: worker keeps its device/compiler/circuit memos across jobs.
+_WORKER_SERVICE: Optional["CompileService"] = None
 
 
-def _build_job_device(job: CompileJob) -> Device:
-    return build_device_for(job.benchmark, topology=job.topology, seed=job.seed)
+def _init_batch_worker(trace: bool) -> None:
+    """Start a batch worker with an empty tracer, enabled iff the parent traces.
+
+    A forked worker would otherwise inherit the parent's span buffer and
+    ship it back with its first job.
+    """
+    tracer = get_tracer()
+    tracer.clear()
+    tracer.enabled = trace
 
 
-def _compile_job_cold(job: CompileJob) -> CompilationResult:
-    """Compile one job from scratch (runs inside batch worker processes)."""
-    compiler = make_compiler(
-        job.strategy, _build_job_device(job), job.max_colors, admission=job.admission
-    )
-    circuit = benchmark_circuit(job.benchmark, seed=job.seed)
-    return compiler.compile(circuit)
+def _compile_job_payload(job: CompileJob) -> Tuple[dict, list]:
+    """Compile one job cold in a batch worker; returns ``(payload, spans)``.
+
+    The result crosses the process boundary encoded: the parent decodes it
+    onto its own interned device and stores the payload as received.  The
+    worker's span buffer is drained after every job (empty unless the parent
+    traces), so a reused worker never re-sends earlier jobs' spans.  Records
+    keep the worker's pid and ``perf_counter_ns`` timestamps, which on Linux
+    share the parent's monotonic clock, so the merged timeline needs no
+    offset arithmetic.
+    """
+    global _WORKER_SERVICE
+    if _WORKER_SERVICE is None:
+        _WORKER_SERVICE = CompileService(enabled=False, remote_compile="")
+    result = _WORKER_SERVICE.compile(job)
+    with _span("codec.encode"):
+        payload = result.to_dict()
+    return payload, get_tracer().drain()
 
 
 class CompileService:
@@ -259,8 +279,7 @@ class CompileService:
         self._remote_client_instance = None
         self.stats = ServiceStats()
         # Per-service memos so spec-driven requests rebuild each device,
-        # compiler and circuit at most once (value-keyed, like the sweep
-        # runner's per-worker caches).
+        # compiler and circuit at most once (value-keyed).
         self._devices: Dict[Tuple[str, int, int], Device] = {}
         self._compilers: Dict[Tuple[str, str, int, int, Optional[int], str], object] = {}
         self._circuits: Dict[Tuple[str, int], Circuit] = {}
@@ -281,7 +300,7 @@ class CompileService:
         key = (job.topology, num_qubits, job.seed)
         device = self._devices.get(key)
         if device is None:
-            device = _build_job_device(job)
+            device = build_device_for(job.benchmark, topology=job.topology, seed=job.seed)
             self._devices[key] = device
         return device
 
@@ -436,14 +455,17 @@ class CompileService:
         key: Optional[str],
         result: CompilationResult,
         canonical_name: Optional[str] = None,
+        payload: Optional[dict] = None,
     ) -> None:
+        """Count a cold compile and persist it (*payload* if already encoded)."""
         self.stats.misses += 1
         self.stats.compile_time_s += result.compile_time_s
         _COMPILE_REQUESTS.inc(outcome="miss")
         _COMPILE_COLD_SECONDS.observe(result.compile_time_s)
         if self.store is not None and key is not None:
-            with _span("codec.encode"):
-                payload = result.to_dict()
+            if payload is None:
+                with _span("codec.encode"):
+                    payload = result.to_dict()
             if canonical_name is not None:
                 # Store under the circuit's own name regardless of the name
                 # this caller requested: a cache entry is name-independent,
@@ -532,13 +554,16 @@ class CompileService:
         Parameters
         ----------
         jobs:
-            :class:`CompileJob` specs; duplicates (same cache key) are
-            compiled once per batch and counted in ``stats.deduplicated``.
+            :class:`CompileJob` specs; duplicates (same cache key, or the
+            same spec on a store-less service) are compiled once per batch
+            and counted in ``stats.deduplicated``.
         max_workers:
-            With ``> 1``, cold compilations run in subprocesses and their
-            results are persisted by the parent, so a shared cache
-            directory sees one writer per entry.  Store hits never reach
-            the worker pool.
+            With ``> 1``, cold compilations run in subprocesses, each
+            through a store-less, local-only service of its own.  Workers
+            return encoded payloads; the parent decodes, counts and
+            persists them, so store I/O and remote compiles happen only in
+            the parent and a shared cache directory sees one writer per
+            entry.  Store hits never reach the worker pool.
         names:
             Optional per-job program names (same length as *jobs*,
             ``None`` entries keep the canonical circuit name) — the batch
@@ -557,8 +582,8 @@ class CompileService:
         ValueError
             If any job names an unknown strategy, admission policy,
             topology or benchmark family (raised before any compilation
-            starts — the whole batch is keyed first), or if *names* has
-            the wrong length.
+            starts — every distinct job is resolved first), or if *names*
+            has the wrong length.
         """
         jobs = list(jobs)
         if names is not None:
@@ -567,9 +592,13 @@ class CompileService:
                 raise ValueError(
                     f"names has {len(names)} entries for {len(jobs)} jobs"
                 )
-        keys = [self.job_key(job) for job in jobs]
-        first_job: Dict[str, CompileJob] = {}
-        first_name: Dict[str, Optional[str]] = {}
+        # As in compile(), only the store needs content keys: a store-less
+        # batch deduplicates by spec and builds no circuit just to hash it.
+        keys: List[Hashable] = [
+            self.job_key(job) if self.store is not None else job for job in jobs
+        ]
+        first_job: Dict[Hashable, CompileJob] = {}
+        first_name: Dict[Hashable, Optional[str]] = {}
         for index, (job, key) in enumerate(zip(jobs, keys)):
             if key in first_job:
                 self.stats.deduplicated += 1
@@ -578,8 +607,8 @@ class CompileService:
                 first_job[key] = job
                 first_name[key] = names[index] if names is not None else None
 
-        resolved: Dict[str, CompilationResult] = {}
-        missing: List[Tuple[str, CompileJob]] = []
+        resolved: Dict[Hashable, CompilationResult] = {}
+        missing: List[Tuple[Hashable, CompileJob]] = []
         if self.store is not None and len(first_job) > 1:
             # One batched round trip warms the local tier with every remote
             # entry this batch will need (a no-op on local-only stores), so
@@ -598,7 +627,7 @@ class CompileService:
         if missing and client is not None:
             payloads = client.compile_jobs([job for _, job in missing])
             if payloads is not None:
-                still_missing: List[Tuple[str, CompileJob]] = []
+                still_missing: List[Tuple[Hashable, CompileJob]] = []
                 for (key, job), payload in zip(missing, payloads):
                     adopted = self._adopt_remote(
                         key, payload, job, name=first_name[key]
@@ -612,11 +641,33 @@ class CompileService:
         if len(missing) > 1 and max_workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                cold = list(pool.map(_compile_job_cold, [job for _, job in missing]))
-            for (key, _), result in zip(missing, cold):
-                self._record_miss(key, result)
-                resolved[key] = result
+            tracer = get_tracer()
+            workers = min(max_workers, len(missing))
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_batch_worker,
+                initargs=(tracer.enabled,),
+            ) as pool:
+                # About four chunks per worker: few round trips, and results
+                # (in job order) still arrive early enough to be decoded
+                # while the workers compile the rest.
+                shipped = pool.map(
+                    _compile_job_payload,
+                    [job for _, job in missing],
+                    chunksize=max(1, len(missing) // (4 * workers)),
+                )
+                for (key, job), (payload, records) in zip(missing, shipped):
+                    # Ingesting in job order keeps the merged timeline
+                    # deterministic; exports sort by (ts_ns, pid, tid, name).
+                    tracer.ingest(records)
+                    with _span("codec.decode"):
+                        result = CompilationResult.from_dict(
+                            payload, device=self._compiler_for(job).device
+                        )
+                    if first_name[key] is not None:
+                        result.program.name = first_name[key]
+                    self._record_miss(key, result, payload=payload)
+                    resolved[key] = result
         else:
             for key, job in missing:
                 result = self._compiler_for(job).compile(
@@ -646,25 +697,6 @@ def get_service() -> CompileService:
     return _SERVICE
 
 
-def configure_service(
-    cache_dir: Optional[str] = None,
-    enabled: Optional[bool] = None,
-    remote_cache: Optional[str] = None,
-    max_bytes: Optional[int] = None,
-    remote_compile: Optional[str] = None,
-) -> CompileService:
-    """Replace the process-wide default service (used by sweep workers)."""
-    global _SERVICE
-    _SERVICE = CompileService(
-        cache_dir=cache_dir,
-        enabled=enabled,
-        remote_cache=remote_cache,
-        max_bytes=max_bytes,
-        remote_compile=remote_compile,
-    )
-    return _SERVICE
-
-
 def reset_service() -> None:
     """Drop the process-wide default service; the next use rebuilds it lazily.
 
@@ -686,11 +718,13 @@ def service_override(
 ) -> Iterator[CompileService]:
     """Temporarily install a different default service for a scoped block.
 
-    The default service is a process-wide global with no locking: overlapping
-    overrides from concurrent threads (e.g. two simultaneous
-    ``SweepRunner.run`` calls with *different* cache configurations) would
-    see each other's service.  Run such sweeps sequentially, from separate
-    processes, or against the same configuration.
+    A :class:`~repro.analysis.SweepRunner` run inside the block resolves its
+    whole grid through this service at any worker count: batch workers
+    compile cold through store-less services of their own, so the installed
+    service performs every store read and write and counts every hit and
+    miss.  The default service is a process-wide global with no locking:
+    overlapping overrides from concurrent threads would see each other's
+    service, so run such blocks sequentially or from separate processes.
     """
     global _SERVICE
     if service is None:

@@ -74,14 +74,6 @@ def _local_tier(backend: StoreBackend) -> Optional[LocalFSBackend]:
     return None
 
 
-def _remote_url(backend: StoreBackend) -> Optional[str]:
-    if isinstance(backend, TieredStore):
-        return _remote_url(backend.remote) or _remote_url(backend.local)
-    if isinstance(backend, HTTPBackend):
-        return backend.url
-    return None
-
-
 class ProgramStore:
     """A content-addressed key -> JSON-payload store over pluggable backends.
 
@@ -116,8 +108,6 @@ class ProgramStore:
         self.format = f"v{PROGRAM_CODEC_VERSION}"
         local_tier = _local_tier(backend)
         self.root: Optional[Path] = local_tier.root if local_tier is not None else None
-        self.max_bytes = local_tier.max_bytes if local_tier is not None else max_bytes
-        self.remote_url = _remote_url(backend)
 
     # ------------------------------------------------------------------
     # entry access

@@ -29,9 +29,10 @@ def hermetic_cache_env(cache_dir: str) -> Iterator[None]:
 
     Points the compiled-program store at *cache_dir*, force-enables the
     cache (an exported ``REPRO_CACHE=0`` must not disable the store that
-    cache tests assert on), and clears ``REPRO_SWEEP_WORKERS`` (stat-
-    asserting sweeps must not silently move into subprocesses whose service
-    stats the parent never sees), ``REPRO_REMOTE_CACHE`` (tests must not
+    cache tests assert on), and clears ``REPRO_SWEEP_WORKERS`` (the
+    parent's service counts every hit and miss at any worker count, but a
+    cold compile in a worker process escapes the in-process compile and
+    stage counters some tests install), ``REPRO_REMOTE_CACHE`` (tests must not
     talk to a developer's cache server) and ``REPRO_CACHE_MAX_BYTES`` (an
     ambient eviction budget must not delete entries tests assert on).
     ``REPRO_TRACE``/``REPRO_TRACE_DIR`` are cleared too, so CLI-level tests

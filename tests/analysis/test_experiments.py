@@ -65,12 +65,6 @@ class TestSweepRunner:
             assert a.depth == b.depth
             assert a.max_colors == b.max_colors
 
-    def test_thread_executor_matches_serial(self):
-        serial = SweepRunner().run(self.JOBS)
-        threaded = SweepRunner(max_workers=2, executor="thread").run(self.JOBS)
-        for a, b in zip(serial, threaded):
-            assert a.success_rate == b.success_rate
-
     def test_job_noise_model_overrides_runner_default(self):
         from repro.noise import NoiseModel
 
@@ -113,10 +107,6 @@ class TestSweepRunner:
             overridden["bv(4)"]["ColorDynamic"].success_rate
             < default["bv(4)"]["ColorDynamic"].success_rate
         )
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            SweepRunner(executor="fiber")
 
     def test_env_var_sets_default_worker_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
@@ -175,12 +165,17 @@ class TestSweepRunnerProgramCache:
         clear_sweep_caches()
 
     def test_results_identical_with_cache_enabled_and_disabled(self, tmp_path):
+        from repro.service import service_override
+
         clear_sweep_caches()
-        cached = SweepRunner(cache_dir=str(tmp_path)).run(self.JOBS)
+        with service_override(cache_dir=str(tmp_path)):
+            cached = SweepRunner().run(self.JOBS)
         clear_sweep_caches()
-        cache_hot = SweepRunner(cache_dir=str(tmp_path)).run(self.JOBS)
+        with service_override(cache_dir=str(tmp_path)):
+            cache_hot = SweepRunner().run(self.JOBS)
         clear_sweep_caches()
-        uncached = SweepRunner(use_cache=False).run(self.JOBS)
+        with service_override(enabled=False):
+            uncached = SweepRunner().run(self.JOBS)
         clear_sweep_caches()
         assert list(map(self._outcome_tuple, cached)) == list(
             map(self._outcome_tuple, uncached)
@@ -190,17 +185,26 @@ class TestSweepRunnerProgramCache:
         )
 
     def test_results_identical_across_worker_counts_with_cache(self, tmp_path):
+        from repro.service import service_override
+
         clear_sweep_caches()
-        serial = SweepRunner(cache_dir=str(tmp_path)).run(self.JOBS)
-        parallel = SweepRunner(cache_dir=str(tmp_path), max_workers=2).run(self.JOBS)
-        threaded = SweepRunner(
-            cache_dir=str(tmp_path), max_workers=2, executor="thread"
-        ).run(self.JOBS)
+        with service_override(cache_dir=str(tmp_path / "serial")):
+            serial = SweepRunner().run(self.JOBS)
         clear_sweep_caches()
-        assert list(map(self._outcome_tuple, parallel)) == list(
+        with service_override(cache_dir=str(tmp_path / "fanned")) as cold_service:
+            fanned = SweepRunner(max_workers=2).run(self.JOBS)
+        clear_sweep_caches()
+        with service_override(cache_dir=str(tmp_path / "fanned")) as warm_service:
+            warm = SweepRunner(max_workers=2).run(self.JOBS)
+        clear_sweep_caches()
+        # Worker compiles are counted and stored by the parent's service.
+        assert cold_service.stats.misses == len(self.JOBS)
+        assert warm_service.stats.hits == len(self.JOBS)
+        assert warm_service.stats.misses == 0
+        assert list(map(self._outcome_tuple, fanned)) == list(
             map(self._outcome_tuple, serial)
         )
-        assert list(map(self._outcome_tuple, threaded)) == list(
+        assert list(map(self._outcome_tuple, warm)) == list(
             map(self._outcome_tuple, serial)
         )
 
@@ -215,6 +219,40 @@ class TestSweepRunnerProgramCache:
             (warm,) = SweepRunner().run([self.JOBS[0]])
         clear_sweep_caches()
         assert warm.compile_time_s == cold.compile_time_s
+
+    def test_grid_reaches_the_service_as_one_batch_of_distinct_jobs(
+        self, monkeypatch
+    ):
+        from repro.service import service_override
+
+        jobs = self.JOBS + [self.JOBS[1], self.JOBS[0]]
+        calls = []
+        clear_sweep_caches()
+        with service_override(enabled=False) as service:
+            real = service.compile_batch
+
+            def recorded(batch, max_workers=1):
+                calls.append(([(j.benchmark, j.strategy) for j in batch], max_workers))
+                return real(batch, max_workers=max_workers)
+
+            monkeypatch.setattr(service, "compile_batch", recorded)
+            SweepRunner(max_workers=3).run(jobs)
+        clear_sweep_caches()
+        assert calls == [([(j.benchmark, j.strategy) for j in self.JOBS], 3)]
+
+    def test_memoized_points_never_reach_the_service(self):
+        from repro.service import service_override
+
+        clear_sweep_caches()
+        with service_override(enabled=False) as service:
+            first = SweepRunner().run(self.JOBS)
+            requests = service.stats.requests
+            again = SweepRunner(max_workers=2).run(self.JOBS)
+            assert service.stats.requests == requests
+        clear_sweep_caches()
+        assert list(map(self._outcome_tuple, again)) == list(
+            map(self._outcome_tuple, first)
+        )
 
 
 class TestPhysicsFigures:

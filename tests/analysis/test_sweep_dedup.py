@@ -1,18 +1,19 @@
 """Regression: a sweep never compiles the same grid point twice.
 
-PR 3 collapsed the sweep workers' private device/compiler memos into the
-:class:`~repro.service.CompileService` value-keyed memos — compiler identity
-now lives in exactly one key tuple (the service's).  These tests pin down
-the consequence the sweep layer relies on: however a grid is shaped (noise
-models riding on jobs, repeated budgets, repeated benchmarks) and at any
-worker count, each distinct ``(strategy, benchmark, topology, seed,
-max_colors)`` point is compiled exactly once.
+Compiler identity lives in one place, the :class:`~repro.service.CompileService`
+value-keyed memos, and :class:`~repro.analysis.SweepRunner` hands each grid's
+distinct compilations to :meth:`~repro.service.CompileService.compile_batch`
+in one batch.  These tests pin down the consequence: however a grid is shaped
+(noise models riding on jobs, repeated budgets, repeated benchmarks) and at
+any worker count, each distinct ``(strategy, benchmark, topology, seed,
+max_colors)`` point is compiled exactly once, and the parent's service
+counts every one of those compiles.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
+from collections import Counter
 
 import pytest
 
@@ -21,8 +22,6 @@ from repro.analysis.experiments import (
     SweepRunner,
     clear_sweep_caches,
 )
-from repro.core.compiler import ColorDynamic
-from repro.baselines.base import BaselineCompiler
 from repro.noise import NoiseModel
 from repro.service import service_override
 
@@ -30,23 +29,6 @@ from repro.service import service_override
 def _timeless(outcomes):
     """Outcomes with the wall-clock compile time zeroed (run-dependent)."""
     return [dataclasses.replace(o, compile_time_s=0.0) for o in outcomes]
-
-
-class _CompileCounter:
-    """Counts every underlying engine compile (ColorDynamic + baselines)."""
-
-    def __init__(self, monkeypatch):
-        self.count = 0
-        self._lock = threading.Lock()
-        for cls in (ColorDynamic, BaselineCompiler):
-            original = cls.compile
-
-            def counted(comp_self, circuit, *args, _original=original, **kwargs):
-                with self._lock:
-                    self.count += 1
-                return _original(comp_self, circuit, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "compile", counted)
 
 
 #: A duplicate-heavy grid: Fig. 12-style (one compilation scored under many
@@ -80,33 +62,47 @@ def _duplicate_heavy_jobs():
     return jobs, 6
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_sweep_compiles_each_distinct_point_once(monkeypatch, workers):
-    """Serial and thread-pool sweeps perform zero duplicate compiles."""
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_compiles_each_distinct_point_once(traced, workers):
+    """Serial and process sweeps perform zero duplicate compiles.
+
+    Every compile, in this process or a worker, records one ``compile``
+    span (workers ship theirs back), so the spans count the compiles.
+    """
     jobs, distinct = _duplicate_heavy_jobs()
     clear_sweep_caches()
-    counter = _CompileCounter(monkeypatch)
-    with service_override(enabled=False):
-        runner = SweepRunner(max_workers=workers, executor="thread")
-        outcomes = runner.run(jobs)
-    assert len(outcomes) == len(jobs)
-    assert counter.count == distinct, (
-        f"{counter.count} engine compiles for {distinct} distinct grid points"
-    )
+    with service_override(enabled=False) as service:
+        outcomes = SweepRunner(max_workers=workers).run(jobs)
     clear_sweep_caches()
+    assert len(outcomes) == len(jobs)
+    assert service.stats.misses == distinct
+    compiled = Counter(
+        (r["args"]["circuit"], r["args"]["strategy"])
+        for r in traced.records()
+        if r["name"] == "compile"
+    )
+    assert compiled == Counter(
+        {
+            ("xeb(9,2)", "Baseline G"): 1,
+            ("xeb(9,2)", "ColorDynamic"): 2,  # budgets 2 and 3
+            ("bv(9)", "Baseline U"): 1,
+            ("bv(9)", "Baseline S"): 1,
+            ("bv(9)", "ColorDynamic"): 1,
+        }
+    )
 
 
-def test_sweep_results_identical_at_any_worker_count(monkeypatch):
-    """Dedup does not change results: thread-pool == serial, job order kept."""
+def test_sweep_results_identical_at_any_worker_count():
+    """Dedup does not change results: process pool == serial, job order kept."""
     jobs, _ = _duplicate_heavy_jobs()
     clear_sweep_caches()
     with service_override(enabled=False):
         serial = SweepRunner(max_workers=1).run(jobs)
     clear_sweep_caches()
     with service_override(enabled=False):
-        threaded = SweepRunner(max_workers=4, executor="thread").run(jobs)
+        fanned = SweepRunner(max_workers=2).run(jobs)
     clear_sweep_caches()
-    assert _timeless(serial) == _timeless(threaded)
+    assert _timeless(serial) == _timeless(fanned)
 
 
 def test_repeated_process_sweep_recompiles_nothing(tmp_path):
@@ -119,8 +115,8 @@ def test_repeated_process_sweep_recompiles_nothing(tmp_path):
     jobs, distinct = _duplicate_heavy_jobs()
     cache_dir = tmp_path / "store"
     clear_sweep_caches()
-    runner = SweepRunner(max_workers=2, executor="process", cache_dir=str(cache_dir))
-    first = runner.run(jobs)
+    with service_override(cache_dir=str(cache_dir)):
+        first = SweepRunner(max_workers=2).run(jobs)
 
     def entry_files():
         # Entry payloads live in the two-level sharded layout; only these
@@ -132,10 +128,11 @@ def test_repeated_process_sweep_recompiles_nothing(tmp_path):
     mtimes = {p: p.stat().st_mtime_ns for p in entries}
 
     clear_sweep_caches()
-    second = SweepRunner(
-        max_workers=2, executor="process", cache_dir=str(cache_dir)
-    ).run(jobs)
+    with service_override(cache_dir=str(cache_dir)) as warm_service:
+        second = SweepRunner(max_workers=2).run(jobs)
     clear_sweep_caches()
 
     assert _timeless(first) == _timeless(second)
+    assert warm_service.stats.hits == distinct
+    assert warm_service.stats.misses == 0
     assert {p: p.stat().st_mtime_ns for p in entry_files()} == mtimes

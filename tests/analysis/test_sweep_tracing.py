@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro import obs
 from repro.analysis import SweepJob, SweepRunner, clear_sweep_caches
 from repro.obs import get_tracer, merge_records
+from repro.service import service_override
 
 JOBS = [
     SweepJob(benchmark="bv(4)", strategy="ColorDynamic"),
@@ -17,18 +16,6 @@ JOBS = [
     SweepJob(benchmark="xeb(9,3)", strategy="ColorDynamic"),
     SweepJob(benchmark="xeb(9,3)", strategy="Baseline G"),
 ]
-
-
-@pytest.fixture()
-def traced():
-    tracer = get_tracer()
-    tracer.clear()
-    obs.set_enabled(True)
-    try:
-        yield tracer
-    finally:
-        obs.set_enabled(False)
-        tracer.clear()
 
 
 def test_serial_sweep_records_job_spans(traced):
@@ -54,11 +41,12 @@ def test_sweep_spans_cost_nothing_when_disabled():
 def test_process_workers_merge_into_parent_timeline(traced):
     serial = SweepRunner().run(JOBS)
     traced.clear()
-    # Forked workers inherit this process's program memo; clear it so they
-    # resolve compiles themselves and ship the nested spans back.
+    # Store hits never reach the workers: drop the program memo and the
+    # store so every point compiles cold in a worker and ships its spans.
     clear_sweep_caches()
-
-    parallel = SweepRunner(max_workers=2).run(JOBS)
+    with service_override(enabled=False):
+        parallel = SweepRunner(max_workers=2).run(JOBS)
+    clear_sweep_caches()
     records = traced.records()
 
     # Results are unchanged by tracing across worker counts.
@@ -67,25 +55,22 @@ def test_process_workers_merge_into_parent_timeline(traced):
     ]
     assert [o.success_rate for o in parallel] == [o.success_rate for o in serial]
 
+    # Scoring runs in the parent: sweep.job and estimate spans carry its pid.
     job_spans = [r for r in records if r["name"] == "sweep.job"]
     assert len(job_spans) == len(JOBS)
-    # Spans are tagged with the *worker* pid, not the parent's.
-    assert all(r["pid"] != os.getpid() for r in job_spans)
-    # Workers ship nested spans back too: scoring always runs, and the
-    # compile resolves either cold ("compile") or via the program store
-    # ("cache.load") depending on cache state.
+    assert all(r["pid"] == os.getpid() for r in job_spans)
     assert any(r["name"] == "estimate" for r in records)
-    assert any(r["name"] in ("compile", "cache.load") for r in records)
+    # Cold compiles ran in the workers, whose spans keep the worker pid.
+    compile_spans = [r for r in records if r["name"] == "compile"]
+    assert len(compile_spans) == len(JOBS)
+    assert all(r["pid"] != os.getpid() for r in compile_spans)
 
 
 def test_merged_timeline_is_deterministic_by_sort(traced):
-    SweepRunner(max_workers=2).run(JOBS)
+    clear_sweep_caches()
+    with service_override(enabled=False):
+        SweepRunner(max_workers=2).run(JOBS)
+    clear_sweep_caches()
     records = traced.drain()
+    assert any(r["pid"] != os.getpid() for r in records)
     assert merge_records(records) == merge_records(reversed(list(records)))
-
-
-def test_thread_workers_share_the_parent_tracer(traced):
-    SweepRunner(max_workers=2, executor="thread").run(JOBS)
-    job_spans = [r for r in traced.records() if r["name"] == "sweep.job"]
-    assert len(job_spans) == len(JOBS)
-    assert all(r["pid"] == os.getpid() for r in job_spans)

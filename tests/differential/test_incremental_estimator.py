@@ -119,21 +119,6 @@ def test_mutation_sequences_match_from_scratch(strategy, seed):
 
 
 @pytest.mark.differential
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_estimator_fed_by_compile_matches(strategy):
-    """The estimator the compiler feeds during compile equals a fresh pass."""
-    device = build_device_for("qaoa(16)")
-    circuit = benchmark_circuit("qaoa(16)", seed=2020)
-    compiler = make_compiler(strategy, device)
-    estimator = IncrementalEstimator(compiler.device)
-    result = compiler.compile(circuit, estimator=estimator)
-    assert len(estimator) == result.program.depth
-    assert_reports_bit_identical(
-        estimator.report(), estimate_success(result.program), strategy
-    )
-
-
-@pytest.mark.differential
 def test_preview_step_does_not_mutate():
     device = build_device_for("xeb(9,2)")
     circuit = benchmark_circuit("xeb(9,2)", seed=2020)

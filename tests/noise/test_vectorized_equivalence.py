@@ -12,8 +12,9 @@ from __future__ import annotations
 import pytest
 
 from oracles import estimate_success as scalar_estimate
-from repro.analysis.experiments import STRATEGIES, _make_compiler, build_device_for
+from repro.analysis.experiments import STRATEGIES, build_device_for
 from repro.noise import NoiseModel, estimate_success
+from repro.service import make_compiler
 from repro.workloads import benchmark_circuit, fig09_benchmarks
 
 TOLERANCE = 1e-12
@@ -34,7 +35,7 @@ def _compiled_program(bench_name: str, strategy: str):
     if key not in _PROGRAM_CACHE:
         device = build_device_for(bench_name)
         circuit = benchmark_circuit(bench_name, seed=2020)
-        compiler = _make_compiler(strategy, device)
+        compiler = make_compiler(strategy, device)
         _PROGRAM_CACHE[key] = compiler.compile(circuit).program
     return _PROGRAM_CACHE[key]
 

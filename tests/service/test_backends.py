@@ -344,25 +344,22 @@ class TestProgramStoreFacade:
         store = ProgramStore(tmp_path)
         assert isinstance(store.backend, LocalFSBackend)
         assert store.root == tmp_path
-        assert store.remote_url is None
 
     def test_remote_url_builds_tiered_backend(self, tmp_path):
         store = ProgramStore(tmp_path, remote_url="http://127.0.0.1:9")
         assert isinstance(store.backend, TieredStore)
         assert store.root == tmp_path
-        assert store.remote_url == "http://127.0.0.1:9"
+        assert store.backend.remote.url == "http://127.0.0.1:9"
 
     def test_pure_http_store_has_no_local_root(self):
         store = ProgramStore(backend=HTTPBackend("http://127.0.0.1:9"))
         assert store.root is None
-        assert store.remote_url == "http://127.0.0.1:9"
         with pytest.raises(AttributeError):
             store._path(KEY_A)
 
     def test_max_bytes_reaches_local_tier(self, tmp_path):
         store = ProgramStore(tmp_path, max_bytes=12345)
         assert store.backend.max_bytes == 12345
-        assert store.max_bytes == 12345
 
 
 # ---------------------------------------------------------------------------

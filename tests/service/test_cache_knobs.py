@@ -8,7 +8,9 @@ from repro.analysis import clear_sweep_caches
 from repro.cli import main
 from repro.service import (
     CompileService,
+    LocalFSBackend,
     ProgramStore,
+    TieredStore,
     cache_max_bytes_default,
     remote_cache_default,
     reset_service,
@@ -109,12 +111,13 @@ class TestServiceEnvResolution:
     def test_remote_cache_env_builds_tiered_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_REMOTE_CACHE", "http://127.0.0.1:9")
         service = CompileService(cache_dir=str(tmp_path), enabled=True)
-        assert service.store.remote_url == "http://127.0.0.1:9"
+        assert isinstance(service.store.backend, TieredStore)
+        assert service.store.backend.remote.url == "http://127.0.0.1:9"
 
     def test_explicit_empty_remote_disables_env_remote(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_REMOTE_CACHE", "http://127.0.0.1:9")
         service = CompileService(cache_dir=str(tmp_path), enabled=True, remote_cache="")
-        assert service.store.remote_url is None
+        assert isinstance(service.store.backend, LocalFSBackend)
 
     def test_max_bytes_env_parsed_and_validated(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "123456")
@@ -126,7 +129,7 @@ class TestServiceEnvResolution:
     def test_max_bytes_env_reaches_the_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "777")
         service = CompileService(cache_dir=str(tmp_path), enabled=True)
-        assert service.store.max_bytes == 777
+        assert service.store.backend.max_bytes == 777
 
     def test_remote_cache_default_unset_or_blank_is_none(self, monkeypatch):
         monkeypatch.delenv("REPRO_REMOTE_CACHE", raising=False)

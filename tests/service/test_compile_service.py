@@ -154,6 +154,118 @@ class TestBatch:
         warm.compile_batch(self.GRID)
         assert warm.stats.misses == 0
 
+    def test_fanout_counts_worker_compiles_in_the_parent(self, tmp_path):
+        service = CompileService(cache_dir=tmp_path)
+        results = service.compile_batch(self.GRID, max_workers=2)
+        distinct = [results[0], results[1], results[3]]
+        assert service.stats.misses == 3
+        assert service.stats.deduplicated == 1
+        assert not any(r.cache_hit for r in distinct)
+        # The parent adds up the compile times the workers measured.
+        total = 0.0
+        for result in distinct:
+            assert result.compile_time_s > 0.0
+            total += result.compile_time_s
+        assert service.stats.compile_time_s == total
+
+    def test_fanout_stores_worker_payloads_under_canonical_names(self, tmp_path):
+        service = CompileService(cache_dir=tmp_path)
+        names = ["renamed", None, "dup", None]
+        results = service.compile_batch(self.GRID, max_workers=2, names=names)
+        assert [r.program.name for r in results] == [
+            "renamed", "bv(4)", "dup", "xeb(4,2)"
+        ]
+        # Entries hold the payload as the worker encoded it: its measured
+        # compile time and the circuit's own name.
+        stored = service.store.get(service.job_key(self.GRID[0]))
+        assert stored["compile_time_s"] == results[0].compile_time_s
+        assert stored["program"]["name"] == "bv(4)"
+        warm = CompileService(cache_dir=tmp_path).compile_batch(self.GRID)
+        assert [r.program.name for r in warm] == [j.benchmark for j in self.GRID]
+
+
+class TestBatchWorker:
+    """The batch worker's job function, called in this process."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_worker(self, monkeypatch):
+        from repro import obs
+        from repro.obs import get_tracer
+        from repro.service import compile_service
+
+        monkeypatch.setattr(compile_service, "_WORKER_SERVICE", None)
+        tracer = get_tracer()
+        enabled = tracer.enabled
+        tracer.clear()
+        try:
+            yield compile_service
+        finally:
+            tracer.clear()
+            obs.set_enabled(enabled)
+
+    def test_worker_compiles_through_a_store_less_local_service(
+        self, _fresh_worker, monkeypatch
+    ):
+        # A remote compile server in the environment is the parent's to use.
+        monkeypatch.setenv("REPRO_REMOTE_COMPILE", "http://127.0.0.1:9")
+        _fresh_worker._init_batch_worker(False)
+        payload, records = _fresh_worker._compile_job_payload(JOB)
+        worker = _fresh_worker._WORKER_SERVICE
+        assert worker.store is None
+        assert worker.remote_compile is None
+        assert worker.stats.misses == 1
+        assert records == []
+        assert payload["program"]["name"] == JOB.benchmark
+
+    def test_worker_payload_decodes_to_the_serial_compile(self, _fresh_worker):
+        from repro.core.compiler import CompilationResult
+
+        _fresh_worker._init_batch_worker(False)
+        payload, _ = _fresh_worker._compile_job_payload(JOB)
+        parent = CompileService(enabled=False)
+        serial = parent.compile(JOB)
+        decoded = CompilationResult.from_dict(
+            payload, device=parent._compiler_for(JOB).device
+        )
+
+        def timeless(program):
+            # Metadata records the wall time each compile took.
+            encoded = program.to_dict()
+            encoded["metadata"] = dict(encoded["metadata"], compile_time_s=None)
+            return encoded
+
+        assert timeless(decoded.program) == timeless(serial.program)
+        assert decoded.max_colors_used == serial.max_colors_used
+        assert decoded.colors_per_step == serial.colors_per_step
+        assert decoded.separations == serial.separations
+
+    def test_worker_ships_each_jobs_spans_once(self, _fresh_worker):
+        from repro.obs import get_tracer
+
+        _fresh_worker._init_batch_worker(True)
+        other = CompileJob(benchmark="xeb(4,2)", strategy="ColorDynamic")
+        _, first = _fresh_worker._compile_job_payload(JOB)
+        _, second = _fresh_worker._compile_job_payload(other)
+        for records, job in ((first, JOB), (second, other)):
+            compiles = [r for r in records if r["name"] == "compile"]
+            assert [r["args"]["circuit"] for r in compiles] == [job.benchmark]
+            assert sum(r["name"] == "codec.encode" for r in records) == 1
+        assert get_tracer().records() == []
+
+    def test_init_drops_spans_inherited_from_the_parent(self, _fresh_worker):
+        from repro import obs
+        from repro.obs import get_tracer
+
+        obs.set_enabled(True)
+        with obs.span("inherited"):
+            pass
+        assert get_tracer().records()
+        _fresh_worker._init_batch_worker(False)
+        assert get_tracer().records() == []
+        assert obs.is_enabled() is False
+        _fresh_worker._init_batch_worker(True)
+        assert obs.is_enabled() is True
+
 
 class TestServiceOverride:
     def test_override_installs_and_restores(self, tmp_path):
@@ -218,7 +330,8 @@ class TestWarmSweepBuildsNoStages:
         calls.update(dict.fromkeys(calls, 0))
         clear_sweep_caches()
         sweep = [SweepJob(benchmark=job.benchmark, strategy=job.strategy) for job in jobs]
-        warm = SweepRunner(max_workers=1, cache_dir=str(tmp_path)).run(sweep)
+        with service_override(cache_dir=str(tmp_path)):
+            warm = SweepRunner(max_workers=1).run(sweep)
         clear_sweep_caches()
         assert calls == dict.fromkeys(calls, 0)
         assert [outcome.success_rate for outcome in warm] == [

@@ -410,6 +410,49 @@ class TestServiceRouting:
             assert cache_server.backend.contains(service.job_key(job))
 
 
+    def test_process_sweep_compiles_remotely_from_the_parent(
+        self, tmp_path, cache_server
+    ):
+        from repro.analysis import SweepJob, SweepRunner
+
+        jobs = [
+            SweepJob(benchmark="bv(4)", strategy="ColorDynamic"),
+            SweepJob(benchmark="bv(4)", strategy="Baseline U"),
+            SweepJob(benchmark="bv(9)", strategy="ColorDynamic"),
+            SweepJob(benchmark="bv(4)", strategy="ColorDynamic"),
+        ]
+        clear_sweep_caches()
+        with service_override(
+            cache_dir=str(tmp_path / "local"), remote_compile=cache_server.url
+        ) as service:
+            remote = SweepRunner(max_workers=2).run(jobs)
+        clear_sweep_caches()
+        with service_override(enabled=False):
+            local = SweepRunner().run(jobs)
+        clear_sweep_caches()
+        # One request for the three distinct points, none compiled here.
+        assert service.stats.remote_compiles == 3
+        assert service.stats.misses == 0
+        assert [o.success_rate for o in remote] == [o.success_rate for o in local]
+
+    def test_batch_falls_back_to_the_worker_pool_when_the_server_is_down(
+        self, tmp_path
+    ):
+        service = CompileService(
+            cache_dir=str(tmp_path / "local"),
+            remote_compile="http://127.0.0.1:9",
+        )
+        service._remote_client_instance = RemoteCompileClient(
+            "http://127.0.0.1:9", timeout_s=0.5, sleep=lambda s: None
+        )
+        results = service.compile_batch([JOB, OTHER_JOB], max_workers=2)
+        assert [r.program.name for r in results] == ["bv(4)", "bv(9)"]
+        assert service.stats.misses == 2
+        assert service.stats.remote_compiles == 0
+        for job in (JOB, OTHER_JOB):
+            assert service.store.contains(service.job_key(job))
+
+
 class TestRemoteCompileCLI:
     def test_serve_flags_reach_the_server(self, tmp_path):
         args = build_parser().parse_args(

@@ -4,10 +4,12 @@ environment knobs produce Chrome trace files with nested compile spans."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro import obs
+from repro.analysis import clear_sweep_caches
 from repro.cli import main
 from repro.obs import get_tracer
 
@@ -99,6 +101,8 @@ class TestEnvPrecedence:
 
 class TestFigureTrace:
     def test_figure_trace_spans_multiple_worker_pids(self, tmp_path, capsys):
+        # Store hits never reach the workers: compile every point cold.
+        clear_sweep_caches()
         trace = tmp_path / "fig11.json"
         assert (
             main(
@@ -109,16 +113,23 @@ class TestFigureTrace:
                     "bv(4)",
                     "--workers",
                     "2",
+                    "--no-cache",
                     "--trace",
                     str(trace),
                 ]
             )
             == 0
         )
+        clear_sweep_caches()
         payload, names = _load(trace)
         assert names.count("sweep.job") >= 2
         pids = {event["pid"] for event in payload["traceEvents"]}
         assert len(pids) >= 2  # one lane per worker process
+        events = payload["traceEvents"]
+        # Scoring runs in the parent; cold compiles run in the workers.
+        assert {e["pid"] for e in events if e["name"] == "sweep.job"} == {os.getpid()}
+        compile_pids = {e["pid"] for e in events if e["name"] == "compile"}
+        assert compile_pids and os.getpid() not in compile_pids
         assert "chrome://tracing" in capsys.readouterr().out
 
     def test_figure_trace_is_deterministically_sorted(self, tmp_path):
