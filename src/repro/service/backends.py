@@ -11,7 +11,9 @@ the same key scheme, so a compiled program is interchangeable between them:
   under a byte budget;
 * :class:`HTTPBackend` — a client for the ``python -m repro cache serve``
   server (:mod:`repro.service.server`), so a fleet of CI workers shares one
-  warm cache.  Network failures degrade to misses, never to errors;
+  warm cache.  Its requests ride one kept-alive connection
+  (:class:`KeepAliveConnection`).  Network failures degrade to misses,
+  never to errors;
 * :class:`TieredStore` — read-through local -> remote composition: hits
   come from the nearest tier, remote hits are written back into the local
   tier, and writes go to the local tier synchronously plus the remote tier
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
-import functools
+import io
 import json
 import os
 import re
@@ -36,13 +38,14 @@ import tempfile
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from ..envvars import read_env
 from ..obs import get_metrics
 from ..program import PROGRAM_CODEC_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import urllib.request
+    import http.client
 
 __all__ = [
     "StoreBackend",
@@ -133,28 +136,132 @@ def _is_loopback(host: Optional[str]) -> bool:
         return False
 
 
-@functools.cache
-def _direct_opener():
-    """An opener with no proxy handler configured (built once per process)."""
+def _environment_proxy(parts: SplitResult) -> Optional[SplitResult]:
+    """The ``http_proxy``/``https_proxy`` URL for *parts*, unless ``no_proxy`` bypasses it."""
     import urllib.request
 
-    return urllib.request.build_opener(urllib.request.ProxyHandler({}))
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc):
+        return None
+    return urlsplit(proxy if "://" in proxy else f"http://{proxy}")
 
 
-def open_request(request: urllib.request.Request, timeout_s: float):
-    """Send *request*; a loopback host never goes through an environment proxy.
+def _proxy_authorization(proxy: SplitResult) -> Dict[str, str]:
+    """A ``Proxy-Authorization`` header for a proxy URL carrying credentials."""
+    if proxy.username is None:
+        return {}
+    import base64
 
-    urllib's global opener reads ``http_proxy`` once, at its first use, and
-    with ``no_proxy`` unset it sends ``127.0.0.1`` through that proxy for
-    the rest of the process.  Requests to loopback hosts therefore use a
-    proxy-free opener; every other host keeps urllib's behaviour.
+    credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode()).decode()}
+
+
+class KeepAliveConnection:
+    """One persistent HTTP/1.1 connection to a cache server, reused across requests.
+
+    :class:`HTTPBackend` and
+    :class:`~repro.service.remote_compile.RemoteCompileClient` each own one,
+    so a run pays one TCP handshake per client instead of one per request.
+    :meth:`request` keeps urllib's error contract, which the clients'
+    breaker and 429 logic are written against: a status >= 400 raises
+    :class:`urllib.error.HTTPError` (headers included, so ``Retry-After``
+    is readable), and an availability failure raises
+    :class:`urllib.error.URLError` or :class:`OSError`.
+
+    * A reused connection that fails before any response byte arrives
+      (typically the server's idle timeout closed it) is re-sent once on a
+      fresh connection; a fresh connection that fails is a failure.
+    * A loopback host never goes through a proxy; any other host honours
+      the environment proxy (``http_proxy``/``https_proxy``/``no_proxy``):
+      plain HTTP sends the absolute URL to the proxy, ``https://`` tunnels
+      through it with ``CONNECT``.
+    * A forked child reconnects instead of sharing its parent's socket.
+    * The socket is closed by :meth:`close` or when the owner is collected.
+
+    Like the connection it wraps, an instance serves one thread at a time.
     """
-    import urllib.request
-    from urllib.parse import urlsplit
 
-    if _is_loopback(urlsplit(request.full_url).hostname):
-        return _direct_opener().open(request, timeout=timeout_s)
-    return urllib.request.urlopen(request, timeout=timeout_s)
+    def __init__(self, base_url: str, timeout_s: float) -> None:
+        self._conn: Optional[http.client.HTTPConnection] = None
+        self.base_url = base_url.rstrip("/")
+        self.timeout_s = timeout_s
+        self._parts = urlsplit(self.base_url)
+        self._target = ""  # what precedes a route path on the request line
+        self._headers: Dict[str, str] = {}  # per-connection extra headers
+        self._pid = 0
+
+    def _connect(self) -> http.client.HTTPConnection:
+        import http.client
+
+        parts = self._parts
+        https = parts.scheme == "https"
+        factory = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        port = parts.port or (443 if https else 80)
+        proxy = None if _is_loopback(parts.hostname) else _environment_proxy(parts)
+        self._target, self._headers = parts.path, {}
+        if proxy is None:
+            return factory(parts.hostname, port, timeout=self.timeout_s)
+        conn = factory(proxy.hostname, proxy.port or 80, timeout=self.timeout_s)
+        auth = _proxy_authorization(proxy)
+        if https:
+            conn.set_tunnel(parts.hostname, port, headers=auth)
+        else:
+            self._target, self._headers = self.base_url, auth
+        return conn
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        headers: Optional[Mapping[str, str]] = None,
+    ) -> io.BytesIO:
+        """Send one request; the whole response body, or an urllib-style error."""
+        import http.client
+        import urllib.error
+
+        if self._conn is not None and self._pid != os.getpid():
+            self.close()  # a forked child: the socket is the parent's
+        reused = self._conn is not None and self._conn.sock is not None
+        try:
+            try:
+                response = self._send(method, path, body, headers)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # A stale kept-alive connection answered nothing: re-send once.
+                self.close()
+                response = self._send(method, path, body, headers)
+            data = response.read()
+        except http.client.HTTPException as error:
+            self.close()
+            raise urllib.error.URLError(error) from error
+        except BaseException:
+            self.close()
+            raise
+        if response.status >= 400:
+            raise urllib.error.HTTPError(
+                self.base_url + path, response.status, response.reason,
+                response.headers, io.BytesIO(data),
+            )
+        return io.BytesIO(data)
+
+    def _send(self, method, path, body, headers) -> http.client.HTTPResponse:
+        if self._conn is None:
+            self._conn, self._pid = self._connect(), os.getpid()
+        self._conn.request(
+            method, self._target + path, body=body,
+            headers={**self._headers, **(headers or {})},
+        )
+        return self._conn.getresponse()
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a fresh one."""
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
+
+    __del__ = close
 
 
 def _observe_op(start: float, backend: str, op: str, outcome: str) -> None:
@@ -566,7 +673,9 @@ class HTTPBackend(StoreBackend):
 
     Entry operations map onto ``GET/PUT/HEAD/DELETE /v<codec>/<key>``,
     listing onto ``GET /v<codec>/`` and ``stats()`` onto ``GET /stats`` —
-    exactly what :class:`repro.service.server.CacheServer` serves.
+    exactly what :class:`repro.service.server.CacheServer` serves.  Every
+    request goes over the backend's one :class:`KeepAliveConnection`;
+    :meth:`close` releases it.
 
     The cache is an accelerator, never a dependency: any network failure
     degrades to a miss (``get`` -> ``None``, ``put`` -> ``False``,
@@ -585,8 +694,6 @@ class HTTPBackend(StoreBackend):
         trip_after: int = 3,
         token: Optional[str] = None,
     ) -> None:
-        from urllib.parse import urlsplit
-
         if "://" not in base_url:
             base_url = f"http://{base_url}"
         self.url = base_url.rstrip("/")
@@ -596,6 +703,7 @@ class HTTPBackend(StoreBackend):
         self._breaker = CircuitBreaker(
             urlsplit(self.url).netloc or self.url, trip_after=trip_after
         )
+        self._wire = KeepAliveConnection(self.url, timeout_s)
 
     @property
     def tripped(self) -> bool:
@@ -624,16 +732,15 @@ class HTTPBackend(StoreBackend):
         """Circuit-breaker state for ``stats()`` / ``cache stats`` output."""
         return self._breaker.stats()
 
-    def _open(self, method: str, path: str, body: Optional[bytes] = None):
-        import urllib.request
+    def close(self) -> None:
+        """Close the kept-alive connection to the server."""
+        self._wire.close()
 
+    def _open(self, method: str, path: str, body: Optional[bytes] = None):
         headers = {"Content-Type": "application/json"} if body is not None else {}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        request = urllib.request.Request(
-            f"{self.url}{path}", data=body, method=method, headers=headers
-        )
-        return open_request(request, self.timeout_s)
+        return self._wire.request(method, path, body=body, headers=headers)
 
     def get(self, key: str) -> Optional[dict]:
         import urllib.error

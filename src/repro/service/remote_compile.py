@@ -5,7 +5,9 @@
 :class:`~repro.core.compiler.CompilationResult` payloads — the thin-client
 half of the remote compile tier: the server owns the warm store *and* the
 cold compiles, so a fleet of clients never compiles the same content hash
-twice between them.
+twice between them.  Each client sends its requests over one kept-alive
+connection (:class:`~repro.service.backends.KeepAliveConnection`), so a
+grid of single-job requests pays one TCP handshake, not one per job.
 
 Failure discipline mirrors :class:`~repro.service.backends.HTTPBackend`:
 remote compilation is an accelerator, never a dependency.  Any terminal
@@ -28,7 +30,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..program import PROGRAM_CODEC_VERSION
-from .backends import CircuitBreaker, cache_token_default, open_request
+from .backends import CircuitBreaker, KeepAliveConnection, cache_token_default
 from .compile_service import CompileJob
 
 if TYPE_CHECKING:
@@ -51,7 +53,8 @@ class RemoteCompileClient:
         The server's base URL (``http://host:port``); a bare ``host:port``
         is accepted.
     timeout_s:
-        Per-request socket timeout.  Generous by default — the server may
+        Socket timeout of the client's connection, per blocking read or
+        write.  Generous by default — the server may
         be cold-compiling the whole batch behind this request.
     token:
         Bearer token for the server's auth (compile is a mutating route).
@@ -96,6 +99,7 @@ class RemoteCompileClient:
         self._breaker = CircuitBreaker(
             urlsplit(self.url).netloc or self.url, trip_after=trip_after
         )
+        self._wire = KeepAliveConnection(self.url, timeout_s)
 
     @property
     def tripped(self) -> bool:
@@ -109,18 +113,18 @@ class RemoteCompileClient:
     # ------------------------------------------------------------------
     # wire
     # ------------------------------------------------------------------
-    def _post_jobs(self, jobs: List[CompileJob]):
-        import urllib.request
+    def close(self) -> None:
+        """Close the kept-alive connection to the server."""
+        self._wire.close()
 
+    def _post_jobs(self, jobs: List[CompileJob]):
         body = json.dumps({"jobs": [asdict(job) for job in jobs]}).encode()
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        request = urllib.request.Request(
-            f"{self.url}/{self.format}/compile", data=body, method="POST",
-            headers=headers,
+        return self._wire.request(
+            "POST", f"/{self.format}/compile", body=body, headers=headers
         )
-        return open_request(request, self.timeout_s)
 
     def _retry_after_s(self, error: urllib.error.HTTPError) -> float:
         try:

@@ -43,19 +43,25 @@ loopback, start it with a shared-secret bearer token
 require ``Authorization: Bearer <token>`` and answer 401 otherwise.
 Request bodies are bounded: a missing ``Content-Length`` is a 411, a
 malformed one a 400, and one over ``max_payload_bytes`` a 413.
+
+The server speaks HTTP/1.1 with TCP_NODELAY, so a client's connection
+stays open across its requests until it has been idle for 30 s.  Any
+reply that leaves a declared request body unread closes the connection.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hmac
 import json
 import os
 import re
+import socket
 import threading
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..obs import get_metrics
 from .backends import LocalFSBackend, cache_token_default
@@ -90,6 +96,10 @@ _SERVER_REQUEST_SECONDS = get_metrics().histogram(
     "repro_server_request_seconds",
     "Cache server request latency by method and route class.",
     ("method", "route"),
+)
+_SERVER_CONNECTIONS = get_metrics().counter(
+    "repro_server_connections_total",
+    "Cache server connections accepted (a kept-alive client reuses one).",
 )
 _SERVER_COMPILE_JOBS = get_metrics().counter(
     "repro_server_compile_jobs_total",
@@ -181,6 +191,14 @@ def _parse_job(spec: object) -> CompileJob:
 
 class _CacheRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-cache/1.0"
+    # HTTP/1.1 keeps a client's connection open across requests.  Without
+    # TCP_NODELAY, a reply written as headers then body waits out the
+    # client's delayed ACK (~40 ms) on every request of a kept-alive stream.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: Idle seconds after which a silent kept-alive connection is dropped,
+    #: releasing its handler thread.
+    timeout = 30.0
 
     def __init__(self, *args, owner: "CacheServer", quiet: bool = True, **kwargs):
         self._owner = owner
@@ -188,9 +206,37 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self._quiet = quiet
         self._status: Optional[int] = None
         self._response_bytes = 0
+        self._body_read = False
         # BaseHTTPRequestHandler handles the request inside __init__, so the
         # owner reference must be bound before chaining up.
         super().__init__(*args, **kwargs)
+
+    def setup(self) -> None:
+        super().setup()
+        _SERVER_CONNECTIONS.inc()
+        self._owner._track_connection(self.connection, live=True)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self._owner._track_connection(self.connection, live=False)
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client (or stop()) ended a kept-alive stream mid-read
+
+    def _body_pending(self) -> bool:
+        """Whether the request declared a body this handler has not read."""
+        headers = getattr(self, "headers", None)
+        if self._body_read or headers is None:
+            return False
+        length = headers.get("Content-Length")
+        return bool(headers.get("Transfer-Encoding")) or (
+            length is not None and length.strip() != "0"
+        )
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         if not self._quiet:
@@ -204,6 +250,11 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
     def send_response(self, code: int, message: Optional[str] = None) -> None:
         self._status = code
         super().send_response(code, message)
+        if self._body_pending():
+            # Any reply that leaves the request body unread (a 404 route, a
+            # 401, a length error, a 500) ends the connection: on a
+            # kept-alive stream that body would be parsed as the next request.
+            self.send_header("Connection", "close")
 
     def send_error(
         self,
@@ -220,7 +271,8 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self.send_response(code, message)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
+        if not self._body_pending():  # else send_response already closed
+            self.send_header("Connection", "close")
         self.end_headers()
         if getattr(self, "command", "") != "HEAD" and code >= 200 and code not in (
             204,
@@ -273,12 +325,11 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         used to fall into the blanket 500 handler via ``int()``), and
         anything over the server's ``max_payload_bytes`` is a 413 — the
         body is never read, so one request cannot buffer unbounded memory.
-        Each error closes the connection: the unread body would desync a
-        kept-alive stream.
+        The 400 and 413 leave a declared body unread, so they close the
+        connection (see :meth:`send_response`).
         """
         raw = self.headers.get("Content-Length")
         if raw is None:
-            self.close_connection = True
             self._send_json(411, {"error": "Content-Length required"})
             return None
         try:
@@ -286,17 +337,17 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
             if length < 0:
                 raise ValueError
         except ValueError:
-            self.close_connection = True
             self._send_json(400, {"error": f"malformed Content-Length: {raw!r}"})
             return None
         if length > self._owner.max_payload_bytes:
-            self.close_connection = True
             self._send_json(
                 413,
                 {"error": f"payload exceeds {self._owner.max_payload_bytes} bytes"},
             )
             return None
-        return self.rfile.read(length)
+        body = self.rfile.read(length)
+        self._body_read = True
+        return body
 
     def _read_json_object(self) -> Optional[dict]:
         """The request body decoded as a JSON object, errors pre-answered."""
@@ -329,7 +380,6 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         body = json.dumps(
             {"error": "missing or invalid bearer token", "status": 401}
         ).encode()
-        self.close_connection = True  # the request body was not drained
         self.send_response(401)
         self.send_header("Content-Type", "application/json")
         self.send_header("WWW-Authenticate", "Bearer")
@@ -340,7 +390,6 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
 
     def _send_throttled(self, retry_after_s: float) -> None:
         body = json.dumps({"error": "compile queue full", "status": 429}).encode()
-        self.close_connection = True
         self.send_response(429)
         self.send_header("Content-Type", "application/json")
         self.send_header("Retry-After", str(max(1, round(retry_after_s))))
@@ -360,6 +409,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         """
         self._status = None
         self._response_bytes = 0
+        self._body_read = False
         start = perf_counter()
         try:
             func()
@@ -611,6 +661,8 @@ class CacheServer:
         self._inflight_lock = threading.Lock()
         self._pending = 0
         _SERVER_COMPILE_QUEUE.set(0)
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         handler = partial(_CacheRequestHandler, owner=self, quiet=quiet)
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
@@ -739,8 +791,24 @@ class CacheServer:
             self._thread = None
 
     def close(self) -> None:
-        """Release the listening socket (after ``serve_forever`` returns)."""
+        """Release the listening socket (after ``serve_forever`` returns).
+
+        Kept-alive connections outlive the accept loop, so they are shut
+        down too: their handler threads exit and clients see the server gone.
+        """
         self.httpd.server_close()
+        with self._connections_lock:
+            live = list(self._connections)
+        for connection in live:
+            with contextlib.suppress(OSError):
+                connection.shutdown(socket.SHUT_RDWR)
+
+    def _track_connection(self, connection: socket.socket, live: bool) -> None:
+        with self._connections_lock:
+            if live:
+                self._connections.add(connection)
+            else:
+                self._connections.discard(connection)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheServer(url={self.url!r}, root={str(self.backend.root)!r})"

@@ -410,3 +410,50 @@ class TestBatchWireRoutes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             http("POST", f"{cache_server.url}/v999/batch/get", b'{"keys": []}')
         assert excinfo.value.code == 404
+
+
+# ---------------------------------------------------------------------------
+# Kept-alive streams: an unread request body is never parsed as a request
+# ---------------------------------------------------------------------------
+import socket
+
+
+def raw_exchange(server, data: bytes) -> bytes:
+    """Send *data* on one socket and read until the server closes it."""
+    host, port = server.httpd.server_address[:2]
+    received = b""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(data)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+class TestKeptAliveStream:
+    SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: cache\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("PUT", f"/v{PROGRAM_CODEC_VERSION}/not-a-key"),  # malformed key: 404
+            ("POST", "/nowhere"),  # unknown route: 404
+            ("POST", "/v999/compile"),  # unknown namespace: 404
+        ],
+    )
+    def test_an_early_reply_gets_exactly_one_response(self, cache_server, method, path):
+        head = (
+            f"{method} {path} HTTP/1.1\r\nHost: cache\r\n"
+            f"Content-Length: {len(self.SMUGGLED)}\r\n\r\n"
+        ).encode()
+        received = raw_exchange(cache_server, head + self.SMUGGLED)
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(b"HTTP/1.1 404")
+        assert b"Connection: close" in received
+
+    def test_a_consumed_request_keeps_the_connection(self, cache_server):
+        probe = b"GET /stats HTTP/1.1\r\nHost: cache\r\n\r\n"
+        closing = b"GET /stats HTTP/1.1\r\nHost: cache\r\nConnection: close\r\n\r\n"
+        received = raw_exchange(cache_server, probe + probe + closing)
+        assert received.count(b"HTTP/1.1 200") == 3

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -518,3 +519,42 @@ class TestFullGridDemo:
         assert service.stats.misses == 0
         assert service.stats.remote_compiles == 110
         assert cache_server.backend.stats()["entries"] == 110
+
+
+class TestKeepAliveClient:
+    """One persistent connection per client, healed quietly when it goes stale."""
+
+    def test_twenty_compiles_use_one_connection(self, cache_server):
+        client = RemoteCompileClient(cache_server.url)
+        before = server_mod._SERVER_CONNECTIONS.value()
+        for _ in range(20):
+            assert client.compile_jobs([JOB]) is not None
+        assert server_mod._SERVER_CONNECTIONS.value() - before == 1
+        assert client.stats()["errors"] == 0
+
+    def test_idle_drop_is_healed_without_a_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_mod._CacheRequestHandler, "timeout", 0.2)
+        server = CacheServer(root=tmp_path / "store", port=0).start()
+        try:
+            client = RemoteCompileClient(server.url, trip_after=1, max_attempts=1)
+            assert client.compile_jobs([JOB]) is not None
+            deadline = time.monotonic() + 10
+            while server._connections:  # wait for the server to hang up
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert client.compile_jobs([JOB]) is not None
+            assert client.stats()["errors"] == 0
+            assert not client.tripped
+        finally:
+            server.stop()
+
+    def test_a_stopped_server_still_trips_the_breaker(self, tmp_path):
+        server = CacheServer(root=tmp_path / "store", port=0).start()
+        client = RemoteCompileClient(
+            server.url, timeout_s=2.0, trip_after=3, sleep=lambda s: None
+        )
+        assert client.compile_jobs([JOB]) is not None
+        server.stop()
+        assert client.compile_jobs([OTHER_JOB]) is None
+        assert client.tripped
+        assert client.stats()["errors"] == 3
