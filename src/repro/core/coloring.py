@@ -145,20 +145,12 @@ class GraphIndex:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def ids_of(self, vertices: Iterable[Hashable]) -> List[int]:
-        """Map vertices to their integer ids (raises ``KeyError`` on strangers)."""
-        return [self.vertex_id[v] for v in vertices]
-
     def mask_of(self, ids: Iterable[int]) -> int:
         """Bitset with the given vertex ids set."""
         mask = 0
         for i in ids:
             mask |= 1 << i
         return mask
-
-    def neighbor_count(self, vertex_id: int, mask: int) -> int:
-        """Number of neighbours of ``vertex_id`` inside the bitset ``mask``."""
-        return (self.adjacency[vertex_id] & mask).bit_count()
 
     # ------------------------------------------------------------------
     def _active_order(self, ids: Sequence[int], mask: int) -> List[int]:

@@ -135,11 +135,6 @@ class CompilationResult:
     def depth(self) -> int:
         return self.program.depth
 
-    @property
-    def compile_time(self) -> float:
-        """Alias for ``compile_time_s`` (seconds, ``time.perf_counter`` based)."""
-        return self.compile_time_s
-
     def to_dict(self) -> Dict[str, object]:
         """Versioned plain-dict form (piggybacks on the program codec).
 

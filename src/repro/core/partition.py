@@ -57,16 +57,8 @@ class FrequencyPartition:
 
     # ------------------------------------------------------------------
     @property
-    def parking_range(self) -> Tuple[float, float]:
-        return (self.parking_low, self.parking_high)
-
-    @property
     def interaction_range(self) -> Tuple[float, float]:
         return (self.interaction_low, self.interaction_high)
-
-    @property
-    def exclusion_range(self) -> Tuple[float, float]:
-        return (self.exclusion_low, self.exclusion_high)
 
     def in_parking(self, omega: float) -> bool:
         return self.parking_low - 1e-9 <= omega <= self.parking_high + 1e-9

@@ -11,14 +11,14 @@ mutation costs O(program).
 mutations.  Each time step owns one row of the data plane (its frequency
 row, presence/busy masks, interacting/inactive pair masks, its flux-noise
 rate row) plus its already-reduced spectator statistics (crosstalk fidelity,
-error total, worst channel) and its per-gate-name counts.  Appending,
-replacing or popping a step therefore touches only that step's row —
-O(pairs) work — and producing a full :class:`~repro.noise.SuccessReport`
+error total, worst channel) and its per-gate-name counts.  Appending or
+previewing a step therefore touches only that step's row — O(pairs)
+work — and producing a full :class:`~repro.noise.SuccessReport`
 only folds the per-step scalars plus one cheap dense pass over the
 ``steps x qubits`` decoherence weights (the program-duration normalisation
 is inherently global).
 
-**Bit-exactness contract.**  After any sequence of mutations, :meth:`report`
+**Bit-exactness contract.**  After any sequence of appends, :meth:`report`
 is bit-identical to ``estimate_success(program, model)`` on
 the program assembled from the current steps — for every strategy and every
 noise-model configuration.  This works because both paths build the same
@@ -30,7 +30,7 @@ columns there), share the same reduction kernels
 :func:`~repro.noise.metrics._floor_fidelity_from_counts`), and every
 reduction is evaluated with a fixed shape and order; the differential suite
 (``tests/differential/test_incremental_estimator.py``) locks the contract
-down over randomized mutation sequences.
+down over randomized append and preview sequences.
 
 **Incremental invariants.**  Between mutations the estimator holds, per
 step: the step's dense frequency row and presence/busy masks, its already
@@ -54,7 +54,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..devices import Device
-from ..program import CompiledProgram, TimeStep
+from ..program import TimeStep
 from .metrics import (
     NoiseModel,
     SuccessReport,
@@ -124,8 +124,7 @@ class IncrementalEstimator:
 
     The estimator is deliberately independent of any
     :class:`~repro.program.CompiledProgram` instance: the compilers append
-    steps as they emit them, and tests drive arbitrary
-    append/replace/pop sequences.
+    steps as they emit them.
     """
 
     def __init__(self, device: Device, model: Optional[NoiseModel] = None) -> None:
@@ -177,18 +176,6 @@ class IncrementalEstimator:
     def append_step(self, step: TimeStep) -> None:
         """Append a newly scheduled step (O(pairs))."""
         self._steps.append(self._evaluate_step(step))
-
-    def set_step(self, index: int, step: TimeStep) -> None:
-        """Replace the step at *index* with a mutated version (O(pairs))."""
-        self._steps[index] = self._evaluate_step(step)
-
-    def pop_step(self) -> None:
-        """Drop the most recently appended step (O(1))."""
-        self._steps.pop()
-
-    def clear(self) -> None:
-        """Reset to an empty program."""
-        self._steps.clear()
 
     # ------------------------------------------------------------------
     # evaluation
@@ -277,11 +264,3 @@ class IncrementalEstimator:
                 self._steps.pop()
             else:
                 self._steps[index] = previous
-
-    # ------------------------------------------------------------------
-    def load_program(self, program: CompiledProgram) -> "IncrementalEstimator":
-        """Replace the current state with *program*'s steps (chainable)."""
-        self.clear()
-        for step in program.steps:
-            self.append_step(step)
-        return self

@@ -737,7 +737,12 @@ class CompiledProgram:
         content-identical (the program store guarantees this via the cache
         key, which hashes the full device; interning one live Device per
         sweep also shares its cached spectator geometry across programs).
+        A *payload* that is not a mapping is a ``ValueError`` too.
         """
+        if not isinstance(payload, Mapping):
+            raise ValueError(
+                f"CompiledProgram payload must be a mapping, not {type(payload).__name__}"
+            )
         version = payload.get("codec_version")
         if version != PROGRAM_CODEC_VERSION:
             raise ValueError(

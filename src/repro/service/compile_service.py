@@ -1,20 +1,18 @@
 """The compilation front end: cache lookups, batch dedup, process fan-out.
 
-:class:`CompileService` is the single entry point the sweep runner, the CLI
-and the benchmark harness use to obtain a :class:`CompilationResult`:
-
-* ``compile_circuit(compiler, circuit)`` — the hot path.  Computes the
-  content-addressed cache key, serves a hit from the on-disk
-  :class:`~repro.service.store.ProgramStore` (deserialization latency is
-  tracked separately and never reported as compile time), or compiles cold
-  and persists the result.
-* ``compile(job)`` / ``compile_batch(jobs)`` — spec-driven variants taking
-  picklable :class:`CompileJob` grid points (benchmark x strategy x device
-  knobs, mirroring the sweep runner's job shape).  ``compile_batch``
-  deduplicates identical jobs within the batch, answers what it can from the
-  store, and fans the remaining cold compilations out over worker processes
-  with ``concurrent.futures``.  It is the only fan-out in the package:
-  :class:`repro.analysis.SweepRunner` hands its figure grids to it.
+:class:`CompileService` is the single entry point the sweep runner, the CLI,
+the compile server and the benchmark harness use to obtain a
+:class:`CompilationResult` for picklable :class:`CompileJob` grid points
+(benchmark x strategy x device knobs, mirroring the sweep runner's job
+shape).  ``compile_batch(jobs)`` is the one place a job is resolved: it
+deduplicates identical jobs within the batch, serves what it can from the
+content-addressed :class:`~repro.service.store.ProgramStore`
+(deserialization latency is tracked separately and never reported as
+compile time), hands the rest to a remote compile server when one is
+configured, and compiles what is left cold — serially, or over worker
+processes with ``concurrent.futures`` — persisting every result.  It is the
+only fan-out in the package: :class:`repro.analysis.SweepRunner` hands its
+figure grids to it.  ``compile(job)`` is a batch of one.
 
 Every service instance keeps hit/miss/latency statistics in ``stats``.
 A process-wide default instance is available via :func:`get_service`, and
@@ -24,11 +22,10 @@ A process-wide default instance is available via :func:`get_service`, and
 
 from __future__ import annotations
 
-import copy
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from ..circuits import Circuit
 from ..core.compiler import ColorDynamic, CompilationResult
@@ -285,8 +282,7 @@ class CompileService:
         self._circuits: Dict[Tuple[str, int], Circuit] = {}
         # Content sub-digests, memoized alongside the objects they describe
         # (a spec-built device/compiler/circuit is never mutated afterwards,
-        # so memoizing its digest is safe; the direct compile_circuit path
-        # takes no such shortcut).
+        # so memoizing its digest is safe).
         self._compiler_shas: Dict[
             Tuple[str, str, int, int, Optional[int], str], str
         ] = {}
@@ -358,11 +354,7 @@ class CompileService:
         return self._remote_client_instance
 
     def _adopt_remote(
-        self,
-        key: Optional[str],
-        payload: dict,
-        job: CompileJob,
-        name: Optional[str] = None,
+        self, key: Hashable, payload: dict, job: CompileJob
     ) -> Optional[CompilationResult]:
         """A server-compiled payload -> result, persisted locally.
 
@@ -379,41 +371,17 @@ class CompileService:
                 )
         except (KeyError, TypeError, ValueError):
             return None
-        if name is not None:
-            result.program.name = name
         self.stats.remote_compiles += 1
         _COMPILE_REQUESTS.inc(outcome="remote")
-        if self.store is not None and key is not None:
+        if self.store is not None:
             with _span("store.put"):
                 self.store.put_local(key, payload)
         return result
 
-    def _renamed(
-        self, result: CompilationResult, name: Optional[str]
-    ) -> CompilationResult:
-        """*result* carrying *name*, copied when a shared instance differs.
-
-        Batch dedup hands the same result object to every duplicate job, so
-        renaming in place would leak one caller's name into another's
-        result; the copy is shallow (program steps are shared, only the
-        ``name`` diverges).
-        """
-        if name is None or result.program.name == name:
-            return result
-        renamed = copy.copy(result)
-        renamed.program = copy.copy(result.program)
-        renamed.program.name = name
-        return renamed
-
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
-    def _try_load(
-        self,
-        key: str,
-        device: Optional[Device] = None,
-        name: Optional[str] = None,
-    ) -> Optional[CompilationResult]:
+    def _try_load(self, key: Hashable, device: Device) -> Optional[CompilationResult]:
         """Serve *key* from the store; ``None`` on any kind of miss.
 
         A stored entry that fails to decode (valid JSON of the wrong shape —
@@ -438,10 +406,6 @@ class CompileService:
         except (KeyError, TypeError, ValueError):
             return None
         elapsed_s = time.perf_counter() - start
-        if name is not None:
-            # Mirror the miss path, which passes the caller's name through to
-            # compiler.compile(); the stored entry carries the circuit name.
-            result.program.name = name
         result.cache_hit = True
         result.load_time_s = elapsed_s
         self.stats.hits += 1
@@ -451,112 +415,37 @@ class CompileService:
         return result
 
     def _record_miss(
-        self,
-        key: Optional[str],
-        result: CompilationResult,
-        canonical_name: Optional[str] = None,
-        payload: Optional[dict] = None,
+        self, key: Hashable, result: CompilationResult, payload: Optional[dict] = None
     ) -> None:
         """Count a cold compile and persist it (*payload* if already encoded)."""
         self.stats.misses += 1
         self.stats.compile_time_s += result.compile_time_s
         _COMPILE_REQUESTS.inc(outcome="miss")
         _COMPILE_COLD_SECONDS.observe(result.compile_time_s)
-        if self.store is not None and key is not None:
+        if self.store is not None:
             if payload is None:
                 with _span("codec.encode"):
                     payload = result.to_dict()
-            if canonical_name is not None:
-                # Store under the circuit's own name regardless of the name
-                # this caller requested: a cache entry is name-independent,
-                # and hits re-apply the requesting caller's name.
-                payload["program"]["name"] = canonical_name
             with _span("store.put"):
                 self.store.put(key, payload)
 
-    def compile_circuit(
-        self, compiler, circuit: Circuit, name: Optional[str] = None
-    ) -> CompilationResult:
-        """Compile *circuit* with *compiler*, consulting the program store.
-
-        *compiler* is any strategy object exposing ``cache_signature()`` and
-        ``compile()``.  Cache hits keep the originally measured
-        ``compile_time_s`` and report only ``load_time_s`` for the
-        deserialization.
-        """
-        key: Optional[str] = None
-        if self.store is not None:
-            key = cache_key(compiler, circuit)
-            loaded = self._try_load(key, device=compiler.device, name=name)
-            if loaded is not None:
-                return loaded
-        result = compiler.compile(circuit, name=name)
-        self._record_miss(key, result, canonical_name=circuit.name)
-        return result
-
-    def compile(self, job: CompileJob, name: Optional[str] = None) -> CompilationResult:
-        """Compile one grid point (cache-aware).
-
-        Parameters
-        ----------
-        job:
-            The :class:`CompileJob` spec; the device, compiler and circuit
-            it names are resolved through this service's value-keyed memos
-            (each is built at most once per service instance).
-        name:
-            Optional program name to carry on the result, forwarded exactly
-            like :meth:`compile_circuit` forwards it — applied on store
-            hits, remote results and cold compiles alike (entries are
-            stored under the circuit's canonical name regardless).
-
-        Returns
-        -------
-        CompilationResult
-            Served from the program store when possible (``cache_hit=True``
-            with the originally measured ``compile_time_s`` and the load
-            latency in ``load_time_s``), resolved by the remote compile
-            server when one is configured, compiled cold locally otherwise.
-
-        Raises
-        ------
-        ValueError
-            If the job names an unknown strategy, admission policy,
-            topology or benchmark family.
-        """
-        key: Optional[str] = None
-        if self.store is not None:
-            key = self.job_key(job)
-            loaded = self._try_load(
-                key, device=self._compiler_for(job).device, name=name
-            )
-            if loaded is not None:
-                return loaded
-        client = self._remote_client()
-        if client is not None:
-            payloads = client.compile_jobs([job])
-            if payloads:
-                adopted = self._adopt_remote(key, payloads[0], job, name=name)
-                if adopted is not None:
-                    return adopted
-        circuit = self._circuit_for(job)
-        result = self._compiler_for(job).compile(circuit, name=name)
-        self._record_miss(key, result, canonical_name=circuit.name)
-        return result
+    def compile(self, job: CompileJob) -> CompilationResult:
+        """Compile one grid point: a batch of one (see :meth:`compile_batch`)."""
+        return self.compile_batch([job])[0]
 
     def compile_batch(
-        self,
-        jobs: Iterable[CompileJob],
-        max_workers: int = 1,
-        names: Optional[Sequence[Optional[str]]] = None,
+        self, jobs: Iterable[CompileJob], max_workers: int = 1
     ) -> List[CompilationResult]:
-        """Compile a batch, deduplicating and fanning misses out.
+        """Compile a batch: dedup, store, remote server, then cold compiles.
 
         Parameters
         ----------
         jobs:
-            :class:`CompileJob` specs; duplicates (same cache key, or the
-            same spec on a store-less service) are compiled once per batch
-            and counted in ``stats.deduplicated``.
+            :class:`CompileJob` specs; the device, compiler and circuit each
+            names are resolved through this service's value-keyed memos
+            (each is built at most once per service instance).  Duplicates
+            (same cache key, or the same spec on a store-less service) are
+            compiled once per batch and counted in ``stats.deduplicated``.
         max_workers:
             With ``> 1``, cold compilations run in subprocesses, each
             through a store-less, local-only service of its own.  Workers
@@ -564,48 +453,36 @@ class CompileService:
             persists them, so store I/O and remote compiles happen only in
             the parent and a shared cache directory sees one writer per
             entry.  Store hits never reach the worker pool.
-        names:
-            Optional per-job program names (same length as *jobs*,
-            ``None`` entries keep the canonical circuit name) — the batch
-            counterpart of the ``name=`` pass-through on
-            :meth:`compile_circuit`.  Duplicate jobs requesting different
-            names each get their own (shallow-copied) result, so the
-            shared dedup instance is never renamed in place.
 
         Returns
         -------
         list[CompilationResult]
-            In job order, identical at any worker count.
+            In job order, identical at any worker count.  Each is served
+            from the program store when possible (``cache_hit=True`` with
+            the originally measured ``compile_time_s`` and the load latency
+            in ``load_time_s``), resolved by the remote compile server when
+            one is configured, compiled cold locally otherwise.
 
         Raises
         ------
         ValueError
             If any job names an unknown strategy, admission policy,
             topology or benchmark family (raised before any compilation
-            starts — every distinct job is resolved first), or if *names*
-            has the wrong length.
+            starts — every distinct job is resolved first).
         """
         jobs = list(jobs)
-        if names is not None:
-            names = list(names)
-            if len(names) != len(jobs):
-                raise ValueError(
-                    f"names has {len(names)} entries for {len(jobs)} jobs"
-                )
-        # As in compile(), only the store needs content keys: a store-less
-        # batch deduplicates by spec and builds no circuit just to hash it.
+        # Only the store needs content keys: a store-less batch
+        # deduplicates by spec and builds no circuit just to hash it.
         keys: List[Hashable] = [
             self.job_key(job) if self.store is not None else job for job in jobs
         ]
         first_job: Dict[Hashable, CompileJob] = {}
-        first_name: Dict[Hashable, Optional[str]] = {}
-        for index, (job, key) in enumerate(zip(jobs, keys)):
+        for job, key in zip(jobs, keys):
             if key in first_job:
                 self.stats.deduplicated += 1
                 _COMPILE_REQUESTS.inc(outcome="dedup")
             else:
                 first_job[key] = job
-                first_name[key] = names[index] if names is not None else None
 
         resolved: Dict[Hashable, CompilationResult] = {}
         missing: List[Tuple[Hashable, CompileJob]] = []
@@ -615,9 +492,7 @@ class CompileService:
             # the per-key loads below never pay per-entry remote latency.
             self.store.prefetch(list(first_job))
         for key, job in first_job.items():
-            loaded = self._try_load(
-                key, device=self._compiler_for(job).device, name=first_name[key]
-            )
+            loaded = self._try_load(key, self._compiler_for(job).device)
             if loaded is not None:
                 resolved[key] = loaded
             else:
@@ -629,9 +504,7 @@ class CompileService:
             if payloads is not None:
                 still_missing: List[Tuple[Hashable, CompileJob]] = []
                 for (key, job), payload in zip(missing, payloads):
-                    adopted = self._adopt_remote(
-                        key, payload, job, name=first_name[key]
-                    )
+                    adopted = self._adopt_remote(key, payload, job)
                     if adopted is None:
                         still_missing.append((key, job))
                     else:
@@ -664,23 +537,15 @@ class CompileService:
                         result = CompilationResult.from_dict(
                             payload, device=self._compiler_for(job).device
                         )
-                    if first_name[key] is not None:
-                        result.program.name = first_name[key]
                     self._record_miss(key, result, payload=payload)
                     resolved[key] = result
         else:
             for key, job in missing:
-                result = self._compiler_for(job).compile(
-                    self._circuit_for(job), name=first_name[key]
-                )
-                self._record_miss(key, result, canonical_name=self._circuit_for(job).name)
+                result = self._compiler_for(job).compile(self._circuit_for(job))
+                self._record_miss(key, result)
                 resolved[key] = result
 
-        if names is None:
-            return [resolved[key] for key in keys]
-        return [
-            self._renamed(resolved[key], name) for key, name in zip(keys, names)
-        ]
+        return [resolved[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ it).  The protocol is deliberately tiny and mirrors the on-disk layout:
 * ``POST /v<codec>/batch/put`` — ``{"entries": {key: payload}}`` in,
   ``{"stored": n}`` out,
 * ``POST /v<codec>/compile`` — ``{"jobs": [<CompileJob spec>, ...]}`` in,
-  ``{"results": [{"key", "outcome", "payload"}, ...]}`` out: jobs are
-  resolved through a server-side
-  :class:`~repro.service.compile_service.CompileService` (store hit, or a
-  cold compile persisted into this server's store), with cross-client
+  ``{"results": [{"key", "outcome", "payload"}, ...]}`` out: each job is
+  a hit in this server's store, or a cold compile by a store-less
+  server-side :class:`~repro.service.compile_service.CompileService`
+  that the server then persists into its store, with cross-client
   in-flight dedup — two clients requesting the same content hash await one
   compile — and a bounded job queue that answers 429 + ``Retry-After``
   when full,
@@ -673,21 +673,16 @@ class CacheServer:
     def compile_service(self):
         """The server-side compile service, built lazily on first use.
 
-        Backed by this server's own store (so compiled programs are
-        immediately served to every client) and pinned local-only: an
-        ambient ``REPRO_REMOTE_COMPILE`` pointing back at this server must
-        never make it forward its own cold misses.
+        Store-less and pinned local-only: :meth:`_resolve_one` probes and
+        fills this server's store itself, and an ambient
+        ``REPRO_REMOTE_COMPILE`` pointing back at this server must never
+        make it forward its own cold misses.
         """
         from .compile_service import CompileService
-        from .store import ProgramStore
 
         with self._service_lock:
             if self._compile_service is None:
-                self._compile_service = CompileService(
-                    store=ProgramStore(backend=self.backend),
-                    enabled=True,
-                    remote_compile="",
-                )
+                self._compile_service = CompileService(enabled=False, remote_compile="")
             return self._compile_service
 
     def resolve_jobs(self, jobs: List[CompileJob]) -> List[dict]:
@@ -746,9 +741,11 @@ class CacheServer:
                 start = perf_counter()
                 with self._compile_lock:
                     result = service.compile(job)  # repro-lint: serialized-compile(this lock exists to hold one cold compile at a time; see __init__)
-                entry.payload = result.to_dict()
+                payload = result.to_dict()
+                self.backend.put(key, payload)
+                entry.payload = payload
                 _SERVER_COMPILE_SECONDS.observe(perf_counter() - start)
-                return "compiled", entry.payload
+                return "compiled", payload
             except QueueFullError:
                 raise
             except Exception as error:
@@ -756,9 +753,9 @@ class CacheServer:
                 _SERVER_COMPILE_JOBS.inc(outcome="error")
                 raise
             finally:
-                # Persisted (service.compile stored it) before the entry is
-                # retired, so no moment exists where a key is neither
-                # in-flight nor served from the store.
+                # Persisted (the put above) before the entry is retired, so
+                # no moment exists where a key is neither in-flight nor
+                # served from the store.
                 with self._inflight_lock:
                     self._inflight.pop(key, None)
                     self._pending -= 1

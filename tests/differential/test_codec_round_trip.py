@@ -46,8 +46,10 @@ def test_decoded_fig09_point_is_bit_identical(job, cold_service):
 
     cold_report = estimate_success(cold)
     assert_reports_equal(estimate_success(decoded), cold_report, "decoded")
-    incremental = IncrementalEstimator(cold.device).load_program(cold).report()
-    assert_reports_equal(incremental, cold_report, "incremental")
+    incremental = IncrementalEstimator(cold.device)
+    for step in cold.steps:
+        incremental.append_step(step)
+    assert_reports_equal(incremental.report(), cold_report, "incremental")
 
     assert decoded.depth == cold.depth
     assert decoded.total_duration_ns == cold.total_duration_ns

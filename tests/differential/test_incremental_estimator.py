@@ -1,7 +1,7 @@
 """Differential: IncrementalEstimator vs from-scratch ``estimate_success``.
 
-The contract under test: after *any* mutation sequence (append / replace /
-pop), the estimator's report is bit-identical — every float compared with
+The contract under test: after *any* sequence of appends and previews, the
+estimator's report is bit-identical — every float compared with
 ``==``, never a tolerance — to a from-scratch vectorized ``estimate_success``
 on the program assembled from the same steps.  Exercised for all five
 strategies, across noise-model configurations, on seeded random circuits and
@@ -57,21 +57,28 @@ def assert_reports_bit_identical(fast, reference, context=""):
     ), context
 
 
-def _mutate(estimator, steps, donor_steps, rng):
-    """Apply one random mutation to both the estimator and the step list."""
-    op = rng.choice(["replace", "pop", "append", "append"])
-    if op == "replace" and steps:
+def _mutate(estimator, steps, donor_steps, rng, device):
+    """Apply one random operation to the estimator, mirrored on the step list.
+
+    An append changes both; a preview (of an append, or of a replacement at
+    a random index) must score the hypothetical program exactly and change
+    neither.
+    """
+    op = rng.choice(["preview-replace", "preview-append", "append", "append"])
+    step = rng.choice(donor_steps)
+    if op == "preview-replace" and steps:
         i = rng.randrange(len(steps))
-        step = rng.choice(donor_steps)
-        steps[i] = step
-        estimator.set_step(i, step)
-    elif op == "pop" and steps:
-        steps.pop()
-        estimator.pop_step()
+        hypothetical = steps[:i] + [step] + steps[i + 1 :]
+        previewed = estimator.preview_step(step, index=i)
+    elif op == "preview-append":
+        hypothetical = steps + [step]
+        previewed = estimator.preview_step(step)
     else:
-        step = rng.choice(donor_steps)
         steps.append(step)
         estimator.append_step(step)
+        return
+    program = CompiledProgram(device=device, steps=hypothetical, name="preview")
+    assert previewed == estimate_success(program).success_rate
 
 
 @pytest.mark.differential
@@ -83,7 +90,9 @@ def test_full_program_matches_all_models(strategy):
     program = make_compiler(strategy, device).compile(circuit).program
     for name, model in MODELS.items():
         # program.device: Baseline G compiles on the coupler-wrapped device.
-        estimator = IncrementalEstimator(program.device, model).load_program(program)
+        estimator = IncrementalEstimator(program.device, model)
+        for step in program.steps:
+            estimator.append_step(step)
         assert_reports_bit_identical(
             estimator.report(),
             estimate_success(program, model),
@@ -95,7 +104,7 @@ def test_full_program_matches_all_models(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("seed", range(6))
 def test_mutation_sequences_match_from_scratch(strategy, seed):
-    """Random append/replace/pop sequences stay bit-identical throughout."""
+    """Random append/preview sequences stay bit-identical throughout."""
     rng = random.Random(seed * 977 + 13)
     device = random_device(seed)
     circuit = random_circuit(device.num_qubits, seed)
@@ -107,7 +116,7 @@ def test_mutation_sequences_match_from_scratch(strategy, seed):
     estimator = IncrementalEstimator(program.device)
     steps = []
     for iteration in range(12):
-        _mutate(estimator, steps, donor, rng)
+        _mutate(estimator, steps, donor, rng, program.device)
         mutated = CompiledProgram(
             device=program.device, steps=list(steps), name="mutated", strategy=strategy
         )
@@ -123,7 +132,9 @@ def test_preview_step_does_not_mutate():
     device = build_device_for("xeb(9,2)")
     circuit = benchmark_circuit("xeb(9,2)", seed=2020)
     program = make_compiler("ColorDynamic", device).compile(circuit).program
-    estimator = IncrementalEstimator(device).load_program(program)
+    estimator = IncrementalEstimator(device)
+    for step in program.steps:
+        estimator.append_step(step)
     before = estimator.report()
 
     previewed = estimator.preview_step(program.steps[0])

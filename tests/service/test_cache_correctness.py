@@ -32,6 +32,14 @@ SEED = 2020
 RETIRED_KNOBS = {"indexed_kernels", "vectorized", "indexed", "memoize", "dynamic"}
 
 
+def appended(program):
+    """An incremental estimator holding *program*'s steps, appended in order."""
+    estimator = IncrementalEstimator(program.device)
+    for step in program.steps:
+        estimator.append_step(step)
+    return estimator
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_cache_signature_has_no_retired_knobs(strategy):
     compiler = make_compiler(strategy, build_device_for(BENCH))
@@ -54,11 +62,7 @@ def test_codec_round_trip_times_incremental_is_bit_exact(strategy):
     restored = CompilationResult.from_dict(payload)
 
     fresh_report = estimate_success(result.program)
-    restored_report = (
-        IncrementalEstimator(restored.program.device)
-        .load_program(restored.program)
-        .report()
-    )
+    restored_report = appended(restored.program).report()
     assert restored_report.success_rate == fresh_report.success_rate
     assert (
         restored_report.crosstalk_fidelity_product
@@ -87,14 +91,6 @@ def test_warm_hit_estimated_incrementally_matches_cold(tmp_path):
     warm = warm_service.compile(job)
     assert warm.cache_hit
 
-    cold_rate = (
-        IncrementalEstimator(cold.program.device)
-        .load_program(cold.program)
-        .success_rate()
-    )
-    warm_rate = (
-        IncrementalEstimator(warm.program.device)
-        .load_program(warm.program)
-        .success_rate()
-    )
+    cold_rate = appended(cold.program).success_rate()
+    warm_rate = appended(warm.program).success_rate()
     assert cold_rate == warm_rate == estimate_success(cold.program).success_rate

@@ -103,11 +103,11 @@ class TestCrossClientDedup:
         cold_compiles = []
         real_compile = service.compile
 
-        def gated_compile(job, name=None):
+        def gated_compile(job):
             cold_compiles.append(job)
             compile_started.set()
             assert release_compile.wait(timeout=60)
-            return real_compile(job, name=name)
+            return real_compile(job)
 
         monkeypatch.setattr(service, "compile", gated_compile)
         return compile_started, release_compile, cold_compiles
@@ -228,10 +228,10 @@ class TestQueueBackpressure:
             release_compile = threading.Event()
             real_compile = service.compile
 
-            def gated_compile(job, name=None):
+            def gated_compile(job):
                 compile_started.set()
                 assert release_compile.wait(timeout=60)
-                return real_compile(job, name=name)
+                return real_compile(job)
 
             monkeypatch.setattr(service, "compile", gated_compile)
             throttled_before = server_mod._SERVER_COMPILE_THROTTLED.value()
@@ -397,6 +397,20 @@ class TestServiceRouting:
         assert result.program is not None  # compiled locally, not an error
         assert service.stats.misses == 1
         assert service.stats.remote_compiles == 0
+
+    def test_undecodable_remote_payload_falls_back_to_local_compile(
+        self, tmp_path, monkeypatch
+    ):
+        service = CompileService(
+            cache_dir=str(tmp_path / "local"), remote_compile="http://127.0.0.1:9"
+        )
+        client = service._remote_client()
+        monkeypatch.setattr(client, "compile_jobs", lambda jobs: [{"program": None}])
+        result = service.compile(JOB)
+        assert result.program.name == JOB.benchmark  # compiled locally, not an error
+        assert service.stats.misses == 1
+        assert service.stats.remote_compiles == 0
+        assert service.store.contains(service.job_key(JOB))
 
     def test_batch_routes_misses_through_the_server(self, tmp_path, cache_server):
         service = CompileService(
