@@ -12,8 +12,9 @@ The top-level namespace re-exports the pieces most users need:
   and its incremental form (:class:`~repro.noise.IncrementalEstimator`),
 * the step-admission policies (:class:`~repro.core.StepAdmission`,
   ``admission="structural" | "success"`` on every compiler), and
-* the compilation service (:class:`~repro.service.CompileService`,
-  :class:`~repro.service.ProgramStore`) behind the on-disk program cache.
+* the compilation service (:class:`~repro.service.CompileService`) and its
+  program cache (:class:`~repro.service.ProgramStore`: a local tier plus an
+  optional shared-server tier).
 
 The guides under ``docs/`` cover the architecture, cache operations and
 extension points; every code example there is executed in CI.

@@ -34,7 +34,7 @@ from ..noise import NoiseModel, estimate_success
 from ..obs import span as _span
 from ..noise.crosstalk import effective_coupling, exchange_probability
 from ..service import CompileJob, get_service, make_compiler
-from ..service.compile_service import build_device_for as _service_build_device_for
+from ..service.compile_service import build_device_for
 from ..workloads import (
     benchmark_circuit,
     fig09_benchmarks,
@@ -104,15 +104,6 @@ class StrategyOutcome:
     crosstalk_fidelity: float
     compile_time_s: float
     max_colors: int
-
-
-def build_device_for(
-    benchmark: str,
-    topology: str = "grid",
-    seed: int = _DEFAULT_SEED,
-) -> Device:
-    """Device sized for a benchmark (square grid by default, as in the paper)."""
-    return _service_build_device_for(benchmark, topology=topology, seed=seed)
 
 
 def _evaluate(

@@ -279,10 +279,6 @@ class Circuit:
         """Nominal wall-clock duration: sum of ASAP moment durations."""
         return sum(m.duration_ns() for m in self.moments())
 
-    def two_qubit_depth(self) -> int:
-        """Depth counting only moments that contain at least one 2-qubit gate."""
-        return sum(1 for m in self.moments() if m.two_qubit_gates())
-
     def parallelism(self) -> float:
         """Average number of gates per moment (a crude parallelism measure)."""
         moments = self.moments()

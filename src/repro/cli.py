@@ -87,7 +87,6 @@ from .service import (
     HTTPBackend,
     LocalFSBackend,
     ProgramStore,
-    TieredStore,
     cache_max_bytes_default,
     copy_missing,
     remote_cache_default,
@@ -583,16 +582,6 @@ def _print_figure(args: argparse.Namespace, runner: SweepRunner) -> None:
             print(f"  {pair}: {freq:.3f} GHz")
 
 
-def _store_remote_errors(store) -> int:
-    """Failed-request count of a store's remote tier (0 when local-only)."""
-    if store is None:
-        return 0
-    backend = getattr(store, "backend", None)
-    if isinstance(backend, TieredStore):
-        return getattr(backend.remote, "errors", 0)
-    return getattr(backend, "errors", 0)
-
-
 def _run_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "stats":
         store = ProgramStore(
@@ -623,7 +612,8 @@ def _run_cache(args: argparse.Namespace) -> int:
             f"{stats.hits} already cached, {stats.deduplicated} duplicate(s); "
             f"compile time {stats.compile_time_s:.2f}s"
         )
-        remote_errors = _store_remote_errors(service.store)
+        remote = service.store.remote
+        remote_errors = remote.errors if remote is not None else 0
         if remote_errors:
             print(
                 f"warning: {remote_errors} request(s) to the remote cache failed; "

@@ -27,7 +27,7 @@ nanoseconds unless stated otherwise, matching the paper's figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
@@ -101,10 +101,6 @@ class TransmonParams:
         return (self.omega_max + abs(self.anharmonicity)) * math.sqrt(self.asymmetry) - abs(
             self.anharmonicity
         )
-
-    def with_coherence(self, t1_ns: float, t2_ns: float) -> "TransmonParams":
-        """Return a copy with different coherence times."""
-        return replace(self, t1_ns=t1_ns, t2_ns=t2_ns)
 
     # ------------------------------------------------------------------
     # (de)serialization — consumed by the repro.service program store

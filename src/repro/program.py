@@ -154,10 +154,6 @@ class TimeStep:
             busy.update(interaction.pair)
         return busy
 
-    def frequency_of(self, qubit: int) -> float:
-        """The 0-1 frequency of *qubit* during this step (GHz)."""
-        return self.frequencies[qubit]
-
     def coupler_is_active(self, pair: Coupling) -> bool:
         """Whether the coupler on *pair* is switched on during this step.
 

@@ -8,14 +8,13 @@ machines:
 
 * :mod:`~repro.service.cache_key` — deterministic, content-addressed cache
   keys hashing the circuit, the full device physics and every compiler knob;
-* :mod:`~repro.service.backends` — pluggable storage backends sharing that
-  key scheme: the on-disk :class:`LocalFSBackend` (its entry files are
-  the whole record; LRU eviction under a byte budget), the
-  :class:`HTTPBackend` client for a shared cache server, and the
-  read-through :class:`TieredStore` composition (local -> remote with
-  write-back);
-* :mod:`~repro.service.store` — the :class:`ProgramStore` facade composing
-  those backends from ``cache_dir`` / ``remote_url`` / ``max_bytes``;
+* :mod:`~repro.service.backends` — storage backends sharing that key
+  scheme: the on-disk :class:`LocalFSBackend` (its entry files are the
+  whole record; LRU eviction under a byte budget) and the
+  :class:`HTTPBackend` client for a shared cache server;
+* :mod:`~repro.service.store` — the :class:`ProgramStore`: a local tier
+  plus, with ``remote_url``, a remote tier behind it (read-through with
+  write-back, best-effort publish);
 * :mod:`~repro.service.server` — ``python -m repro cache serve``: a stdlib
   HTTP server so a fleet of CI workers shares one warm cache — and, since
   PR 8, a remote *compile* tier: batched ``POST /v<codec>/batch/{get,put}``
@@ -42,18 +41,15 @@ from .backends import (
     HTTPBackend,
     LocalFSBackend,
     StoreBackend,
-    TieredStore,
-    copy_missing,
-)
-from .store import (
-    ProgramStore,
     cache_enabled_default,
     cache_max_bytes_default,
     cache_token_default,
+    copy_missing,
     default_cache_dir,
     remote_cache_default,
     remote_compile_default,
 )
+from .store import ProgramStore
 from .compile_service import (
     CompileJob,
     CompileService,
@@ -72,7 +68,6 @@ __all__ = [
     "StoreBackend",
     "LocalFSBackend",
     "HTTPBackend",
-    "TieredStore",
     "CircuitBreaker",
     "copy_missing",
     "ProgramStore",

@@ -13,16 +13,14 @@ the same key scheme, so a compiled program is interchangeable between them:
   server (:mod:`repro.service.server`), so a fleet of CI workers shares one
   warm cache.  Its requests ride one kept-alive connection
   (:class:`KeepAliveConnection`).  Network failures degrade to misses,
-  never to errors;
-* :class:`TieredStore` — read-through local -> remote composition: hits
-  come from the nearest tier, remote hits are written back into the local
-  tier, and writes go to the local tier synchronously plus the remote tier
-  best-effort.
+  never to errors.
 
-:class:`~repro.service.store.ProgramStore` is the facade the rest of the
-toolchain talks to; it composes these backends from ``cache_dir`` /
-``remote_url`` / ``max_bytes`` settings (and their environment defaults
-``REPRO_CACHE_DIR``, ``REPRO_REMOTE_CACHE``, ``REPRO_CACHE_MAX_BYTES``).
+:class:`~repro.service.store.ProgramStore` is the store the rest of the
+toolchain talks to: a :class:`LocalFSBackend` tier plus, when a server URL
+is configured, an :class:`HTTPBackend` tier behind it.  This module also
+resolves the environment defaults (``REPRO_CACHE_DIR``,
+``REPRO_REMOTE_CACHE``, ``REPRO_CACHE_MAX_BYTES``, ...) that
+:class:`~repro.service.compile_service.CompileService` and the CLI pass in.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ __all__ = [
     "StoreBackend",
     "LocalFSBackend",
     "HTTPBackend",
-    "TieredStore",
     "CircuitBreaker",
     "copy_missing",
     "default_cache_dir",
@@ -964,106 +961,6 @@ class HTTPBackend(StoreBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HTTPBackend(url={self.url!r}, format={self.format!r})"
-
-
-# ---------------------------------------------------------------------------
-# tiered composition (read-through local -> remote)
-# ---------------------------------------------------------------------------
-class TieredStore(StoreBackend):
-    """Two-tier store: a near (local) tier backed by a far (shared) tier.
-
-    * ``get`` is read-through: local hits return immediately; remote hits
-      are written back into the local tier so the next lookup is local.
-    * ``put`` writes the local tier synchronously and the remote tier
-      best-effort (``write_remote=False`` makes a read-only remote).
-    * Concurrency safety comes from the tiers themselves: local writes are
-      atomic and last-writer-wins, and since entries are content-addressed
-      two racing write-backs of one key write identical bytes.
-    * ``clear`` and ``evict`` act on the *local* tier only — a client must
-      not be able to wipe the fleet's shared cache by clearing its own.
-    """
-
-    def __init__(
-        self,
-        local: StoreBackend,
-        remote: StoreBackend,
-        write_remote: bool = True,
-    ) -> None:
-        self.local = local
-        self.remote = remote
-        self.write_remote = write_remote
-
-    def get(self, key: str) -> Optional[dict]:
-        payload = self.local.get(key)
-        if payload is not None:
-            return payload
-        payload = self.remote.get(key)
-        if payload is not None:
-            # Write-back is an optimization; a full disk or read-only local
-            # tier must not turn a successful remote hit into an error.
-            with contextlib.suppress(OSError):
-                self.local.put(key, payload)
-        return payload
-
-    def put(self, key: str, payload: dict) -> bool:
-        stored = self.local.put(key, payload)
-        if self.write_remote:
-            self.remote.put(key, payload)
-        return stored
-
-    def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
-        """Batched read-through: local first, one remote round trip for the rest.
-
-        Remote hits are written back into the local tier (best-effort, like
-        the single-key path) so the next lookup is local.
-        """
-        found = self.local.get_many(keys)
-        missing = [key for key in keys if key not in found]
-        if missing:
-            remote_hits = self.remote.get_many(missing)
-            for key, payload in remote_hits.items():
-                with contextlib.suppress(OSError):
-                    self.local.put(key, payload)
-            found.update(remote_hits)
-        return found
-
-    def put_many(self, entries: Mapping[str, dict]) -> int:
-        stored = self.local.put_many(entries)
-        if self.write_remote:
-            self.remote.put_many(entries)
-        return stored
-
-    def contains(self, key: str) -> bool:
-        return self.local.contains(key) or self.remote.contains(key)
-
-    def keys(self) -> Iterator[str]:
-        seen = set()
-        for key in self.local.keys():
-            seen.add(key)
-            yield key
-        for key in self.remote.keys():
-            if key not in seen:
-                yield key
-
-    def delete(self, key: str) -> bool:
-        local = self.local.delete(key)
-        remote = self.remote.delete(key)
-        return local or remote
-
-    def clear(self) -> int:
-        return self.local.clear()
-
-    def evict(self, max_bytes: int) -> Tuple[int, int]:
-        return self.local.evict(max_bytes)
-
-    def stats(self) -> Dict[str, object]:
-        stats = dict(self.local.stats())
-        for name, value in self.remote.stats().items():
-            stats[f"remote_{name}"] = value
-        return stats
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TieredStore(local={self.local!r}, remote={self.remote!r})"
 
 
 def copy_missing(source: StoreBackend, destination: StoreBackend) -> Tuple[int, int]:

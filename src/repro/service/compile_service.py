@@ -34,13 +34,13 @@ from ..obs import get_metrics, get_tracer
 from ..obs import span as _span
 from ..workloads import benchmark_circuit, parse_benchmark_name
 from .cache_key import cache_key, circuit_digest, compiler_digest
-from .store import (
-    ProgramStore,
+from .backends import (
     cache_enabled_default,
     cache_max_bytes_default,
     remote_cache_default,
     remote_compile_default,
 )
+from .store import ProgramStore
 
 __all__ = [
     "CompileJob",
@@ -165,10 +165,10 @@ class ServiceStats:
 def build_device_for(benchmark: str, topology: str = "grid", seed: int = 2020) -> Device:
     """Device sized for a benchmark (square grid by default, as in the paper).
 
-    The single source of truth for (benchmark, topology, seed) -> Device:
-    :func:`repro.analysis.build_device_for` and the service's job resolution
-    both call it, so warmed cache keys always match the keys a later sweep
-    computes.
+    The single source of truth for (benchmark, topology, seed) -> Device,
+    re-exported as :func:`repro.analysis.build_device_for`: the sweeps and
+    the service's job resolution both call it, so warmed cache keys always
+    match the keys a later sweep computes.
     """
     num_qubits = parse_benchmark_name(benchmark).num_qubits
     if topology == "grid":
@@ -220,7 +220,7 @@ class CompileService:
     ----------
     cache_dir:
         Root of the on-disk store; defaults to ``REPRO_CACHE_DIR`` or an
-        XDG cache path (see :func:`~repro.service.store.default_cache_dir`).
+        XDG cache path (see :func:`~repro.service.backends.default_cache_dir`).
     enabled:
         ``False`` bypasses the store entirely (every request compiles
         cold).  ``None`` reads the ``REPRO_CACHE`` environment toggle.

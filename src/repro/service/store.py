@@ -1,81 +1,37 @@
-"""The compiled-program store facade over pluggable storage backends.
+"""The compiled-program store: a local tier plus an optional remote tier.
 
-Through PR 3 :class:`ProgramStore` *was* the on-disk store; PR 4 split the
-storage mechanics into :mod:`repro.service.backends` and left this module
-as the composition point the rest of the toolchain talks to:
+:class:`ProgramStore` is the one store the rest of the toolchain talks to,
+and the only place tiers are composed:
 
-* a plain ``ProgramStore(root)`` is the original content-addressed on-disk
-  store (:class:`~repro.service.backends.LocalFSBackend` — same layout,
-  same atomic-write and corrupt-entry-is-a-miss contracts, plus LRU
-  eviction under a byte budget);
-* ``ProgramStore(root, remote_url=...)`` tiers the local store in front of
-  a shared cache server (read-through local -> remote with write-back, so
-  a fleet of workers shares one warm cache);
-* ``ProgramStore(backend=...)`` mounts any prebuilt
-  :class:`~repro.service.backends.StoreBackend` composition directly.
+* ``ProgramStore(root)`` is the content-addressed on-disk store
+  (:class:`~repro.service.backends.LocalFSBackend`: atomic writes,
+  corrupt-entry-is-a-miss, LRU eviction under a byte budget);
+* ``ProgramStore(root, remote_url=...)`` puts that local tier in front of a
+  shared cache server (:class:`~repro.service.backends.HTTPBackend`):
+  reads go local first, then remote, and remote hits are written back
+  locally; writes go local, then to the server best-effort.  A fleet of
+  workers shares one warm cache this way.
 
 ``max_bytes`` bounds the local footprint: every write LRU-evicts back under
-the budget.  The environment defaults are ``REPRO_CACHE_DIR`` (root),
-``REPRO_REMOTE_CACHE`` (server URL) and ``REPRO_CACHE_MAX_BYTES`` (budget)
-— resolved by :class:`~repro.service.compile_service.CompileService` and
-the CLI, never by this class, so a ``ProgramStore`` built in code is fully
-described by its arguments.
+the budget.  The environment defaults (``REPRO_CACHE_DIR``,
+``REPRO_REMOTE_CACHE``, ``REPRO_CACHE_MAX_BYTES``) are resolved by
+:class:`~repro.service.compile_service.CompileService` and the CLI, never by
+this class, so a ``ProgramStore`` built in code is fully described by its
+arguments.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
-from ..program import PROGRAM_CODEC_VERSION
-from .backends import (
-    CACHE_DIR_ENV,
-    CACHE_TOGGLE_ENV,
-    CACHE_TOKEN_ENV,
-    MAX_BYTES_ENV,
-    REMOTE_CACHE_ENV,
-    REMOTE_COMPILE_ENV,
-    HTTPBackend,
-    LocalFSBackend,
-    StoreBackend,
-    TieredStore,
-    cache_enabled_default,
-    cache_max_bytes_default,
-    cache_token_default,
-    default_cache_dir,
-    remote_cache_default,
-    remote_compile_default,
-)
+from .backends import HTTPBackend, LocalFSBackend, StoreBackend
 
-__all__ = [
-    "ProgramStore",
-    "default_cache_dir",
-    "cache_enabled_default",
-    "remote_cache_default",
-    "cache_max_bytes_default",
-    "cache_token_default",
-    "remote_compile_default",
-    "CACHE_DIR_ENV",
-    "CACHE_TOGGLE_ENV",
-    "CACHE_TOKEN_ENV",
-    "REMOTE_CACHE_ENV",
-    "REMOTE_COMPILE_ENV",
-    "MAX_BYTES_ENV",
-]
+__all__ = ["ProgramStore"]
 
 
-def _local_tier(backend: StoreBackend) -> Optional[LocalFSBackend]:
-    if isinstance(backend, TieredStore):
-        return _local_tier(backend.local)
-    if isinstance(backend, LocalFSBackend):
-        return backend
-    return None
-
-
-class ProgramStore:
-    """A content-addressed key -> JSON-payload store over pluggable backends.
+class ProgramStore(StoreBackend):
+    """A content-addressed key -> JSON-payload store: local tier, optional remote.
 
     Parameters
     ----------
@@ -83,12 +39,19 @@ class ProgramStore:
         Local store root (default: an XDG-style per-user cache location;
         callers resolving the ``REPRO_CACHE_DIR`` override pass it here).
     remote_url:
-        Shared cache server URL; when given, the store is tiered — local
-        first, then the remote, with remote hits written back locally.
+        Shared cache server URL; when given, ``self.remote`` is an
+        :class:`HTTPBackend` behind the local tier, otherwise ``None``.
     max_bytes:
         LRU byte budget for the local tier, enforced after every write.
-    backend:
-        Prebuilt backend composition, overriding all of the above.
+
+    * Nothing raises on bad stored bytes, a dead server or a full disk:
+      each degrades to a miss or an unstored write, and the caller
+      recompiles.  Remote failures are counted in ``self.remote.errors``.
+    * Concurrency safety comes from the tiers: local writes are atomic and
+      last-writer-wins, and since entries are content-addressed two racing
+      write-backs of one key write identical bytes.
+    * ``clear`` and ``evict`` act on the local tier only, so a worker can
+      never wipe the fleet's shared cache by clearing its own.
     """
 
     def __init__(
@@ -96,144 +59,127 @@ class ProgramStore:
         root: Optional[os.PathLike] = None,
         remote_url: Optional[str] = None,
         max_bytes: Optional[int] = None,
-        backend: Optional[StoreBackend] = None,
     ) -> None:
-        if backend is None:
-            local = LocalFSBackend(root, max_bytes=max_bytes)
-            if remote_url:
-                backend = TieredStore(local, HTTPBackend(remote_url))
-            else:
-                backend = local
-        self.backend = backend
-        self.format = f"v{PROGRAM_CODEC_VERSION}"
-        local_tier = _local_tier(backend)
-        self.root: Optional[Path] = local_tier.root if local_tier is not None else None
+        self.local = LocalFSBackend(root, max_bytes=max_bytes)
+        self.remote: Optional[HTTPBackend] = HTTPBackend(remote_url) if remote_url else None
+        self.root = self.local.root
 
     # ------------------------------------------------------------------
     # entry access
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        """On-disk path of *key* in the local tier (tests, diagnostics)."""
-        local_tier = _local_tier(self.backend)
-        if local_tier is None:
-            raise AttributeError("this store has no local filesystem tier")
-        return local_tier._path(key)
-
     def get(self, key: str) -> Optional[dict]:
         """Return the stored payload for *key*, or ``None`` on any miss.
 
-        A corrupt entry, a codec-version mismatch and a dead remote tier
-        all degrade to ``None`` — the caller recompiles; nothing raises on
-        bad stored bytes.  Hits stamp recency (LRU) into the local tier.
+        A local hit stamps recency (LRU); a remote hit is written back into
+        the local tier so the next lookup is local.
         """
-        return self.backend.get(key)
+        payload = self.local.get(key)
+        if payload is None and self.remote is not None:
+            payload = self.remote.get(key)
+            if payload is not None:
+                self.put_local(key, payload)
+        return payload
 
-    def put(self, key: str, payload: dict) -> None:
-        """Persist *payload* (a JSON-serializable dict) under *key*.
+    def put(self, key: str, payload: dict) -> bool:
+        """Persist *payload* locally and publish it to the remote best-effort.
 
-        Writes are atomic (temp file + rename) and last-writer-wins; with
-        a byte budget configured, an LRU eviction pass runs after the
-        write.  On a tiered store the payload is also published to the
-        remote best-effort (a dead server is counted, never raised).
+        Returns whether the local write succeeded.
         """
-        self.backend.put(key, payload)
+        stored = self.put_local(key, payload)
+        if self.remote is not None:
+            self.remote.put(key, payload)
+        return stored
 
-    def put_local(self, key: str, payload: dict) -> None:
-        """Persist *payload* into the local tier only (no remote publish).
+    def put_local(self, key: str, payload: dict) -> bool:
+        """Persist *payload* into the local tier only; ``False`` if it failed.
 
         The remote-compile path uses this: the compile server already holds
-        the entry it just returned, so publishing it back through a tiered
-        store's write-through would be a redundant upload per grid point.
-        On a non-tiered local store this is a plain :meth:`put`; with no
-        local tier at all (a pure HTTP store) it is a no-op.
+        the entry it just returned, so publishing it back would be a
+        redundant upload per grid point.  A full or read-only disk costs a
+        later recompile, never an error.
         """
-        backend = self.backend
-        if isinstance(backend, TieredStore):
-            with contextlib.suppress(OSError):
-                backend.local.put(key, payload)
-        elif not isinstance(backend, HTTPBackend):
-            backend.put(key, payload)
+        try:
+            return self.local.put(key, payload)
+        except OSError:
+            return False
+
+    def _read_through(self, keys: Sequence[str]) -> Dict[str, dict]:
+        """Fetch *keys* from the remote in batches, writing each hit back locally."""
+        if self.remote is None or not keys:
+            return {}
+        fetched = self.remote.get_many(keys)
+        for key, payload in fetched.items():
+            self.put_local(key, payload)
+        return fetched
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
         """Fetch many entries (``{key: payload}``, hits only).
 
-        Backends with a batched wire protocol move
-        :data:`~repro.service.backends.BATCH_CHUNK_ENTRIES` entries per
-        round trip; local stores loop.  Misses are absent, never errors.
+        Local hits first; the rest take one batched remote round trip per
+        :data:`~repro.service.backends.BATCH_CHUNK_ENTRIES` keys.
         """
-        return self.backend.get_many(keys)
+        found = self.local.get_many(keys)
+        found.update(self._read_through([key for key in keys if key not in found]))
+        return found
 
     def put_many(self, entries: Mapping[str, dict]) -> int:
-        """Persist many entries; returns how many writes succeeded."""
-        return self.backend.put_many(entries)
+        """Persist many entries; returns how many local writes succeeded."""
+        stored = sum(1 for key, payload in entries.items() if self.put_local(key, payload))
+        if self.remote is not None:
+            self.remote.put_many(entries)
+        return stored
 
     def prefetch(self, keys: Sequence[str]) -> int:
         """Warm the local tier with remote entries, batched; returns fetches.
 
-        A no-op (``0``) on non-tiered stores.  Only keys absent from the
-        local tier are requested, so a warm local store costs one cheap
-        existence probe per key and no network at all.
+        ``0`` without a remote.  Only keys absent from the local tier are
+        requested, so a warm local store costs one existence probe per key
+        and no network at all.
         """
-        backend = self.backend
-        if not isinstance(backend, TieredStore):
+        if self.remote is None:
             return 0
-        missing = [key for key in keys if not backend.local.contains(key)]
-        if not missing:
-            return 0
-        fetched = backend.remote.get_many(missing)
-        for key, payload in fetched.items():
-            with contextlib.suppress(OSError):
-                backend.local.put(key, payload)
-        return len(fetched)
-
-    def __contains__(self, key: str) -> bool:
-        """``key in store`` — same semantics as :meth:`contains`."""
-        return self.backend.contains(key)
+        return len(self._read_through([key for key in keys if not self.local.contains(key)]))
 
     def contains(self, key: str) -> bool:
-        """Whether *key* is currently served by any tier (no payload read)."""
-        return self.backend.contains(key)
+        """Whether *key* is served by either tier (no payload read)."""
+        return self.local.contains(key) or (
+            self.remote is not None and self.remote.contains(key)
+        )
 
     def keys(self) -> Iterator[str]:
-        """Iterate over every key stored under the current codec version.
-
-        On a tiered store this is the union of local and reachable-remote
-        keys; entries from other codec versions are never yielded.
-        """
-        yield from self.backend.keys()
+        """Every key of the current codec version: local ones, then remote-only ones."""
+        seen = set()
+        for key in self.local.keys():
+            seen.add(key)
+            yield key
+        if self.remote is not None:
+            for key in self.remote.keys():
+                if key not in seen:
+                    yield key
 
     def delete(self, key: str) -> bool:
-        """Remove the entry under *key*; ``True`` if one existed."""
-        return self.backend.delete(key)
+        """Remove *key* from both tiers; ``True`` if either held it."""
+        local = self.local.delete(key)
+        remote = self.remote is not None and self.remote.delete(key)
+        return local or remote
 
     # ------------------------------------------------------------------
-    # maintenance
+    # maintenance (local tier only)
     # ------------------------------------------------------------------
     def clear(self) -> int:
-        """Remove every stored entry and return how many were removed.
-
-        Only the local tier is cleared on a tiered store — a shared server
-        is never wiped from a worker.  Entries deleted concurrently by
-        another process are skipped, not raised.
-        """
-        return self.backend.clear()
+        """Remove every local entry (all codec versions); return the count."""
+        return self.local.clear()
 
     def evict(self, max_bytes: int) -> Tuple[int, int]:
-        """LRU-evict until the local tier fits *max_bytes* bytes.
-
-        Returns ``(entries_removed, bytes_freed)``.  Recency is the
-        entry's atime (hits stamp it; see :meth:`get`), so warm entries
-        survive cold ones regardless of write order.
-        """
-        return self.backend.evict(max_bytes)
+        """LRU-evict local entries until they fit *max_bytes*; ``(removed, freed)``."""
+        return self.local.evict(max_bytes)
 
     def stats(self) -> Dict[str, object]:
-        """Entry count, byte footprint and store location as a plain dict.
-
-        Counted from one scan of the local entry files, so it is never out
-        of step with what ``get`` serves.
-        """
-        return self.backend.stats()
+        """The local tier's ``entries``/``total_bytes``/..., plus ``remote_*`` keys."""
+        stats = self.local.stats()
+        if self.remote is not None:
+            stats.update((f"remote_{name}", value) for name, value in self.remote.stats().items())
+        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProgramStore(backend={self.backend!r})"
+        return f"ProgramStore(local={self.local!r}, remote={self.remote!r})"

@@ -96,10 +96,6 @@ class TestMoments:
         moment = Moment([Gate("h", (0,)), Gate("cz", (1, 2))])
         assert moment.duration_ns() == Gate("cz", (1, 2)).duration_ns
 
-    def test_two_qubit_depth(self):
-        circuit = Circuit(4).h(0).cx(0, 1).h(2).cx(2, 3)
-        assert circuit.two_qubit_depth() == 1
-
     def test_duration_is_sum_of_moment_durations(self, bell_circuit):
         moments = bell_circuit.moments()
         assert bell_circuit.duration_ns() == pytest.approx(

@@ -33,12 +33,6 @@ class TestParamsValidation:
         params = TransmonParams(omega_max=6.0, asymmetry=0.25, anharmonicity=-0.2)
         assert params.omega_min == pytest.approx((6.0 + 0.2) * 0.5 - 0.2)
 
-    def test_with_coherence_returns_copy(self):
-        params = TransmonParams()
-        other = params.with_coherence(1000.0, 2000.0)
-        assert other.t1_ns == 1000.0
-        assert params.t1_ns != 1000.0
-
 
 class TestFluxCurve:
     def test_upper_sweet_spot_at_zero_flux(self, transmon):

@@ -1,4 +1,4 @@
-"""Pluggable store backends: the local file store, tiering, syncing."""
+"""Store backends and the two-tier ProgramStore: local files, tiering, syncing."""
 
 import json
 import os
@@ -9,7 +9,6 @@ from repro.service import ProgramStore
 from repro.service.backends import (
     HTTPBackend,
     LocalFSBackend,
-    TieredStore,
     copy_missing,
 )
 
@@ -195,40 +194,35 @@ class TestLocalEviction:
 
 class TestTieredStore:
     def test_remote_hit_written_back_to_local(self, tmp_path, cache_server):
-        local = LocalFSBackend(tmp_path / "local")
-        tiered = TieredStore(local, HTTPBackend(cache_server.url))
+        store = ProgramStore(tmp_path / "local", remote_url=cache_server.url)
         cache_server.backend.put(KEY_A, entry_payload("shared"))
-        assert tiered.get(KEY_A) == entry_payload("shared")
+        assert store.get(KEY_A) == entry_payload("shared")
         # The next read is served without touching the network.
-        assert local.get(KEY_A) == entry_payload("shared")
+        assert store.local.get(KEY_A) == entry_payload("shared")
 
     def test_put_writes_both_tiers(self, tmp_path, cache_server):
-        local = LocalFSBackend(tmp_path / "local")
-        tiered = TieredStore(local, HTTPBackend(cache_server.url))
-        assert tiered.put(KEY_A, entry_payload("a")) is True
-        assert local.contains(KEY_A)
+        store = ProgramStore(tmp_path / "local", remote_url=cache_server.url)
+        assert store.put(KEY_A, entry_payload("a")) is True
+        assert store.local.contains(KEY_A)
         assert cache_server.backend.contains(KEY_A)
 
-    def test_write_remote_false_keeps_remote_readonly(self, tmp_path, cache_server):
-        local = LocalFSBackend(tmp_path / "local")
-        tiered = TieredStore(local, HTTPBackend(cache_server.url), write_remote=False)
-        tiered.put(KEY_A, entry_payload("a"))
-        assert local.contains(KEY_A)
+    def test_put_local_never_publishes(self, tmp_path, cache_server):
+        store = ProgramStore(tmp_path / "local", remote_url=cache_server.url)
+        assert store.put_local(KEY_A, entry_payload("a")) is True
+        assert store.local.contains(KEY_A)
         assert not cache_server.backend.contains(KEY_A)
 
     def test_keys_union_prefers_local_and_deduplicates(self, tmp_path, cache_server):
-        local = LocalFSBackend(tmp_path / "local")
-        tiered = TieredStore(local, HTTPBackend(cache_server.url))
-        tiered.put(KEY_A, entry_payload("a"))  # both tiers
+        store = ProgramStore(tmp_path / "local", remote_url=cache_server.url)
+        store.put(KEY_A, entry_payload("a"))  # both tiers
         cache_server.backend.put(KEY_B, entry_payload("b"))  # remote only
-        assert sorted(tiered.keys()) == [KEY_A, KEY_B]
+        assert sorted(store.keys()) == [KEY_A, KEY_B]
 
     def test_clear_and_evict_touch_local_tier_only(self, tmp_path, cache_server):
-        local = LocalFSBackend(tmp_path / "local")
-        tiered = TieredStore(local, HTTPBackend(cache_server.url))
-        tiered.put(KEY_A, entry_payload("a"))
-        assert tiered.clear() == 1
-        assert not local.contains(KEY_A)
+        store = ProgramStore(tmp_path / "local", remote_url=cache_server.url)
+        store.put(KEY_A, entry_payload("a"))
+        assert store.clear() == 1
+        assert not store.local.contains(KEY_A)
         assert cache_server.backend.contains(KEY_A)
 
     def test_failed_write_back_does_not_lose_the_remote_hit(self, tmp_path, cache_server):
@@ -238,19 +232,23 @@ class TestTieredStore:
             def put(self, key, payload):
                 raise OSError(28, "No space left on device")
 
-        tiered = TieredStore(ReadOnlyLocal(tmp_path / "local"), HTTPBackend(cache_server.url))
+        store = ProgramStore(tmp_path / "local", remote_url=cache_server.url)
+        store.local = ReadOnlyLocal(tmp_path / "local")
         cache_server.backend.put(KEY_A, entry_payload("shared"))
-        assert tiered.get(KEY_A) == entry_payload("shared")
+        assert store.get(KEY_A) == entry_payload("shared")
+        assert store.get_many([KEY_A]) == {KEY_A: entry_payload("shared")}
+        assert store.prefetch([KEY_A]) == 1
+        assert store.put(KEY_B, entry_payload("b")) is False
+        assert store.put_many({KEY_B: entry_payload("b")}) == 0
+        assert cache_server.backend.contains(KEY_B)  # still published
 
     def test_unreachable_remote_degrades_to_local_only(self, tmp_path):
-        local = LocalFSBackend(tmp_path / "local")
-        dead = HTTPBackend("http://127.0.0.1:9", timeout_s=0.5)
-        tiered = TieredStore(local, dead)
-        assert tiered.put(KEY_A, entry_payload("a")) is True
-        assert tiered.get(KEY_A) == entry_payload("a")
-        assert tiered.get(KEY_B) is None
-        assert sorted(tiered.keys()) == [KEY_A]
-        assert dead.errors > 0
+        store = ProgramStore(tmp_path / "local", remote_url="http://127.0.0.1:9")
+        assert store.put(KEY_A, entry_payload("a")) is True
+        assert store.get(KEY_A) == entry_payload("a")
+        assert store.get(KEY_B) is None
+        assert sorted(store.keys()) == [KEY_A]
+        assert store.remote.errors > 0
 
     def test_circuit_breaker_stops_hammering_a_dead_server(self):
         dead = HTTPBackend("http://127.0.0.1:9", timeout_s=0.5, trip_after=3)
@@ -282,10 +280,9 @@ class TestTieredStore:
         assert backend.errors == 0
 
     def test_stats_reports_both_tiers(self, tmp_path, cache_server):
-        local = LocalFSBackend(tmp_path / "local")
-        tiered = TieredStore(local, HTTPBackend(cache_server.url))
-        tiered.put(KEY_A, entry_payload("a"))
-        stats = tiered.stats()
+        store = ProgramStore(tmp_path / "local", remote_url=cache_server.url)
+        store.put(KEY_A, entry_payload("a"))
+        stats = store.stats()
         assert stats["entries"] == 1
         assert stats["remote_entries"] == 1
         assert stats["remote_url"] == cache_server.url
@@ -339,27 +336,21 @@ class TestCopyMissing:
         assert dead.errors > 0
 
 
-class TestProgramStoreFacade:
-    def test_default_store_is_local_backend(self, tmp_path):
+class TestProgramStoreTiers:
+    def test_default_store_is_local_only(self, tmp_path):
         store = ProgramStore(tmp_path)
-        assert isinstance(store.backend, LocalFSBackend)
-        assert store.root == tmp_path
+        assert store.remote is None
+        assert store.root == store.local.root == tmp_path
+        assert store.prefetch([KEY_A]) == 0
 
-    def test_remote_url_builds_tiered_backend(self, tmp_path):
+    def test_remote_url_adds_http_tier(self, tmp_path):
         store = ProgramStore(tmp_path, remote_url="http://127.0.0.1:9")
-        assert isinstance(store.backend, TieredStore)
         assert store.root == tmp_path
-        assert store.backend.remote.url == "http://127.0.0.1:9"
-
-    def test_pure_http_store_has_no_local_root(self):
-        store = ProgramStore(backend=HTTPBackend("http://127.0.0.1:9"))
-        assert store.root is None
-        with pytest.raises(AttributeError):
-            store._path(KEY_A)
+        assert store.remote.url == "http://127.0.0.1:9"
 
     def test_max_bytes_reaches_local_tier(self, tmp_path):
         store = ProgramStore(tmp_path, max_bytes=12345)
-        assert store.backend.max_bytes == 12345
+        assert store.local.max_bytes == 12345
 
 
 # ---------------------------------------------------------------------------

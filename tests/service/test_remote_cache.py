@@ -92,13 +92,14 @@ class TestBackendCombinationBitIdentity:
     def test_every_backend_combination_serves_identical_programs(
         self, tmp_path, cache_server
     ):
-        publisher = CompileService(store=ProgramStore(backend=HTTPBackend(cache_server.url)))
+        publisher = CompileService(
+            store=ProgramStore(tmp_path / "publisher", remote_url=cache_server.url)
+        )
         original = publisher.compile(JOB)
         truth = original.program.to_dict()
         truth_report = estimate_success(original.program)
 
         stores = {
-            "pure-http": ProgramStore(backend=HTTPBackend(cache_server.url)),
             "tiered-cold-local": ProgramStore(tmp_path / "tier", remote_url=cache_server.url),
             "local-after-write-back": ProgramStore(tmp_path / "tier"),
         }
@@ -120,7 +121,9 @@ class TestBackendCombinationBitIdentity:
         local_service.compile(JOB)
         key = local_service.job_key(JOB)
 
-        remote_service = CompileService(store=ProgramStore(backend=HTTPBackend(cache_server.url)))
+        remote_service = CompileService(
+            store=ProgramStore(tmp_path / "client", remote_url=cache_server.url)
+        )
         remote_service.compile(JOB)
 
         local_payload = ProgramStore(tmp_path / "local").get(key)

@@ -1,12 +1,16 @@
 """On-disk program store: layout, atomicity guarantees, maintenance."""
 
+import errno
 import os
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 from repro import estimate_success
 from repro.program import PROGRAM_CODEC_VERSION
+from repro.service import backends
 from repro.service import (
     CompileJob,
     CompileService,
@@ -26,8 +30,8 @@ class TestRoundTrip:
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1.5})
         assert store.get(KEY_A) == {"x": 1.5}
-        assert KEY_A in store
-        assert KEY_B not in store
+        assert store.contains(KEY_A)
+        assert not store.contains(KEY_B)
 
     def test_miss_returns_none(self, tmp_path):
         assert ProgramStore(tmp_path).get(KEY_A) is None
@@ -41,19 +45,19 @@ class TestRoundTrip:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
-        store._path(KEY_A).write_text("{ not json")
+        store.local._path(KEY_A).write_text("{ not json")
         assert store.get(KEY_A) is None
 
     def test_non_utf8_entry_is_a_miss(self, tmp_path):
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
-        store._path(KEY_A).write_bytes(b"\xff\xfe\x00garbage")
+        store.local._path(KEY_A).write_bytes(b"\xff\xfe\x00garbage")
         assert store.get(KEY_A) is None
 
     def test_no_temp_file_droppings(self, tmp_path):
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1})
-        files = [p.name for p in store._path(KEY_A).parent.iterdir()]
+        files = [p.name for p in store.local._path(KEY_A).parent.iterdir()]
         assert files == [f"{KEY_A}.json"]
 
 
@@ -79,7 +83,7 @@ class TestMaintenance:
         store.put(KEY_A, {})
         store.put(KEY_B, {})
         assert store.clear() == 2
-        assert KEY_A not in store
+        assert not store.contains(KEY_A)
         assert store.clear() == 0
 
     def test_clear_removes_stale_versions_too(self, tmp_path):
@@ -99,6 +103,47 @@ class TestMaintenance:
         assert stats["entries"] == 1
         assert stats["total_bytes"] > 100
         assert stats["path"] == str(tmp_path)
+
+
+class TestFullDisk:
+    """A full or read-only local tier costs a recompile, never a crash."""
+
+    JOB = CompileJob(benchmark="bv(4)", strategy="ColorDynamic")
+
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(backends.os, "replace", no_space)
+
+    def test_compile_survives_a_failed_store_write(self, tmp_path, full_disk):
+        service = CompileService(cache_dir=tmp_path)
+        result = service.compile(self.JOB)
+        assert result.program.steps and not result.cache_hit
+        assert service.stats.misses == 1
+        assert service.store.stats()["entries"] == 0
+        assert not any(tmp_path.rglob("*.json")) and not any(tmp_path.rglob(".*"))
+        again = service.compile(self.JOB)
+        assert not again.cache_hit
+        assert service.stats.misses == 2 and service.stats.hits == 0
+
+    def test_writes_report_failure_instead_of_raising(self, tmp_path, full_disk):
+        store = ProgramStore(tmp_path)
+        assert store.put(KEY_A, {"x": 1}) is False
+        assert store.put_local(KEY_A, {"x": 1}) is False
+        assert store.put_many({KEY_A: {"x": 1}, KEY_B: {"y": 2}}) == 0
+        assert store.get(KEY_A) is None
+
+    def test_server_put_answers_500_not_a_false_204(self, cache_server, full_disk):
+        """``LocalFSBackend.put`` still raises, so the server reports the failure."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(urllib.request.Request(
+                f"{cache_server.url}/v{PROGRAM_CODEC_VERSION}/{KEY_A}",
+                data=b'{"x": 1}', method="PUT",
+            ), timeout=10)
+        assert excinfo.value.code == 500
+        assert not cache_server.backend.contains(KEY_A)
 
 
 class TestConcurrentMaintenance:
@@ -125,7 +170,7 @@ class TestConcurrentMaintenance:
         monkeypatch.setattr(Path, "glob", racing_glob)
         stats = store.stats()
         assert stats["entries"] == 1
-        assert stats["total_bytes"] == store._path(KEY_B).stat().st_size
+        assert stats["total_bytes"] == store.local._path(KEY_B).stat().st_size
 
     def test_clear_tolerates_entries_vanishing_mid_walk(self, tmp_path, monkeypatch):
         store = self._store_with_entries(tmp_path)
@@ -147,7 +192,7 @@ class TestConcurrentMaintenance:
         store.put(KEY_B, {"y": 2})
         # Simulate another worker deleting an entry: eviction scans the
         # files it finds and never trips over the missing one.
-        os.unlink(store._path(KEY_A))
+        os.unlink(store.local._path(KEY_A))
         removed, _ = store.evict(0)
         assert removed == 1
         assert store.stats()["entries"] == 0

@@ -11,7 +11,13 @@ lost anything.
 
 ``test_two_writers_keep_the_store_within_budget`` interleaves the puts of
 two budgeted writers on one root: each put, whoever makes it, leaves the
-store within budget.  Both are derandomized so tier-1 stays deterministic.
+store within budget.
+
+``TwoTierStoreMachine`` drives ``ProgramStore(root, remote_url=...)`` against
+an in-process cache server and checks it against one ``{key: payload}``
+model per tier: remote hits are written back locally, ``put_local`` never
+publishes, and ``clear``/``evict`` never touch the server.  All three are
+derandomized so tier-1 stays deterministic.
 """
 
 import json
@@ -22,8 +28,14 @@ import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
+from repro.service import ProgramStore
 from repro.service.backends import LocalFSBackend
 
 #: Two keys share a shard directory, so shard reuse is exercised too.
@@ -145,3 +157,100 @@ def test_two_writers_keep_the_store_within_budget(puts):
             assert observer.get(key) == payload, "the newest write was evicted"
     finally:
         shutil.rmtree(root, ignore_errors=True)
+
+
+class TwoTierStoreMachine(RuleBasedStateMachine):
+    """A two-tier ``ProgramStore`` against a model of each tier.
+
+    ``server_put`` stands for another worker publishing, so remote-only
+    entries (and with them write-back) come up in most runs.
+    """
+
+    def __init__(self, server):
+        super().__init__()
+        self.server = server
+        server.backend.clear()
+        self.root = tempfile.mkdtemp(prefix="store-tiers-")
+        self.store = ProgramStore(self.root, remote_url=server.url)
+        self.local, self.remote = {}, {}
+
+    def teardown(self):
+        self.store.remote.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    @rule(key=st.sampled_from(KEYS), pad=PADS)
+    def put(self, key, pad):
+        payload = payload_for(key, pad)
+        assert self.store.put(key, payload) is True
+        self.local[key] = self.remote[key] = payload
+
+    @rule(key=st.sampled_from(KEYS), pad=PADS)
+    def put_local(self, key, pad):
+        payload = payload_for(key, pad)
+        assert self.store.put_local(key, payload) is True
+        self.local[key] = payload
+
+    @rule(key=st.sampled_from(KEYS), pad=PADS)
+    def server_put(self, key, pad):
+        payload = payload_for(key, pad)
+        self.server.backend.put(key, payload)
+        self.remote[key] = payload
+
+    def read_through(self, key):
+        """The model's answer to a read of *key*, with the write-back applied."""
+        if key not in self.local and key in self.remote:
+            self.local[key] = self.remote[key]
+        return self.local.get(key)
+
+    @rule(key=st.sampled_from(KEYS))
+    def get(self, key):
+        assert self.store.get(key) == self.read_through(key)
+
+    @rule(keys=st.lists(st.sampled_from(KEYS), unique=True))
+    def get_many(self, keys):
+        expected = {key: self.read_through(key) for key in keys}
+        assert self.store.get_many(keys) == {k: v for k, v in expected.items() if v is not None}
+
+    @rule(keys=st.lists(st.sampled_from(KEYS), unique=True))
+    def prefetch(self, keys):
+        fetched = [key for key in keys if key not in self.local and key in self.remote]
+        for key in fetched:
+            self.read_through(key)
+        assert self.store.prefetch(keys) == len(fetched)
+
+    @rule(key=st.sampled_from(KEYS))
+    def delete(self, key):
+        existed = key in self.local or key in self.remote
+        assert self.store.delete(key) is existed
+        self.local.pop(key, None)
+        self.remote.pop(key, None)
+
+    @rule()
+    def clear(self):
+        assert self.store.clear() == len(self.local)
+        self.local.clear()
+
+    @rule(budget=st.sampled_from([0, 100, BUDGET]))
+    def evict(self, budget):
+        removed, freed = self.store.evict(budget)
+        evicted = set(self.local) - set(self.store.local.keys())
+        assert (removed, freed) == (len(evicted), sum(size_of(self.local[k]) for k in evicted))
+        for key in evicted:
+            del self.local[key]
+        assert sum(size_of(payload) for payload in self.local.values()) <= budget
+
+    @invariant()
+    def tiers_match_the_model(self):
+        assert {key: self.store.local.get(key) for key in self.store.local.keys()} == self.local
+        assert {key: self.server.backend.get(key) for key in self.server.backend.keys()} == self.remote
+        assert sorted(self.store.keys()) == sorted(set(self.local) | set(self.remote))
+        stats = self.store.stats()
+        assert (stats["entries"], stats["remote_entries"]) == (len(self.local), len(self.remote))
+        assert stats["remote_errors"] == 0
+
+
+def test_two_tiers_follow_the_model(cache_server):
+    run_state_machine_as_test(
+        lambda: TwoTierStoreMachine(cache_server),
+        settings=settings(max_examples=40, stateful_step_count=20, **DETERMINISTIC),
+    )

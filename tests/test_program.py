@@ -23,7 +23,6 @@ class TestTimeStep:
         assert step.qubits() == {0, 1, 2}
         assert step.interacting_pairs() == {(0, 1)}
         assert step.interacting_qubits() == {0, 1}
-        assert step.frequency_of(3) == 5.7
 
     def test_fixed_couplers_are_always_active(self):
         step = TimeStep(active_couplers=None)
