@@ -11,11 +11,12 @@ same code path can run both as a quick smoke test and as the full
 paper-scale reproduction.
 
 The figure sweeps (9-13) are expressed as flat lists of :class:`SweepJob`
-grid points executed by a :class:`SweepRunner`, which hands the grid's
-distinct compilations to :meth:`repro.service.CompileService.compile_batch`
-and scores every point in-process.  The same job list runs serially (the
-default) or with cold compiles fanned out across processes
-(``max_workers > 1`` or ``REPRO_SWEEP_WORKERS=N``), with identical results.
+grid points executed by a :class:`SweepRunner`.  With a program store, each
+point is first looked up as a stored *report* (its outcome under its noise
+model); the rest go to :meth:`repro.service.CompileService.compile_batch`
+and are scored in-process.  The same job list runs serially (the default)
+or with cold compiles fanned out across processes (``max_workers > 1`` or
+``REPRO_SWEEP_WORKERS=N``), with identical results.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from ..core.compiler import CompilationResult
 from ..devices import Device, grid_graph
 from ..envvars import read_env_int
 from ..noise import NoiseModel, estimate_success
+from ..obs import get_metrics
 from ..obs import span as _span
 from ..noise.crosstalk import effective_coupling, exchange_probability
 from ..service import CompileJob, get_service, make_compiler
+from ..service.cache_key import report_key
 from ..service.compile_service import build_device_for
 from ..workloads import (
     benchmark_circuit,
@@ -104,6 +107,38 @@ class StrategyOutcome:
     crosstalk_fidelity: float
     compile_time_s: float
     max_colors: int
+
+
+#: The ``StrategyOutcome`` fields a stored report holds (everything a job
+#: does not carry), each with the types its decoded value may have.  JSON
+#: keeps 3 and 3.0 apart, and a float depth would print as "3.0" in a
+#: figure table.  Changing this table means bumping REPORT_FORMAT_VERSION.
+_REPORT_FIELDS = {
+    "success_rate": (int, float),
+    "depth": int,
+    "duration_ns": (int, float),
+    "decoherence_error": (int, float),
+    "crosstalk_fidelity": (int, float),
+    "compile_time_s": (int, float),
+    "max_colors": int,
+}
+
+_SWEEP_REPORTS = get_metrics().counter(
+    "repro_sweep_reports_total",
+    "Sweep report-entry lookups and writes by outcome (hit, miss, stored).",
+    ("outcome",),
+)
+
+
+def _report_fields(payload: object) -> Optional[Dict[str, float]]:
+    """A stored report's fields, or ``None`` unless it has exactly the
+    report's field set, each value of its field's types (never a ``bool``)."""
+    if not isinstance(payload, dict) or payload.keys() != _REPORT_FIELDS.keys():
+        return None
+    for name, value in payload.items():
+        if isinstance(value, bool) or not isinstance(value, _REPORT_FIELDS[name]):
+            return None
+    return payload
 
 
 def _evaluate(
@@ -208,14 +243,22 @@ class SweepRunner:
         from the environment (falling back to 1) so the CLI and CI can opt
         in without code changes.
 
-    Each run sends the distinct compilations that the in-process program
-    memo does not hold to the default service (:func:`repro.service.get_service`;
-    install another with :func:`repro.service.service_override`) in one
-    batch, so store reads, store writes and remote compiles happen once, in
-    this process, at any worker count.  Every job is then scored here, in
-    job order.  A grid produces identical numbers at any worker count and any
+    With a program store behind the default service
+    (:func:`repro.service.get_service`; install another with
+    :func:`repro.service.service_override`), each job is first looked up as
+    a stored *report*: its outcome scalars under
+    :func:`~repro.service.cache_key.report_key` (program key x noise model).
+    A hit needs no program at all.  The distinct compilations behind the
+    misses that the in-process program memo does not hold go to the service
+    in one batch, so store reads, store writes and remote compiles happen
+    once, in this process, at any worker count; those jobs are then scored
+    here, in job order.  A fresh report is written back only when its
+    program was loaded from the store (second access), so a cold run writes
+    programs, the next run writes reports, and later runs read only
+    reports.  A grid produces identical numbers at any worker count and any
     cache state: every job is a pure function of its (value-keyed) inputs,
-    and cached or worker-compiled programs decode bit-exactly.
+    cached or worker-compiled programs decode bit-exactly, and stored
+    reports round-trip their floats exactly.
     """
 
     def __init__(
@@ -232,21 +275,51 @@ class SweepRunner:
         """Execute all jobs and return their outcomes in job order."""
         jobs = list(jobs)
         specs = [_compile_spec(job) for job in jobs]
-        pending = [spec for spec in dict.fromkeys(specs) if spec not in _PROGRAM_CACHE]
+        models = [job.noise_model or self.noise_model for job in jobs]
+        service = get_service()
+        store = service.store
+        # report key -> stored (or, this run, scored) report fields
+        reports: Dict[Optional[str], Optional[Dict[str, float]]] = {}
+        keys: List[Optional[str]] = [None] * len(jobs)
+        if store is not None:
+            keys = [report_key(service.job_key(s), m) for s, m in zip(specs, models)]
+            distinct = list(dict.fromkeys(keys))
+            if len(distinct) > 1:
+                store.prefetch(distinct)
+            for key in distinct:
+                with _span("report.load"):
+                    reports[key] = _report_fields(store.get(key))
+                _SWEEP_REPORTS.inc(outcome="miss" if reports[key] is None else "hit")
+        pending = list(dict.fromkeys(
+            spec
+            for spec, key in zip(specs, keys)
+            if reports.get(key) is None and spec not in _PROGRAM_CACHE
+        ))
         if pending:
-            results = get_service().compile_batch(pending, max_workers=self.max_workers)
+            results = service.compile_batch(pending, max_workers=self.max_workers)
             _PROGRAM_CACHE.update(zip(pending, results))
         outcomes = []
-        for job, spec in zip(jobs, specs):
+        for job, spec, model, key in zip(jobs, specs, models, keys):
             with _span("sweep.job", benchmark=job.benchmark, strategy=job.strategy):
-                outcomes.append(
-                    _evaluate(
-                        job.benchmark,
-                        job.strategy,
-                        _PROGRAM_CACHE[spec],
-                        job.noise_model or self.noise_model,
-                    )
-                )
+                fields = reports.get(key)
+                if fields is not None:
+                    outcomes.append(StrategyOutcome(job.benchmark, job.strategy, **fields))
+                    continue
+                result = _PROGRAM_CACHE[spec]
+                outcome = _evaluate(job.benchmark, job.strategy, result, model)
+                outcomes.append(outcome)
+                if key is None:
+                    continue
+                fields = {name: getattr(outcome, name) for name in _REPORT_FIELDS}
+                reports[key] = fields
+                # Second access only: a program compiled in this run stays
+                # unscored in the store until a later run loads it, which
+                # keeps the fill path lean and the report's compile time
+                # the stored one.
+                if result.cache_hit:
+                    with _span("store.put"):
+                        if store.put(key, fields):
+                            _SWEEP_REPORTS.inc(outcome="stored")
         return outcomes
 
 

@@ -671,14 +671,18 @@ def _run_cache(args: argparse.Namespace) -> int:
         # to every other local write path (figure/warm puts evict per write).
         local = LocalFSBackend(args.cache_dir, max_bytes=cache_max_bytes_default())
         remote = HTTPBackend(url)
-        if args.cache_command == "push":
-            copied, present = copy_missing(local, remote)
-            direction = f"{local.root} -> {url}"
-        else:
-            copied, present = copy_missing(remote, local)
-            direction = f"{url} -> {local.root}"
+        pull = args.cache_command == "pull"
+        source, destination = (remote, local) if pull else (local, remote)
+        origin, target = (url, local.root) if pull else (local.root, url)
+        try:
+            copied, present = copy_missing(source, destination)
+        except OSError as exc:
+            # Only a local write raises (a full or read-only disk); remote
+            # failures are counted in remote.errors below.
+            print(f"error: could not write entries to {target}: {exc}", file=sys.stderr)
+            return 1
         print(
-            f"{direction}: {copied} entr{'y' if copied == 1 else 'ies'} copied, "
+            f"{origin} -> {target}: {copied} entr{'y' if copied == 1 else 'ies'} copied, "
             f"{present} already present"
         )
         if remote.errors:

@@ -425,8 +425,11 @@ class StoreBackend(abc.ABC):
         """Persist many entries; returns how many writes succeeded.
 
         The base implementation loops over :meth:`put` (so the per-write
-        byte budget still applies); batched backends override it.  A failed
-        write is skipped and not counted, never raised.
+        byte budget still applies); batched backends override it.  A write
+        that ``put`` reports as failed is skipped and not counted; a
+        backend whose ``put`` raises (:class:`LocalFSBackend` raises
+        ``OSError`` on a full or read-only disk, which the cache server
+        turns into a 500) propagates the error from here too.
         """
         return sum(1 for key, payload in entries.items() if self.put(key, payload))
 
@@ -969,7 +972,9 @@ def copy_missing(source: StoreBackend, destination: StoreBackend) -> Tuple[int, 
     Returns ``(copied, already_present)``.  This is the engine behind
     ``python -m repro cache push`` (local -> remote) and ``cache pull``
     (remote -> local); an entry that vanishes or fails to decode mid-sync is
-    skipped, and a failed destination write is not counted as copied.
+    skipped, and a failed destination write is not counted as copied.  A
+    :class:`LocalFSBackend` destination raises ``OSError`` when its disk is
+    full or read-only (see :meth:`StoreBackend.put_many`).
 
     Batched since PR 8: one destination listing decides what is missing,
     ``get_many``/``put_many`` move the entries in chunked round trips — a

@@ -15,10 +15,15 @@ Canonicalisation relies on ``json.dumps(sort_keys=True)`` plus Python's
 shortest-repr float formatting, which is deterministic across processes and
 platforms, so two identical compilations always hash to the same key while
 *any* perturbation of the device or the compiler options changes it.
+
+The store holds a second kind of entry: the sweep *report* of one program
+under one noise model, keyed by :func:`report_key` over the program's cache
+key, the noise model's full field set and :data:`REPORT_FORMAT_VERSION`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Dict
@@ -27,12 +32,20 @@ from ..circuits import Circuit
 from ..program import PROGRAM_CODEC_VERSION
 
 __all__ = [
+    "REPORT_FORMAT_VERSION",
     "cache_key",
     "canonical_json",
     "circuit_digest",
     "compiler_digest",
     "key_payload",
+    "report_key",
 ]
+
+#: Version of the stored sweep report (the ``StrategyOutcome`` scalars a
+#: job does not carry).  Bump it whenever ``estimate_success`` output or
+#: the stored field set changes: every report key moves, and the old
+#: entries are never read again.
+REPORT_FORMAT_VERSION = 1
 
 
 def _toolchain_version() -> str:
@@ -101,3 +114,24 @@ def cache_key(
         key_payload(compiler, circuit, compiler_sha=compiler_sha, circuit_sha=circuit_sha)
     )
     return hashlib.sha256(document.encode()).hexdigest()
+
+
+def report_key(program_key: str, model) -> str:
+    """Content-addressed key of the sweep report of a program under a noise model.
+
+    *program_key* is the program's :func:`cache_key` (which already carries
+    the toolchain and codec versions); *model* is a
+    :class:`~repro.noise.NoiseModel`, entering with every one of its fields,
+    so changing any field moves the key.
+    """
+    # A field-by-field dict serializes like dataclasses.asdict for the flat
+    # NoiseModel at a third of the cost (json.dumps rejects a nested field).
+    noise = {field.name: getattr(model, field.name) for field in dataclasses.fields(model)}
+    return _digest(
+        {
+            "kind": "report",
+            "report": REPORT_FORMAT_VERSION,
+            "program": program_key,
+            "noise": noise,
+        }
+    )

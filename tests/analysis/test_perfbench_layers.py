@@ -52,12 +52,25 @@ def _timed_pass(layers, store_dir):
 
 
 def test_fill_then_warm_pass_hit_the_wrapped_layers(layers, tmp_path):
+    """Fill, first warm and report-warm passes each reach their layers."""
     cold = _timed_pass(layers, tmp_path)
     for layer in ("service.job_key", "store.get", "store.put", "codec.encode",
                   "estimate", "compile.colordynamic", "compile.baseline_u"):
         assert cold[layer] > 0, f"fill pass: {layer}"
 
+    # The first warm pass loads the programs, scores them and stores their
+    # reports (second access); it compiles nothing.
     warm = _timed_pass(layers, tmp_path)
-    for layer in ("service.job_key", "store.get", "codec.decode", "estimate"):
+    for layer in ("service.job_key", "store.get", "codec.decode", "estimate", "store.put"):
         assert warm[layer] > 0, f"warm pass: {layer}"
-    assert warm["store.put"] == 0 and warm["compile.colordynamic"] == 0
+    assert warm["codec.encode"] == 0
+    assert not [layer for layer in warm if layer.startswith("compile.") and warm[layer]]
+
+    # The report-warm pass reads reports only: no program is decoded,
+    # scored, written or compiled.
+    hot = _timed_pass(layers, tmp_path)
+    for layer in ("service.job_key", "store.get"):
+        assert hot[layer] > 0, f"report-warm pass: {layer}"
+    for layer in ("codec.decode", "codec.encode", "estimate", "store.put"):
+        assert hot[layer] == 0, f"report-warm pass: {layer}"
+    assert not [layer for layer in hot if layer.startswith("compile.") and hot[layer]]

@@ -13,6 +13,7 @@ counts every one of those compiles.
 from __future__ import annotations
 
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
@@ -110,7 +111,9 @@ def test_repeated_process_sweep_recompiles_nothing(tmp_path):
 
     Cross-process dedup is the store's job: after one sweep has persisted
     every distinct point, a second sweep at any worker count rewrites no
-    store entry (file mtimes are untouched).
+    program entry (file mtimes are untouched); its only writes are the new
+    report entries, one per distinct (program, noise model).  A third sweep
+    is served from those reports and writes nothing at all.
     """
     jobs, distinct = _duplicate_heavy_jobs()
     cache_dir = tmp_path / "store"
@@ -123,9 +126,11 @@ def test_repeated_process_sweep_recompiles_nothing(tmp_path):
         # files are the store (hits stamp their atime, never their mtime).
         return sorted(cache_dir.glob("v*/??/*.json"))
 
-    entries = entry_files()
-    assert len(entries) == distinct
-    mtimes = {p: p.stat().st_mtime_ns for p in entries}
+    def mtimes():
+        return {p: p.stat().st_mtime_ns for p in entry_files()}
+
+    programs = mtimes()
+    assert len(programs) == distinct
 
     clear_sweep_caches()
     with service_override(cache_dir=str(cache_dir)) as warm_service:
@@ -135,4 +140,24 @@ def test_repeated_process_sweep_recompiles_nothing(tmp_path):
     assert _timeless(first) == _timeless(second)
     assert warm_service.stats.hits == distinct
     assert warm_service.stats.misses == 0
-    assert {p: p.stat().st_mtime_ns for p in entry_files()} == mtimes
+    after_second = mtimes()
+    reports = {p: t for p, t in after_second.items() if p not in programs}
+    assert {p: after_second[p] for p in programs} == programs
+    # One report per distinct job; the Baseline G program is scored under
+    # three noise models.
+    distinct_jobs = {dataclasses.replace(job, key=None) for job in jobs}
+    assert len(reports) == len(distinct_jobs) == distinct + 2
+    for path in reports:
+        assert set(json.loads(path.read_text())) == {
+            "success_rate", "depth", "duration_ns", "decoherence_error",
+            "crosstalk_fidelity", "compile_time_s", "max_colors",
+        }
+
+    clear_sweep_caches()
+    with service_override(cache_dir=str(cache_dir)) as hot_service:
+        third = SweepRunner(max_workers=2).run(jobs)
+    clear_sweep_caches()
+
+    assert third == second
+    assert hot_service.stats.requests == 0
+    assert mtimes() == after_second

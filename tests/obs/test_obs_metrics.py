@@ -136,8 +136,9 @@ class TestRegistry:
 
 class TestGlobalRegistry:
     def test_instrumented_modules_register_at_import(self):
-        # Importing the service layer is enough for every metric family to
-        # exist — GET /metrics must list them before the first operation.
+        # Importing the service and sweep layers is enough for every metric
+        # family to exist — GET /metrics must list them before the first operation.
+        import repro.analysis.experiments  # noqa: F401
         import repro.service.compile_service  # noqa: F401
         import repro.service.server  # noqa: F401
 
@@ -152,6 +153,7 @@ class TestGlobalRegistry:
             "repro_store_breaker_trips_total",
             "repro_server_requests_total",
             "repro_server_request_seconds",
+            "repro_sweep_reports_total",
         ):
             assert expected in names
 

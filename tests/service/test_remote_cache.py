@@ -1,6 +1,7 @@
 """The shared cache server: wire protocol, backend-combination bit-identity,
 and the two-process `cache serve` + `figure --remote-cache` workflow."""
 
+import errno
 import json
 import urllib.error
 import urllib.request
@@ -11,6 +12,7 @@ from repro.analysis import clear_sweep_caches
 from repro.cli import main
 from repro.noise import estimate_success
 from repro.program import PROGRAM_CODEC_VERSION
+from repro.service import backends
 from repro.service import (
     CompileJob,
     CompileService,
@@ -169,6 +171,27 @@ class TestRemoteCacheCLI:
         # evict everything via the CLI budget knob
         assert main(["cache", "evict", "--max-bytes", "0", "--cache-dir", str(pull_dir)]) == 0
         assert "evicted 4" in capsys.readouterr().out
+        assert ProgramStore(pull_dir).stats()["entries"] == 0
+
+    def test_pull_onto_a_full_disk_reports_an_error(
+        self, tmp_path, capsys, monkeypatch, cache_server
+    ):
+        HTTPBackend(cache_server.url).put(KEY, {"x": 1})
+
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(backends.os, "replace", no_space)
+        pull_dir = tmp_path / "pulled"
+        assert main(
+            ["cache", "pull", "--cache-dir", str(pull_dir),
+             "--remote-cache", cache_server.url]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: could not write entries to {pull_dir}")
+        assert "No space left on device" in line
         assert ProgramStore(pull_dir).stats()["entries"] == 0
 
     def test_push_without_url_is_an_error(self, tmp_path, capsys, monkeypatch):
