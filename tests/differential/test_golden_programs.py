@@ -19,6 +19,14 @@ routing.  The programs both files pin were first recorded while every
 graph in ``src/`` was still a networkx graph, so they pin the in-tree
 graph code to networkx's orders.
 
+Two more files pin what the oracle compilers cannot check on their own,
+because they share the pipeline's frequency annotation and program
+emission: ``golden_fig11_programs.json`` holds the 32 Fig. 11 points
+(8 benchmarks x 4 color budgets, ColorDynamic), which run the scheduler's
+``max_colors`` bitset probe, and ``golden_success_programs.json`` a
+35-point slice of the Fig. 9 grid (7 benchmarks x 5 strategies) compiled
+with ``admission="success"``, including Baseline G's active couplers.
+
 Regenerate (only for a deliberate change of compiled output) from the
 repository root with::
 
@@ -37,6 +45,13 @@ import pytest
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden_fig09_programs.json"
 GOLDEN_FIG13_FILE = GOLDEN_FILE.with_name("golden_fig13_programs.json")
 GOLDEN_PATHS_FILE = GOLDEN_FILE.with_name("golden_graph_paths.json")
+GOLDEN_FIG11_FILE = GOLDEN_FILE.with_name("golden_fig11_programs.json")
+GOLDEN_SUCCESS_FILE = GOLDEN_FILE.with_name("golden_success_programs.json")
+#: The Fig. 9 benchmarks of the success-admission slice: on each, at least
+#: one strategy admits differently from the structural policy.
+SUCCESS_BENCHMARKS = (
+    "bv(9)", "qaoa(9)", "ising(4)", "qgan(9)", "xeb(9,5)", "xeb(16,5)", "xeb(16,10)",
+)
 GRID_SEED = 2020
 
 
@@ -108,6 +123,40 @@ def fig13_digests() -> Dict[str, str]:
             for strategy in FIG13_STRATEGIES:
                 result = make_compiler(strategy, device).compile(circuit)
                 digests[f"{benchmark}|{topology}|{strategy}"] = canonical_digest(result)
+    return digests
+
+
+def fig11_digests() -> Dict[str, str]:
+    """Digest of every Fig. 11 point, keyed ``"<benchmark>|max_colors=<k>"``."""
+    from repro.analysis.experiments import FIG11_COLOR_BUDGETS
+    from repro.service import make_compiler
+    from repro.service.compile_service import build_device_for
+    from repro.workloads import benchmark_circuit, fig11_benchmarks
+
+    digests: Dict[str, str] = {}
+    for benchmark in fig11_benchmarks():
+        device = build_device_for(benchmark, seed=GRID_SEED)
+        circuit = benchmark_circuit(benchmark, seed=GRID_SEED)
+        for budget in FIG11_COLOR_BUDGETS:
+            result = make_compiler("ColorDynamic", device, budget).compile(circuit)
+            digests[f"{benchmark}|max_colors={budget}"] = canonical_digest(result)
+    return digests
+
+
+def success_digests() -> Dict[str, str]:
+    """Digest of each success-admission point, keyed ``"<benchmark>|<strategy>"``."""
+    from repro.analysis.experiments import STRATEGIES
+    from repro.service import make_compiler
+    from repro.service.compile_service import build_device_for
+    from repro.workloads import benchmark_circuit
+
+    digests: Dict[str, str] = {}
+    for benchmark in SUCCESS_BENCHMARKS:
+        device = build_device_for(benchmark, seed=GRID_SEED)
+        circuit = benchmark_circuit(benchmark, seed=GRID_SEED)
+        for strategy in STRATEGIES:
+            compiler = make_compiler(strategy, device, admission="success")
+            digests[f"{benchmark}|{strategy}"] = canonical_digest(compiler.compile(circuit))
     return digests
 
 
@@ -189,6 +238,16 @@ def test_graph_paths_match_golden_digests():
 
 
 @pytest.mark.differential
+def test_fig11_grid_matches_golden_digests():
+    _assert_matches(GOLDEN_FIG11_FILE, fig11_digests(), 32, "Fig. 11")
+
+
+@pytest.mark.differential
+def test_success_admission_slice_matches_golden_digests():
+    _assert_matches(GOLDEN_SUCCESS_FILE, success_digests(), 35, "success-admission")
+
+
+@pytest.mark.differential
 def test_fig09_grid_matches_golden_digests():
     golden = json.loads(GOLDEN_FILE.read_text())
     assert golden["seed"] == GRID_SEED
@@ -205,5 +264,7 @@ if __name__ == "__main__":
         (GOLDEN_FILE, fig09_digests),
         (GOLDEN_FIG13_FILE, fig13_digests),
         (GOLDEN_PATHS_FILE, graph_path_digests),
+        (GOLDEN_FIG11_FILE, fig11_digests),
+        (GOLDEN_SUCCESS_FILE, success_digests),
     ):
         path.write_text(json.dumps({"seed": GRID_SEED, "digests": digests()}, indent=1) + "\n")
