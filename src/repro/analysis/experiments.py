@@ -281,7 +281,7 @@ class SweepRunner:
         # report key -> stored (or, this run, scored) report fields
         reports: Dict[Optional[str], Optional[Dict[str, float]]] = {}
         keys: List[Optional[str]] = [None] * len(jobs)
-        if store is not None:
+        if store is not None and store.holds_reports():
             keys = [report_key(service.job_key(s), m) for s, m in zip(specs, models)]
             distinct = list(dict.fromkeys(keys))
             if len(distinct) > 1:
@@ -308,17 +308,21 @@ class SweepRunner:
                 result = _PROGRAM_CACHE[spec]
                 outcome = _evaluate(job.benchmark, job.strategy, result, model)
                 outcomes.append(outcome)
-                if key is None:
-                    continue
-                fields = {name: getattr(outcome, name) for name in _REPORT_FIELDS}
-                reports[key] = fields
                 # Second access only: a program compiled in this run stays
                 # unscored in the store until a later run loads it, which
                 # keeps the fill path lean and the report's compile time
                 # the stored one.
+                if key is None:
+                    # No store, or one that held no report when the run
+                    # began: derive the key only to write a report.
+                    if store is None or not result.cache_hit:
+                        continue
+                    key = report_key(service.job_key(spec), model)
+                fields = {name: getattr(outcome, name) for name in _REPORT_FIELDS}
+                reports[key] = fields
                 if result.cache_hit:
                     with _span("store.put"):
-                        if store.put(key, fields):
+                        if store.put_report(key, fields):
                             _SWEEP_REPORTS.inc(outcome="stored")
         return outcomes
 

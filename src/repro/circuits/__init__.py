@@ -20,7 +20,7 @@ from .gates import (
     MEASUREMENT_TIME_NS,
 )
 from .circuit import Circuit, Moment
-from .dag import criticality, critical_path_length, gate_dependencies
+from .dag import GateTable
 from .decompose import decompose_circuit, decompose_gate, STRATEGIES
 from .routing import RoutedCircuit, initial_layout, route_circuit
 from .qasm import to_qasm, from_qasm
@@ -39,9 +39,7 @@ __all__ = [
     "MEASUREMENT_TIME_NS",
     "Circuit",
     "Moment",
-    "gate_dependencies",
-    "criticality",
-    "critical_path_length",
+    "GateTable",
     "decompose_circuit",
     "decompose_gate",
     "STRATEGIES",

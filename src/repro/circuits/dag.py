@@ -1,109 +1,102 @@
-"""Dependency DAG and criticality analysis for circuits.
+"""The gate dependency DAG and criticality, lowered to integer tables.
 
 The noise-aware queueing scheduler in Algorithm 1 sorts the gates of each
 layer "by criticality", where the criticality of a gate is its position along
-the program critical path (Section V-B6).  This module derives the gate
-dependency DAG of a :class:`~repro.circuits.circuit.Circuit` as flat
-successor lists and computes, for every gate, the length of the longest
-dependency chain that still hangs off it (the *remaining critical path*),
-both in gate counts and in nanoseconds.
+the program critical path (Section V-B6): the length of the longest chain of
+dependent gates that still hangs off it.  :class:`GateTable` lowers a
+circuit once into the per-gate tables the scheduling loop reads, so it never
+touches a :class:`~repro.circuits.gates.Gate`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Dict, List, Optional, Tuple
 
 from .circuit import Circuit
+from .gates import gate_spec
 
-__all__ = [
-    "gate_dependencies",
-    "criticality",
-    "criticality_scores",
-    "critical_path_length",
-]
+__all__ = ["GateTable"]
+
+Coupling = Tuple[int, int]
 
 
-def gate_dependencies(circuit: Circuit) -> Tuple[List[List[int]], List[int]]:
-    """Successor lists and in-degrees of the gate dependency DAG, as flat lists.
+class GateTable:
+    """A circuit lowered to the integer tables the compile loop reads.
 
-    Dependencies are derived purely from qubit sharing: for each qubit, the
-    gates touching it form a chain in program order.  This is the standard
-    conservative (no commutation analysis) dependency model the paper uses.
-    Gate indices are already topologically ordered (every edge points
-    forward in program order), which downstream consumers exploit.
-
-    Returns ``(successors, indegree)`` where ``successors[i]`` lists the gate
-    indices that depend directly on gate ``i``.
+    Read-only; the compile pipeline builds one per prepared circuit.  Per
+    gate ``i``: ``name_ids[i]`` (into ``names``, first-appearance order),
+    ``qubit_runs[i]``, ``param_runs[i]``, ``duration[i]`` (ns), ``pair[i]``
+    (the sorted pair of a two-qubit gate, else ``None``), ``kind[i]`` (one
+    id per distinct two-qubit ``(pair, name)``, else ``-1``) and
+    ``criticality[i]`` (remaining critical path, ns).  The dependency DAG
+    (each qubit's gates chain in program order, the paper's conservative
+    no-commutation model) is CSR: gate ``i``'s successors are
+    ``successors[successor_offsets[i]:successor_offsets[i + 1]]``, with
+    ``indegree[i]`` predecessors; ``roots`` have none.  ``coupling_ids``
+    maps a crosstalk :class:`~repro.core.coloring.GraphIndex` to each
+    gate's coupling id (``None`` if not two-qubit), filled by the scheduler.
     """
-    n = len(circuit.gates)
-    successors: List[List[int]] = [[] for _ in range(n)]
-    indegree: List[int] = [0] * n
-    last_on_qubit: Dict[int, int] = {}
-    for index, gate in enumerate(circuit.gates):
-        for qubit in gate.qubits:
-            previous = last_on_qubit.get(qubit)
-            if previous is not None and (
-                not successors[previous] or successors[previous][-1] != index
-            ):
-                # A two-qubit gate sharing both qubits with the same
-                # predecessor contributes one edge, not two.
-                successors[previous].append(index)
-                indegree[index] += 1
-            last_on_qubit[qubit] = index
-    return successors, indegree
 
+    def __init__(self, circuit: Circuit) -> None:
+        self.circuit = circuit
+        gates = circuit.gates
+        gate_names = [gate.name for gate in gates]
+        ids = {name: i for i, name in enumerate(dict.fromkeys(gate_names))}
+        specs = [gate_spec(name) for name in ids]
+        name_ids = [ids[name] for name in gate_names]
+        qubit_runs = [gate.qubits for gate in gates]
+        param_runs = [gate.params for gate in gates]
+        two_qubit = [spec.num_qubits == 2 for spec in specs]
+        kinds: Dict[Tuple[Coupling, int], int] = {}
+        pair: List[Optional[Coupling]] = []
+        kind: List[int] = []
+        for name_id, qubits in zip(name_ids, qubit_runs):
+            if two_qubit[name_id]:
+                a, b = qubits
+                coupling = (a, b) if a < b else (b, a)
+                pair.append(coupling)
+                kind.append(kinds.setdefault((coupling, name_id), len(kinds)))
+            else:
+                pair.append(None)
+                kind.append(-1)
 
-def criticality(circuit: Circuit, weighted: bool = True) -> Dict[int, float]:
-    """Return the remaining-critical-path length for every gate index.
+        # Each qubit's gates chain in program order; a two-qubit gate
+        # sharing both qubits with the same predecessor is one edge.
+        successor_lists: List[List[int]] = [[] for _ in gates]
+        indegree = [0] * len(gates)
+        last_on_qubit = [-1] * circuit.num_qubits
+        for index, qubits in enumerate(qubit_runs):
+            for qubit in qubits:
+                previous = last_on_qubit[qubit]
+                if previous >= 0:
+                    successors = successor_lists[previous]
+                    if not successors or successors[-1] != index:
+                        successors.append(index)
+                        indegree[index] += 1
+                last_on_qubit[qubit] = index
 
-    ``criticality[i]`` is the length of the longest chain of dependent gates
-    starting at gate ``i`` (inclusive).  When ``weighted`` is ``True`` the
-    chain length is measured in nanoseconds of gate duration; otherwise it
-    counts gates.  Gates with larger criticality are scheduled first by the
-    noise-aware queueing scheduler so that serialization decisions do not
-    stretch the program critical path.
-
-    The sweep runs over :func:`gate_dependencies` in reverse program order
-    (gate indices are topologically sorted by construction), never building
-    a graph object.
-    """
-    successors, _ = gate_dependencies(circuit)
-    scores_list = criticality_scores(successors, circuit.gates, weighted=weighted)
-    return {index: scores_list[index] for index in range(len(circuit.gates))}
-
-
-def criticality_scores(
-    successors: Sequence[Sequence[int]],
-    gates: Sequence,
-    weighted: bool = True,
-) -> List[float]:
-    """Remaining-critical-path sweep over pre-computed successor lists.
-
-    The flat-list core of :func:`criticality`, shared with the scheduler so
-    one :func:`gate_dependencies` pass serves both the readiness tracking
-    and the criticality ordering.  ``successors[i]`` must only contain
-    indices greater than ``i`` (guaranteed by :func:`gate_dependencies`).
-    """
-    n = len(gates)
-    scores: List[float] = [0.0] * n
-    for node in range(n - 1, -1, -1):
-        best = 0.0
-        for successor in successors[node]:
-            value = scores[successor]
-            if value > best:
-                best = value
-        scores[node] = (gates[node].duration_ns if weighted else 1.0) + best
-    return scores
-
-
-def critical_path_length(circuit: Circuit, weighted: bool = True) -> float:
-    """Return the length of the circuit's critical path.
-
-    With ``weighted=False`` this equals the ASAP circuit depth; with
-    ``weighted=True`` it is the minimum wall-clock execution time assuming
-    unlimited parallelism.
-    """
-    if not circuit.gates:
-        return 0.0
-    scores = criticality(circuit, weighted=weighted)
-    return max(scores.values())
+        duration_by_id = [spec.duration_ns for spec in specs]
+        duration = [duration_by_id[i] for i in name_ids]
+        # Every edge points forward in program order, so one sweep in
+        # reverse order gives each gate its longest chain of successors.
+        criticality = [0.0] * len(gates)
+        for node in range(len(gates) - 1, -1, -1):
+            best = 0.0
+            for successor in successor_lists[node]:
+                if criticality[successor] > best:
+                    best = criticality[successor]
+            criticality[node] = duration[node] + best
+        self.names: Tuple[str, ...] = tuple(ids)
+        self.name_ids = name_ids
+        self.qubit_runs = qubit_runs
+        self.param_runs = param_runs
+        self.pair = pair
+        self.kind = kind
+        self.duration = duration
+        self.successor_offsets = list(accumulate(map(len, successor_lists), initial=0))
+        self.successors = list(chain.from_iterable(successor_lists))
+        self.indegree = indegree
+        self.criticality = criticality
+        self.roots = [i for i, degree in enumerate(indegree) if degree == 0]
+        self.coupling_ids: Dict[object, List[Optional[int]]] = {}

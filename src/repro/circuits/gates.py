@@ -308,10 +308,8 @@ class Gate:
 
     @property
     def spec(self) -> GateSpec:
-        # Interned at construction time; gate-spec lookups sit on the
-        # scheduler's critical path (criticality weighting, two-qubit tests,
-        # step durations), so the registry is consulted once per instance.
-        # Gates rebuilt from a program's columns intern lazily instead.
+        # Interned at construction time (routing and decomposition test
+        # every gate); gates rebuilt from a program's columns intern lazily.
         cached = getattr(self, "_spec", None)
         if cached is None:
             cached = gate_spec(self.name)

@@ -1,42 +1,34 @@
 """Step-admission policies: who decides which gate enters the current step.
 
-The noise-aware scheduler (Algorithm 1) admits gates into the step under
-construction on *structural* grounds: gates are scanned in criticality
-order and a two-qubit gate enters unless the ``noise_conflict`` predicate
-(crowding threshold, ``max_colors`` probe) rejects it.  That reproduces the
-paper — but since PR 3 the compilers own an
-:class:`~repro.noise.IncrementalEstimator` whose :meth:`preview_step
-<repro.noise.IncrementalEstimator.preview_step>` can score a *candidate*
-step in O(pairs), which makes a second policy possible: let the predicted
-Eq. (4) success rate itself pick the placement.
+The noise-aware scheduler (Algorithm 1) admits gates on *structural*
+grounds: gates are scanned in criticality order and a two-qubit gate
+enters unless the ``noise_conflict`` predicate (crowding threshold,
+``max_colors`` probe) rejects it.  An
+:class:`~repro.noise.IncrementalEstimator` scores a *candidate* step in
+O(pairs) (:meth:`~repro.noise.IncrementalEstimator.preview_step`), which
+makes a second policy possible: let the predicted Eq. (4) success rate
+pick the placement.
 
 :class:`StepAdmission` is the protocol between the scheduler and such
-policies.  Each scheduling cycle runs one fill pass over the ready queue in
-criticality order; that step is composition 0, the structural step.  When
-``policy.beam`` is above 1 and the step admits a two-qubit gate, the
-scheduler runs the same pass up to ``beam - 1`` more times, each with one
-two-qubit *leader* moved to the front, and re-sorts every resulting
-**candidate composition** into criticality order (duplicates are
-skipped).  Single-qubit gates are the same in every composition: gates
-that are ready together never share a qubit.  The policy picks one
-composition per cycle via :meth:`StepAdmission.choose`:
+policies.  Each cycle's criticality-order fill pass is composition 0.
+When ``policy.beam`` is above 1 and the step admits a two-qubit gate, the
+scheduler runs the pass up to ``beam - 1`` more times, each with one
+two-qubit *leader* moved to the front, re-sorts every **candidate
+composition** into criticality order (skipping duplicates) and lets
+:meth:`StepAdmission.choose` pick one.  Single-qubit gates are the same in
+every composition: gates that are ready together never share a qubit.
 
 * :class:`StructuralAdmission` (``"structural"``, the default) always picks
-  composition 0 — criticality order, exactly the paper's behavior.  Its
-  beam is 1, so the scheduler never builds an alternative or calls
-  :meth:`~StepAdmission.choose`; compilers given
-  ``admission="structural"`` pass no policy at all, and both run the same
-  single pass.
-* :class:`SuccessAdmission` (``"success"``) annotates each composition
-  into the time step it *would* become (the compiler supplies the
-  frequency-annotation callback) and admits the composition maximizing the
-  estimator's predicted success of the program so far plus that step —
-  deviating from criticality order only when a different composition
-  strictly improves the prediction.  The estimator steers compilation
-  instead of merely observing it: which couplings co-reside in a step —
-  and therefore which colorings, frequency separations and retuning
-  overheads the program pays — follows the Eq. (4) objective rather than
-  criticality alone.
+  composition 0, the paper's behavior.  Its beam is 1, so the scheduler
+  never builds an alternative; compilers given ``admission="structural"``
+  pass no policy at all.
+* :class:`SuccessAdmission` (``"success"``) annotates each composition into
+  the time step it *would* become (the compiler supplies the callback) and
+  admits the one maximizing the predicted success of the program so far
+  plus that step, leaving criticality order only on a strict improvement.
+  Which couplings share a step — and so the colorings, separations and
+  retuning overheads the program pays — then follows the Eq. (4)
+  objective rather than criticality alone.
 
 Both policies admit every structurally admissible gate eventually; they
 differ only in *placement*, which changes step composition whenever the

@@ -11,9 +11,10 @@
    on first compile, so a compiler that only keys a cache hit builds
    neither),
 4. slice the program into time steps with the noise-aware queueing
-   scheduler (criticality ordering + crosstalk throttling),
+   scheduler (criticality ordering + crosstalk throttling) on the prepared
+   circuit's :class:`~repro.circuits.dag.GateTable`,
 5. give every step's active couplings their interaction frequencies and
-   record the resulting per-qubit frequencies, and
+   append the step, with its per-qubit frequencies, to the columns, and
 6. emit a :class:`~repro.program.CompiledProgram` annotated with the number
    of colors used, the achieved frequency separations and the compile time.
 
@@ -37,13 +38,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..circuits import Circuit, decompose_circuit, route_circuit
+from ..circuits import Circuit, GateTable, decompose_circuit, route_circuit
 from ..devices import Device
 from ..devices.device import PREPARED_CACHE_ATTR
 from ..graph import Graph
 from ..noise.flux import tuning_overhead_ns
+from ..obs import get_metrics
 from ..obs import span as _span
-from ..program import CompiledProgram, Interaction, TimeStep
+from ..program import ColumnsBuilder, CompiledProgram, Interaction, TimeStep
 from .admission import ADMISSION_POLICIES, StepAdmission, SuccessAdmission
 from .coloring import GraphIndex, num_colors
 from .crosstalk_graph import build_crosstalk_graph
@@ -56,6 +58,7 @@ __all__ = [
     "ColorDynamic",
     "CompilationResult",
     "CompilerPipeline",
+    "prepare_gate_table",
     "prepare_native_circuit",
 ]
 
@@ -72,42 +75,53 @@ def _circuit_needs_routing(device: Device, circuit: Circuit) -> bool:
     return any(not device.has_edge(*pair) for pair in circuit.couplings())
 
 
-def prepare_native_circuit(
-    device: Device,
-    circuit: Circuit,
-    decomposition: str,
-    use_routing: bool,
-) -> Circuit:
-    """Route/remap *circuit* onto *device* and decompose it into native gates.
+_MEMO_LOOKUPS = get_metrics().counter(
+    "repro_compile_memo_total",
+    "In-process compile memo lookups by memo and outcome (hit, miss).",
+    ("memo", "outcome"),
+)
 
-    The shared front half of every compile.  The result is memoized on the
+
+def prepare_gate_table(
+    device: Device, circuit: Circuit, decomposition: str, use_routing: bool
+) -> GateTable:
+    """Route/remap *circuit* onto *device*, decompose it into native gates
+    and lower the result to a :class:`GateTable` (``table.circuit``).
+
+    The shared front half of every compile.  The table is memoized on the
     device instance, keyed by the circuit's content (gates, width, name) and
     the preparation knobs — in a sweep, every strategy sharing a device
-    prepares each benchmark exactly once.  The cached circuit is shared, so
-    callers must treat it as read-only (the compile pipeline only reads it;
-    the gates it copies into time steps are immutable).  Mutating
-    ``device.graph`` in place without rebuilding the device requires
-    :func:`repro.noise.clear_spectator_cache`, which also drops this memo.
+    prepares and lowers each benchmark exactly once; lookups count in
+    ``repro_compile_memo_total{memo="prepare"}``.  Treat the table and its
+    circuit as read-only.  Mutating ``device.graph`` in place without
+    rebuilding the device requires :func:`repro.noise.clear_spectator_cache`,
+    which also drops this memo.
     """
     cache: Optional[Dict] = getattr(device, PREPARED_CACHE_ATTR, None)
     if cache is None:
         cache = {}
         setattr(device, PREPARED_CACHE_ATTR, cache)
     key = (tuple(circuit.gates), circuit.num_qubits, circuit.name, decomposition, use_routing)
-    native = cache.get(key)
-    if native is not None:
-        return native
-    prepared = circuit
-    if use_routing and _circuit_needs_routing(device, circuit):
-        prepared = route_circuit(circuit, device.graph).circuit
-    elif prepared.num_qubits < device.num_qubits:
-        prepared = prepared.remap(
-            {q: q for q in range(prepared.num_qubits)},
-            num_qubits=device.num_qubits,
-        )
-    native = decompose_circuit(prepared, decomposition)
-    cache[key] = native
-    return native
+    table = cache.get(key)
+    _MEMO_LOOKUPS.inc(memo="prepare", outcome="miss" if table is None else "hit")
+    if table is None:
+        prepared = circuit
+        if use_routing and _circuit_needs_routing(device, circuit):
+            prepared = route_circuit(circuit, device.graph).circuit
+        elif prepared.num_qubits < device.num_qubits:
+            prepared = prepared.remap(
+                {q: q for q in range(prepared.num_qubits)},
+                num_qubits=device.num_qubits,
+            )
+        table = cache[key] = GateTable(decompose_circuit(prepared, decomposition))
+    return table
+
+
+def prepare_native_circuit(
+    device: Device, circuit: Circuit, decomposition: str, use_routing: bool
+) -> Circuit:
+    """The native circuit of :func:`prepare_gate_table` (same memo)."""
+    return prepare_gate_table(device, circuit, decomposition, use_routing).circuit
 
 
 @dataclass
@@ -270,7 +284,12 @@ class CompilerPipeline(ABC):
 
     @abstractmethod
     def _interaction_frequencies(self, couplings: Sequence[Coupling]) -> StepFrequencies:
-        """Interaction frequencies of one step's active (sorted) couplings."""
+        """Interaction frequencies of one step's active (sorted) couplings.
+
+        Must be a pure function of *couplings*: a compile calls it once per
+        distinct sequence of interacting (pair, gate name) and reuses the
+        answer for every step that repeats it.
+        """
 
     def _active_couplers(self, step: ScheduledStep) -> Optional[Set[Coupling]]:
         """Couplers switched on during *step*; ``None`` means fixed couplers."""
@@ -350,67 +369,82 @@ class CompilerPipeline(ABC):
         )
         compile_span.__enter__()
         with _span("prepare"):
-            native = prepare_native_circuit(
-                self.device, circuit, self.decomposition, self.use_routing
-            )
+            table = prepare_gate_table(self.device, circuit, self.decomposition, self.use_routing)
         scheduler = self._make_scheduler()
-        presorted = Interaction.presorted
         interaction_frequencies = self._interaction_frequencies
         assign_step_frequencies = self._assign_step_frequencies
         active_couplers = self._active_couplers
         settle = self.device.qubits[0].params.flux_tuning_time_ns
-
-        steps: List[TimeStep] = []
+        kind_of = table.kind.__getitem__
+        builder = ColumnsBuilder(self.device.num_qubits)
         colors_per_step: List[int] = []
         separations: List[float] = []
-        previous_freqs: Optional[Dict[int, float]] = None
+        # Per distinct sequence of interacting (pair, name): [id, frequency
+        # map, interaction frequencies, colors, separation, row once emitted].
+        variants: Dict[Tuple[int, ...], List] = {}
+        overheads: Dict[Tuple[int, int], float] = {}
+        previous: Optional[List] = None
 
-        def annotate(sched_step: ScheduledStep) -> Tuple[TimeStep, int, Optional[float]]:
-            """Frequency-annotate one scheduled step (no side effects).
+        def interactions_of(step: ScheduledStep, frequencies) -> List[Interaction]:
+            names = [table.names[table.name_ids[i]] for i in step.interacting]
+            return list(map(Interaction.presorted, step.couplings, names, frequencies))
 
-            Reads ``previous_freqs`` (the preceding *finalized* step) for
-            the flux-retuning overhead, so admission previews and the final
-            emission price candidate steps identically.
-            """
-            freq_by_coupling, n_colors, separation = interaction_frequencies(sched_step.couplings)
-            interactions = [
-                presorted(coupling, gate.name, freq_by_coupling[coupling])
-                for gate, coupling in zip(sched_step.interaction_gates, sched_step.couplings)
-            ]
-            frequencies = assign_step_frequencies(interactions)
-            duration = sched_step.base_duration_ns + tuning_overhead_ns(
-                previous_freqs, frequencies, settle_time_ns=settle
-            )
-            step = TimeStep(
-                gates=sched_step.gates,
-                frequencies=frequencies,
-                interactions=interactions,
+        def annotate(step: ScheduledStep) -> Tuple[List, float]:
+            """A scheduled step's variant and duration, the retuning overhead
+            priced against the preceding *finalized* step (no side effects)."""
+            key = tuple(map(kind_of, step.interacting))
+            variant = variants.get(key)
+            if variant is None:
+                by_coupling, n_colors, separation = interaction_frequencies(step.couplings)
+                frequencies = [by_coupling[coupling] for coupling in step.couplings]
+                step_frequencies = assign_step_frequencies(interactions_of(step, frequencies))
+                variant = [len(variants), step_frequencies, frequencies, n_colors, separation, None]
+                variants[key] = variant
+            overhead = 0.0
+            if previous is not None:
+                overhead = overheads.get((previous[0], variant[0]))
+                if overhead is None:
+                    overhead = overheads[previous[0], variant[0]] = tuning_overhead_ns(
+                        previous[1], variant[1], settle_time_ns=settle
+                    )
+            return variant, step.base_duration_ns + overhead
+
+        def view(step: ScheduledStep) -> TimeStep:
+            """The :class:`TimeStep` a scheduled step becomes (admission previews)."""
+            (_, frequencies, interaction_freqs, *_), duration = annotate(step)
+            return TimeStep(
+                gates=[table.circuit.gates[i] for i in step.indices],
+                frequencies=dict(frequencies),
+                interactions=interactions_of(step, interaction_freqs),
                 duration_ns=duration,
-                active_couplers=active_couplers(sched_step),
+                active_couplers=active_couplers(step),
             )
-            return step, n_colors, separation
 
-        admission = self._make_admission(lambda s: annotate(s)[0])
+        admission = self._make_admission(view)
 
-        def emit(sched_step: ScheduledStep) -> None:
-            nonlocal previous_freqs
-            step, n_colors, separation = annotate(sched_step)
-            steps.append(step)
+        def emit(step: ScheduledStep) -> None:
+            nonlocal previous
+            variant, duration = annotate(step)
             if admission is not None:
-                admission.observe(step)
-            colors_per_step.append(n_colors)
-            if separation is not None and sched_step.couplings:
-                separations.append(separation)
-            previous_freqs = step.frequencies
+                admission.observe(view(step))
+            row = variant[5]
+            if row is None:
+                row = variant[5] = builder.add_row(variant[1])
+            couplers = active_couplers(step)
+            builder.add_step(step.indices, step.interacting, variant[2], row, duration, couplers)
+            colors_per_step.append(variant[3])
+            if variant[4] is not None and step.couplings:
+                separations.append(variant[4])
+            previous = variant
 
         with _span("schedule"):
-            scheduler.schedule(native, on_step=emit, admission=admission)
-
+            scheduler.schedule(table, on_step=emit, admission=admission)
+        columns = builder.build(table)
         elapsed = time.perf_counter() - start
         compile_span.__exit__(None, None, None)
         program = CompiledProgram(
             device=self.device,
-            steps=steps,
+            columns=columns,
             name=name or circuit.name,
             strategy=self.name,
             idle_frequencies=dict(self.idle_assignment.qubit_frequencies),

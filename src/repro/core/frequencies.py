@@ -96,9 +96,6 @@ class StepFrequencyAssigner:
     second qubit's 1-2 transition, i.e. the first qubit sits at the
     interaction frequency and the second ``|alpha|`` above it.  Every
     frequency is clamped into its qubit's tunable range.
-
-    Tunable ranges and anharmonicities are gathered into flat lists once
-    per compiler, since the assignment runs for every step.
     """
 
     def __init__(self, device: Device, idle_frequencies: Mapping[int, float]) -> None:

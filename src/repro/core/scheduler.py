@@ -1,7 +1,7 @@
 """Noise-aware queueing scheduler (Section V-B6, lines 9-16 of Algorithm 1).
 
-The scheduler consumes a native-gate circuit and emits time steps (lists of
-gates).  It differs from a plain ASAP scheduler in two ways:
+The scheduler slices a native-gate circuit into time steps of gate
+indices.  It differs from a plain ASAP scheduler in two ways:
 
 * gates are considered in order of decreasing *criticality* (remaining
   critical-path length), so that when serialization is necessary it is the
@@ -16,30 +16,24 @@ gates).  It differs from a plain ASAP scheduler in two ways:
 Gates that conflict are postponed to a later step: this is the controlled
 trade of parallelism for crosstalk described in the paper.
 
-The loop runs over integer-indexed kernels: the crosstalk graph is
-flattened into a :class:`~repro.core.coloring.GraphIndex` once, the step's
-active couplings are a bitset updated per admitted gate, crowding is a
-popcount and the ``max_colors`` probe a bitset coloring.  One pass builds a
-step from the ready queue in a given order, and every cycle emits the pass
-in criticality order — unless a
-:class:`~repro.core.admission.StepAdmission` policy with a beam above 1 is
-passed to :meth:`NoiseAwareScheduler.schedule`.  Then the cycle also
-builds alternative compositions, each led by one ready two-qubit gate, and
-the policy picks the one emitted (the ``"success"`` policy scores them
-with :meth:`~repro.noise.IncrementalEstimator.preview_step`).  With no
-policy, or the beam-1 ``"structural"`` one, no alternative is built, so
-the default is the paper's behavior.  The original graph-object loop and
-policy-driven loop survive as test oracles
-(``tests/differential/oracles.py``) that production is pinned against.
+The loop reads integers only: the circuit's
+:class:`~repro.circuits.dag.GateTable` (lowered once; the compilers
+memoize it on the device), the crosstalk graph's
+:class:`~repro.core.coloring.GraphIndex`, and a bitset of the step's
+active couplings (crowding is a popcount, the ``max_colors`` probe a
+bitset coloring).  Each cycle runs one fill pass over the ready queue in
+criticality order; a :class:`~repro.core.admission.StepAdmission` policy
+with a beam above 1 also gets alternative compositions, each led by one
+ready two-qubit gate, and picks the one emitted.  The graph-object loops
+survive as test oracles (``tests/differential/oracles.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Set, Tuple, Union
 
-from ..circuits import Circuit, Gate, gate_dependencies
-from ..circuits.dag import criticality_scores
+from ..circuits import Circuit, GateTable
 from ..graph import Graph
 from .admission import StepAdmission
 from .coloring import GraphIndex
@@ -51,21 +45,19 @@ Coupling = Tuple[int, int]
 
 @dataclass
 class ScheduledStep:
-    """One scheduler cycle before frequency assignment.
+    """One scheduler cycle before frequency assignment, as gate indices.
 
-    ``base_duration_ns`` is the longest gate duration of the step (the
-    step's duration before flux-retuning overhead); the scheduler computes
-    it while admitting gates so the compilers need not walk the gate list
-    again.
+    ``indices`` are the step's gates (into the scheduled
+    :class:`~repro.circuits.dag.GateTable`) in criticality order,
+    ``interacting`` its two-qubit gates and ``couplings`` their sorted
+    pairs, in the same order.  ``base_duration_ns`` is the longest gate
+    duration, the step's duration before flux-retuning overhead.
     """
 
-    gates: List[Gate] = field(default_factory=list)
-    couplings: List[Coupling] = field(default_factory=list)
-    indices: List[int] = field(default_factory=list)
+    indices: List[int]
+    couplings: List[Coupling]
+    interacting: List[int]
     base_duration_ns: float = 0.0
-    #: The two-qubit gate behind each entry of ``couplings``, in the same
-    #: order, so frequency annotation never re-derives which gates interact.
-    interaction_gates: List[Gate] = field(default_factory=list)
 
 
 class NoiseAwareScheduler:
@@ -127,35 +119,21 @@ class NoiseAwareScheduler:
     # ------------------------------------------------------------------
     def schedule(
         self,
-        circuit: Circuit,
+        circuit: Union[Circuit, GateTable],
         on_step: Optional[Callable[[ScheduledStep], None]] = None,
         admission: Optional[StepAdmission] = None,
     ) -> List[ScheduledStep]:
-        """Slice *circuit* into crosstalk-aware time steps.
+        """Slice *circuit* (or its :class:`GateTable`) into time steps.
 
-        Parameters
-        ----------
-        circuit:
-            The program to schedule.  It must already be decomposed into
-            native gates and mapped onto physical qubits; the scheduler
-            preserves the dependency order of the input program.
-        on_step:
-            Invoked with each step the moment it is finalized — before the
-            next scheduling cycle begins — so callers (the compilers) can
-            annotate frequencies and feed an
-            :class:`~repro.noise.IncrementalEstimator` one mutation at a
-            time instead of re-deriving whole-program state afterwards.
-        admission:
-            Optional :class:`~repro.core.admission.StepAdmission` policy.
-            With a ``beam`` above 1, each cycle that admits a two-qubit
-            gate also builds up to ``beam - 1`` alternative compositions
-            and lets the policy choose which one is emitted; ``None`` (or
-            a beam of 1) emits the criticality-order step.
-
-        Returns
-        -------
-        list[ScheduledStep]
-            The finalized steps, in execution order.
+        The circuit must already be decomposed into native gates and mapped
+        onto physical qubits; its dependency order is preserved.  The
+        compilers pass the memoized table; a circuit is lowered here.
+        *on_step* is invoked with each step the moment it is finalized,
+        before the next cycle begins, so the compilers annotate and emit
+        one step at a time.  With an *admission* policy whose ``beam`` is
+        above 1, each cycle that admits a two-qubit gate also builds up to
+        ``beam - 1`` alternative compositions and the policy chooses the
+        one emitted.  Returns the finalized steps in execution order.
 
         Raises
         ------
@@ -164,27 +142,25 @@ class NoiseAwareScheduler:
             cycles comes back to a tiling pattern it already tried (a
             ready coupling that no pattern allows).
         """
-        gates = circuit.gates
-        n = len(gates)
-        successor_lists, indegree = gate_dependencies(circuit)
-        scores = criticality_scores(successor_lists, gates, weighted=True)
-        specs = [gate.spec for gate in gates]
-        duration_of = [spec.duration_ns for spec in specs]
-        coupling_of = [
-            tuple(sorted(gate.qubits)) if spec.num_qubits == 2 else None
-            for gate, spec in zip(gates, specs)
-        ]
-        sort_keys = [(-scores[i], i) for i in range(n)]
+        table = circuit if isinstance(circuit, GateTable) else GateTable(circuit)
+        coupling_of = table.pair
+        duration_of = table.duration
+        sort_keys = [(-score, i) for i, score in enumerate(table.criticality)]
+        successors = table.successors
+        successor_offsets = table.successor_offsets
+        indegree = list(table.indegree)
 
         index = self.crosstalk_index
         use_conflict = index is not None and self.crosstalk_graph is not None
         if use_conflict:
             adjacency = index.adjacency
-            vertex_id = index.vertex_id
-            coupling_id_of = [
-                vertex_id.get(coupling) if coupling is not None else None
-                for coupling in coupling_of
-            ]
+            coupling_id_of = table.coupling_ids.get(index)
+            if coupling_id_of is None:
+                vertex_id = index.vertex_id
+                coupling_id_of = table.coupling_ids[index] = [
+                    vertex_id.get(coupling) if coupling is not None else None
+                    for coupling in coupling_of
+                ]
         threshold = self.conflict_threshold
         max_colors = self.max_colors
         max_parallel = self.max_parallel_interactions
@@ -194,20 +170,20 @@ class NoiseAwareScheduler:
         def fill(order, allowed, resort: bool = False) -> ScheduledStep:
             """Admit the ready-queue entries of *order* in turn.
 
-            Gates that are ready together never share a qubit
-            (``gate_dependencies`` chains each qubit's gates), so only
-            two-qubit gates are checked: against the tiling pattern
-            *allowed*, the parallelism cap, the crowding threshold
-            (popcount of the step's active-coupling bitset) and the
-            ``max_colors`` probe.  *resort* puts the admitted gates back
-            into criticality order, for an *order* headed by a leader.
+            Gates that are ready together never share a qubit (each
+            qubit's gates chain in the dependency DAG), so only two-qubit
+            gates are checked: against the tiling pattern *allowed*, the
+            parallelism cap, the crowding threshold (popcount of the
+            step's active-coupling bitset) and the ``max_colors`` probe.
+            *resort* puts the admitted gates back into criticality order,
+            for an *order* headed by a leader.
             """
-            step = ScheduledStep()
-            step_couplings = step.couplings
+            indices: List[int] = []
+            step_couplings: List[Coupling] = []
+            interacting: List[int] = []
             active_mask = 0
             base_duration = 0.0
-            for entry in order:
-                candidate = entry[1]
+            for _, candidate in order:
                 coupling = coupling_of[candidate]
                 if coupling is not None:
                     if allowed is not None and coupling not in allowed:
@@ -243,26 +219,22 @@ class NoiseAwareScheduler:
                         if coupling_id is not None:
                             active_mask |= 1 << coupling_id
                     step_couplings.append(coupling)
-                    step.interaction_gates.append(gates[candidate])
-                step.gates.append(gates[candidate])
-                step.indices.append(candidate)
+                    interacting.append(candidate)
+                indices.append(candidate)
                 duration = duration_of[candidate]
                 if duration > base_duration:
                     base_duration = duration
-            step.base_duration_ns = base_duration
             if resort:
-                step.indices.sort(key=sort_keys.__getitem__)
-                step.gates = [gates[i] for i in step.indices]
-                interacting = [i for i in step.indices if coupling_of[i] is not None]
-                step.couplings = [coupling_of[i] for i in interacting]
-                step.interaction_gates = [gates[i] for i in interacting]
-            return step
+                indices.sort(key=sort_keys.__getitem__)
+                interacting = [i for i in indices if coupling_of[i] is not None]
+                step_couplings = [coupling_of[i] for i in interacting]
+            return ScheduledStep(indices, step_couplings, interacting, base_duration)
 
         # The ready queue holds the (-score, index) key tuples themselves:
         # tuples sort at C speed without a key function, and the queue is
         # maintained incrementally (filter admitted + merge newly ready)
         # instead of being rebuilt and re-sorted from a set every cycle.
-        ready_list = sorted(sort_keys[i] for i in range(n) if indegree[i] == 0)
+        ready_list = sorted(sort_keys[i] for i in table.roots)
         steps: List[ScheduledStep] = []
         step_index = 0
         # Tiling patterns tried by the current run of empty cycles.
@@ -291,7 +263,7 @@ class NoiseAwareScheduler:
                     for entry in ready_list
                     if coupling_of[entry[1]] is not None and entry[1] not in admitted
                 ]
-                leaders += [i for i in step.indices if coupling_of[i] is not None][1:]
+                leaders += step.interacting[1:]
                 for leader in leaders:
                     if len(candidates) >= beam:
                         break
@@ -304,7 +276,7 @@ class NoiseAwareScheduler:
                 if len(candidates) > 1:
                     step = candidates[admission.choose(candidates)]
 
-            if not step.gates:
+            if not step.indices:
                 # The tiling pattern blocks every ready gate: advance it,
                 # until the run of empty cycles returns to a pattern it has
                 # already tried.
@@ -323,21 +295,24 @@ class NoiseAwareScheduler:
             if on_step is not None:
                 on_step(step)
 
-            admitted = set(step.indices)
             newly_ready: List[Tuple[float, int]] = []
             for admitted_index in step.indices:
-                for successor in successor_lists[admitted_index]:
+                for successor in successors[
+                    successor_offsets[admitted_index] : successor_offsets[admitted_index + 1]
+                ]:
                     remaining = indegree[successor] - 1
                     indegree[successor] = remaining
                     if remaining == 0:
                         newly_ready.append(sort_keys[successor])
-            remaining_ready = [e for e in ready_list if e[1] not in admitted]
-            if newly_ready:
-                newly_ready.sort()
-                remaining_ready += newly_ready
+            newly_ready.sort()
+            if len(step.indices) < len(ready_list):
+                admitted = set(step.indices)
+                ready_list = [e for e in ready_list if e[1] not in admitted]
                 # Two sorted runs: timsort merges them in one C-level pass.
-                remaining_ready.sort()
-            ready_list = remaining_ready
+                ready_list += newly_ready
+                ready_list.sort()
+            else:  # the step took every ready gate
+                ready_list = newly_ready
             step_index += 1
 
         return steps

@@ -1,8 +1,8 @@
 """Compiled-program representation shared by compilers, baselines and noise models.
 
 Every compilation strategy in this repository — ColorDynamic and the four
-baselines — produces the same artefact: a :class:`CompiledProgram`, i.e. a
-sequence of :class:`TimeStep` objects.  Each time step records
+baselines — produces the same artefact: a :class:`CompiledProgram`, a
+schedule of time steps.  Each time step records
 
 * the gates executing in that step,
 * the 0-1 frequency of **every** qubit during the step (interaction
@@ -11,14 +11,14 @@ sequence of :class:`TimeStep` objects.  Each time step records
 * which couplings are "active" (performing an intended two-qubit gate), and
 * for gmon-style hardware, which couplers are switched on.
 
-Internally a program also has one columnar form, :class:`ProgramColumns`:
-the same schedule as a handful of NumPy arrays (a table of the distinct
-per-step frequency rows plus each step's row, the step durations, per-step
-runs of gates, interactions and active couplers).  The Eq. (4) estimator
-in :mod:`repro.noise` reads the columns directly, so it is
-strategy-agnostic — exactly the role played by the heuristic of Eq. (4) in
-the paper — and the program codec stores them as raw little-endian
-buffers.
+A program holds its schedule as :class:`ProgramColumns`, a handful of
+NumPy arrays (the distinct per-step frequency rows plus each step's row,
+the step durations, per-step runs of gates, interactions and active
+couplers).  The compile pipeline emits them step by step through a
+:class:`ColumnsBuilder`, the codec stores them as raw little-endian
+buffers, and the Eq. (4) estimator in :mod:`repro.noise` reads them
+directly, so it is strategy-agnostic — the role the heuristic of Eq. (4)
+plays in the paper.  :class:`TimeStep` objects are a view built from them.
 """
 
 from __future__ import annotations
@@ -28,17 +28,19 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, GateTable
 from .circuits.gates import GATE_REGISTRY
 from .devices import Device
 
 __all__ = [
     "TimeStep",
     "CompiledProgram",
+    "ColumnsBuilder",
     "Interaction",
     "ProgramColumns",
     "PROGRAM_CODEC_VERSION",
@@ -114,10 +116,8 @@ class Interaction:
     def presorted(pair: Coupling, gate_name: str, frequency: float) -> "Interaction":
         """Build an interaction from an already-sorted pair, skipping validation.
 
-        The compile pipeline creates one interaction per two-qubit gate
-        per step from couplings that are sorted by construction, and the
-        columnar decoder rebuilds stored (sorted) pairs; this skips the
-        dataclass init and the ``__post_init__`` re-sort.
+        For pairs sorted by construction (the compile pipeline's couplings,
+        stored pairs): skips the dataclass init and ``__post_init__`` re-sort.
         """
         interaction = object.__new__(Interaction)
         attrs = interaction.__dict__
@@ -267,15 +267,14 @@ class ProgramColumns:
     ``names`` is the per-program name table, in first-appearance order.
     Integer and mask columns use the stored buffer dtypes.  Columns are
     never mutated after construction; most decoded ones are read-only views
-    of the decoded buffers.  ``frequencies`` is derived from the row table
-    and is not a constructor argument.
+    of the decoded buffers.  ``frequencies`` and ``present`` are derived
+    from the row table and are not constructor arguments.
     """
 
     __slots__ = (
         "names",
         "frequency_rows",
         "frequency_index",
-        "present",
         "durations",
         "gate_offsets",
         "gate_names",
@@ -289,12 +288,15 @@ class ProgramColumns:
         "coupler_offsets",
         "coupler_pairs",
         "frequencies",
+        "present",
     )
 
     def __init__(self, **columns) -> None:
-        for name in self.__slots__[:-1]:
+        for name in self.__slots__[:-2]:
             setattr(self, name, columns[name])
         self.frequencies = self.frequency_rows[self.frequency_index]
+        absent = np.isnan(self.frequencies)
+        self.present = ~absent if absent.any() else None
 
     @property
     def num_steps(self) -> int:
@@ -319,98 +321,13 @@ class ProgramColumns:
         return np.repeat(np.arange(self.num_steps), np.diff(self.coupler_offsets))
 
     # ------------------------------------------------------------------
-    # steps <-> columns
+    # the step view
     # ------------------------------------------------------------------
-    @classmethod
-    def from_steps(cls, steps: Sequence[TimeStep], num_qubits: int) -> "ProgramColumns":
-        """Columns of *steps* on a *num_qubits*-qubit device.
-
-        Steps share a frequency row when their frequency items — qubits in
-        dict order and the raw bits of the values — are identical, so
-        ``-0.0`` and ``0.0`` never merge.  A carried NaN frequency is a
-        ``ValueError``: NaN marks the frequencies a row does not carry.
-        """
-        ids: Dict[str, int] = {}
-        durations: List[float] = []
-        row_ids: Dict[Tuple[Tuple[int, ...], bytes], int] = {}
-        frequency_index: List[int] = []
-        row_counts: List[int] = []
-        row_qubits: List[int] = []
-        row_values = bytearray()
-        gate_offsets, gate_names, gate_qubits, gate_params = [0], [], [], []
-        inter_offsets, inter_pairs, inter_names, inter_freqs = [0], [], [], []
-        coupler_steps, coupler_offsets, coupler_pairs = [], [0], []
-        for step in steps:
-            durations.append(step.duration_ns)
-            frequencies = step.frequencies
-            qubits = tuple(frequencies)
-            values = _float_packer(len(qubits))(*frequencies.values())
-            row = row_ids.get((qubits, values))
-            if row is None:
-                row = row_ids[qubits, values] = len(row_counts)
-                row_counts.append(len(qubits))
-                row_qubits.extend(qubits)
-                row_values += values
-            frequency_index.append(row)
-            for gate in step.gates:
-                gate_names.append(ids.setdefault(gate.name, len(ids)))
-                gate_qubits.extend(gate.qubits)
-                gate_params.extend(gate.params)
-            gate_offsets.append(len(gate_names))
-            for interaction in step.interactions:
-                inter_pairs.append(interaction.pair)
-                inter_names.append(ids.setdefault(interaction.gate_name, len(ids)))
-                inter_freqs.append(interaction.frequency)
-            inter_offsets.append(len(inter_names))
-            active = step.active_couplers
-            coupler_steps.append(active is not None)
-            if active is not None:
-                coupler_pairs.extend(sorted(active))
-            coupler_offsets.append(len(coupler_pairs))
-
-        num_rows = len(row_counts)
-        row_of = np.repeat(np.arange(num_rows), row_counts)
-        cols = np.array(row_qubits, dtype=np.intp)
-        values = np.frombuffer(row_values, dtype=_BUFFER_DTYPES["frequency_rows"])
-        if np.isnan(values).any():
-            raise ValueError("a step carries a NaN frequency")
-        frequency_rows = np.full((num_rows, num_qubits), np.nan)
-        frequency_rows[row_of, cols] = values
-        index = np.array(frequency_index, dtype=_BUFFER_DTYPES["frequency_index"])
-        present: Optional[np.ndarray] = None
-        if len(row_qubits) != num_rows * num_qubits:
-            row_present = np.zeros((num_rows, num_qubits), dtype=bool)
-            row_present[row_of, cols] = True
-            present = row_present[index]
-        gmon = any(coupler_steps)
-
-        def column(key: str, values) -> np.ndarray:
-            return np.array(values, dtype=_BUFFER_DTYPES[key])
-
-        return cls(
-            names=tuple(ids),
-            frequency_rows=frequency_rows,
-            frequency_index=index,
-            present=present,
-            durations=column("durations", durations),
-            gate_offsets=column("gate_offsets", gate_offsets),
-            gate_names=column("gate_names", gate_names),
-            gate_qubits=column("gate_qubits", gate_qubits),
-            gate_params=column("gate_params", gate_params),
-            interaction_offsets=column("interaction_offsets", inter_offsets),
-            interaction_pairs=column("interaction_pairs", inter_pairs).reshape(-1, 2),
-            interaction_names=column("interaction_names", inter_names),
-            interaction_frequencies=column("interaction_frequencies", inter_freqs),
-            coupler_steps=np.array(coupler_steps, dtype=bool) if gmon else None,
-            coupler_offsets=column("coupler_offsets", coupler_offsets) if gmon else None,
-            coupler_pairs=column("coupler_pairs", coupler_pairs).reshape(-1, 2) if gmon else None,
-        )
-
     def to_steps(self) -> List[TimeStep]:
         """Materialize the :class:`TimeStep` list these columns describe.
 
         Built directly (no per-object validation): the columns were checked
-        when decoded, or derived from already-valid steps.  The produced
+        when decoded, or emitted by the compile pipeline.  The produced
         objects are indistinguishable (equality, hash, lazy ``_spec``
         interning) from constructor-built ones.
         """
@@ -539,7 +456,6 @@ class ProgramColumns:
         rows = rows.reshape(num_rows, num_qubits)
         index = reader.indices("frequency_index", num_steps, num_rows)
         absent = np.isnan(rows)
-        present: Optional[np.ndarray] = None
         if "present" in block:
             shape = (num_steps, num_qubits)
             present = reader.mask("present", num_steps * num_qubits).reshape(shape)
@@ -578,7 +494,6 @@ class ProgramColumns:
             names=tuple(names),
             frequency_rows=rows,
             frequency_index=index,
-            present=present,
             durations=durations,
             gate_offsets=gate_offsets,
             gate_names=gate_names,
@@ -594,50 +509,134 @@ class ProgramColumns:
         )
 
 
-@dataclass
+class ColumnsBuilder:
+    """Appends the finalized steps of one program to its columns.
+
+    The compile pipeline emits each step the moment the scheduler finalizes
+    it (:meth:`add_step`, rows via :meth:`add_row`), its gates as indices
+    into the scheduled :class:`~repro.circuits.dag.GateTable`;
+    :meth:`build` gathers the gate and interaction columns from the table.
+    Names are listed in first-appearance order among the gates: a step's
+    interactions are its own two-qubit gates, so they never add a name.
+    """
+
+    def __init__(self, num_qubits: int) -> None:
+        self.num_qubits = num_qubits
+        self._row_ids: Dict[Tuple[Tuple[int, ...], bytes], int] = {}
+        self._rows: List[List[float]] = []
+        #: Per step: (gates, interacting gates, interaction frequencies,
+        #: row, duration, active couplers), flattened by :meth:`build`.
+        self._steps: List[Tuple] = []
+
+    def add_row(self, frequencies: Mapping[int, float]) -> int:
+        """The id of the frequency row holding *frequencies*, added if new.
+
+        Two maps share a row when their items — qubits in dict order and
+        the raw bits of the values — are identical, so ``-0.0`` and ``0.0``
+        never merge.  Row ids follow first addition.  A NaN frequency is a
+        ``ValueError``: NaN marks the frequencies a row does not carry.
+        """
+        qubits = tuple(frequencies)
+        values = _float_packer(len(qubits))(*frequencies.values())
+        row = self._row_ids.get((qubits, values))
+        if row is None:
+            if any(map(math.isnan, frequencies.values())):
+                raise ValueError("a step carries a NaN frequency")
+            row = self._row_ids[qubits, values] = len(self._rows)
+            cells = [math.nan] * self.num_qubits
+            for qubit, value in frequencies.items():
+                cells[qubit] = value
+            self._rows.append(cells)
+        return row
+
+    def add_step(
+        self,
+        gates: Sequence[int],
+        interactions: Sequence[int],
+        frequencies: Sequence[float],
+        row: int,
+        duration_ns: float,
+        active_couplers: Optional[Set[Coupling]] = None,
+    ) -> None:
+        """Append one step: gate indices, the indices of its interacting
+        gates with their interaction *frequencies*, its frequency *row*, its
+        duration and its active couplers (``None`` on fixed couplers)."""
+        self._steps.append((gates, interactions, frequencies, row, duration_ns, active_couplers))
+
+    def build(self, table: GateTable) -> "ProgramColumns":
+        """The columns of the steps added so far, gates read from *table*."""
+        gates, interactions, frequencies, rows, durations, couplers = (
+            zip(*self._steps) if self._steps else ((),) * 6
+        )
+
+        # Every column is gathered from the table by gate index, in step order.
+        order = list(chain.from_iterable(gates))
+        interacting = list(chain.from_iterable(interactions))
+        name_of = table.name_ids.__getitem__
+        table_names = list(map(name_of, order))
+        inter_names = list(map(name_of, interacting))
+        first_seen = list(dict.fromkeys(table_names))
+        program_id = {name_id: i for i, name_id in enumerate(first_seen)}.__getitem__
+        coupler_steps = [active is not None for active in couplers]
+        gmon = any(coupler_steps)
+        coupler_runs = [sorted(active) if active is not None else () for active in couplers]
+
+        def flat(runs) -> list:
+            return list(chain.from_iterable(runs))
+
+        def offsets(key: str, runs) -> np.ndarray:
+            return np.fromiter(accumulate(map(len, runs), initial=0), _BUFFER_DTYPES[key])
+
+        def column(key: str, values) -> np.ndarray:
+            return np.array(values, dtype=_BUFFER_DTYPES[key])
+
+        pairs = column("interaction_pairs", flat(map(table.pair.__getitem__, interacting)))
+        coupler_pairs = column("coupler_pairs", flat(flat(coupler_runs))) if gmon else None
+        return ProgramColumns(
+            names=tuple(table.names[i] for i in first_seen),
+            frequency_rows=np.array(self._rows, dtype=np.float64).reshape(-1, self.num_qubits),
+            frequency_index=column("frequency_index", rows),
+            durations=column("durations", durations),
+            gate_offsets=offsets("gate_offsets", gates),
+            gate_names=column("gate_names", list(map(program_id, table_names))),
+            gate_qubits=column("gate_qubits", flat(map(table.qubit_runs.__getitem__, order))),
+            gate_params=column("gate_params", flat(map(table.param_runs.__getitem__, order))),
+            interaction_offsets=offsets("interaction_offsets", interactions),
+            interaction_pairs=pairs.reshape(-1, 2),
+            interaction_names=column("interaction_names", list(map(program_id, inter_names))),
+            interaction_frequencies=column("interaction_frequencies", flat(frequencies)),
+            coupler_steps=np.array(coupler_steps, dtype=bool) if gmon else None,
+            coupler_offsets=offsets("coupler_offsets", coupler_runs) if gmon else None,
+            coupler_pairs=coupler_pairs.reshape(-1, 2) if gmon else None,
+        )
+
+
+@dataclass(eq=False)
 class CompiledProgram:
     """A fully scheduled, frequency-annotated program for a specific device.
 
-    The schedule has two equivalent forms: ``steps`` (a list of
-    :class:`TimeStep`) and :attr:`columns` (a :class:`ProgramColumns`).
-    A compiled program is built from its steps and derives the columns
-    once, on first use, after which the columns are its stored form; a
-    decoded program holds only the columns.  Either way ``steps`` is
-    rebuilt from the columns on first access (equal to the originals, not
-    the same objects).  ``depth``, ``total_duration_ns``, ``to_dict`` and
-    the Eq. (4) estimator read the columns.  Treat both forms as
-    immutable: to change a schedule, assign a new list to ``steps`` (which
-    drops the derived columns) or build a new program.
+    The schedule is held as :attr:`columns` (a :class:`ProgramColumns`),
+    the form the compile pipeline emits, the codec stores and the Eq. (4)
+    estimator reads.  ``steps`` is a view: the :class:`TimeStep` list built
+    from the columns on first access (for the simulator, the
+    :class:`~repro.noise.IncrementalEstimator` and tests).  Treat both as
+    immutable; to change a schedule, build a new program.
     """
 
     device: Device
-    steps: List[TimeStep]
+    columns: ProgramColumns  # repro-lint: noncodec(serialized as the 'steps' block)
     name: str = "program"
     strategy: str = "unknown"
     idle_frequencies: Dict[int, float] = field(default_factory=dict)
     metadata: Dict[str, object] = field(default_factory=dict)
-
-    def _get_steps(self) -> List[TimeStep]:
-        if self._steps is None:
-            self._steps = self._columns.to_steps()
-        return self._steps
-
-    def _set_steps(self, steps: List[TimeStep]) -> None:
-        self._steps = steps
-        self._columns: Optional[ProgramColumns] = None
+    _steps: Optional[List[TimeStep]] = field(default=None, init=False, repr=False)
 
     @property
-    def columns(self) -> ProgramColumns:
-        """The columnar form of the schedule (derived from ``steps`` once).
-
-        Once derived, the columns are the program's one stored form: the
-        step objects are released and rebuilt from the columns if anything
-        reads ``steps`` again.
-        """
-        if self._columns is None:
-            self._columns = ProgramColumns.from_steps(self._steps, self.device.num_qubits)
-            self._steps = None
-        return self._columns
+    def steps(self) -> List[TimeStep]:
+        """The schedule as :class:`TimeStep` objects, built from the columns once."""
+        if self._steps is None:
+            self._steps = self.columns.to_steps()
+        return self._steps
 
     # ------------------------------------------------------------------
     # aggregate views
@@ -657,19 +656,14 @@ class CompiledProgram:
         return sum(self.columns.durations.tolist())
 
     def all_gates(self) -> List[Gate]:
-        gates: List[Gate] = []
-        for step in self.steps:
-            gates.extend(step.gates)
-        return gates
+        return [gate for step in self.steps for gate in step.gates]
 
     def num_two_qubit_gates(self) -> int:
         return sum(1 for g in self.all_gates() if g.is_two_qubit)
 
     def max_parallel_interactions(self) -> int:
         """Largest number of simultaneous two-qubit gates over all steps."""
-        if not self.steps:
-            return 0
-        return max(len(step.interactions) for step in self.steps)
+        return int(np.diff(self.columns.interaction_offsets).max(initial=0))
 
     def colors_used(self) -> int:
         """Number of distinct interaction frequencies ever used simultaneously."""
@@ -692,9 +686,8 @@ class CompiledProgram:
     def to_circuit(self) -> Circuit:
         """Flatten the schedule back into a plain circuit (order-preserving)."""
         flat = Circuit(self.device.num_qubits, name=self.name)
-        for step in self.steps:
-            for gate in step.gates:
-                flat.append(gate)
+        for gate in self.all_gates():
+            flat.append(gate)
         return flat
 
     # ------------------------------------------------------------------
@@ -725,8 +718,8 @@ class CompiledProgram:
         """Inverse of :meth:`to_dict`; rejects payloads from other codec versions.
 
         The whole columnar block is checked here (``ValueError`` on any
-        inconsistency), and the returned program holds only the columns:
-        its ``steps`` are built on first access and cannot fail.
+        inconsistency), so the ``steps`` view of the returned program
+        cannot fail when it is built.
 
         Passing *device* skips decoding the stored device payload and uses
         the given instance instead — only valid when the caller knows it is
@@ -746,26 +739,17 @@ class CompiledProgram:
                 f"(expected {PROGRAM_CODEC_VERSION})"
             )
         device = device if device is not None else Device.from_dict(payload["device"])
-        program = cls(
+        return cls(
             device=device,
-            steps=[],
+            columns=ProgramColumns.from_payload(payload["steps"], device.num_qubits),
             name=str(payload["name"]),
             strategy=str(payload["strategy"]),
             idle_frequencies=_freq_map_from_lists(payload["idle_frequencies"]),
             metadata=dict(payload["metadata"]),
         )
-        program._steps = None
-        program._columns = ProgramColumns.from_payload(payload["steps"], device.num_qubits)
-        return program
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompiledProgram(name={self.name!r}, strategy={self.strategy!r}, "
             f"depth={self.depth}, duration={self.total_duration_ns:.0f}ns)"
         )
-
-
-# ``steps`` stays a dataclass field (constructor argument, equality) but is
-# backed by a property: assigning it drops the derived columns, and a decoded
-# program builds it from its columns on first read.
-CompiledProgram.steps = property(CompiledProgram._get_steps, CompiledProgram._set_steps)

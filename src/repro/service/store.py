@@ -22,6 +22,7 @@ arguments.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -63,6 +64,26 @@ class ProgramStore(StoreBackend):
         self.local = LocalFSBackend(root, max_bytes=max_bytes)
         self.remote: Optional[HTTPBackend] = HTTPBackend(remote_url) if remote_url else None
         self.root = self.local.root
+        self._reports_marker = self.root / self.local.format / "reports"
+        self._holds_reports: Optional[bool] = None
+
+    def holds_reports(self) -> bool:
+        """Whether a sweep report lookup can hit: with a remote tier, or once
+        a report was stored locally (a ``reports`` marker file beside the
+        entries).  Read once per store object; a report another process
+        stores later is missed, which costs a rescore."""
+        if self._holds_reports is None:
+            self._holds_reports = self.remote is not None or self._reports_marker.exists()
+        return self._holds_reports
+
+    def put_report(self, key: str, payload: dict) -> bool:
+        """:meth:`put` for a sweep report; the first one leaves the marker."""
+        stored = self.put(key, payload)
+        if stored and not self.holds_reports():
+            with contextlib.suppress(OSError):
+                self._reports_marker.touch()
+                self._holds_reports = True
+        return stored
 
     # ------------------------------------------------------------------
     # entry access

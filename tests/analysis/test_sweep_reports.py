@@ -31,6 +31,7 @@ from repro.service.server import CacheServer
 
 # The package re-exports the cache_key() function under the module's name.
 cache_key_module = importlib.import_module("repro.service.cache_key")
+experiments_module = importlib.import_module("repro.analysis.experiments")
 
 PROGRAM_KEY = "ab" * 32
 
@@ -141,6 +142,24 @@ class TestThreePasses:
         assert [type(getattr(o, f)) for o in served for f in ("depth", "max_colors")] == [
             int
         ] * (2 * len(GRID))
+
+    def test_cold_run_probes_no_report(self, tmp_path, monkeypatch):
+        """A store that never held a report is not asked for one: a cold run
+        derives no report key and looks up none; the first warm run writes
+        the reports and leaves the marker that turns the lookups on."""
+        derived = []
+        real = experiments_module.report_key
+        monkeypatch.setattr(
+            experiments_module, "report_key", lambda *args: derived.append(args) or real(*args)
+        )
+        misses = _reports("miss")
+        _run(_local(tmp_path))
+        assert derived == [] and _reports("miss") == misses
+        assert not ProgramStore(tmp_path).holds_reports()
+        _run(_local(tmp_path))
+        assert len(derived) == len(GRID) and _reports("miss") == misses
+        assert ProgramStore(tmp_path).holds_reports()
+        assert not ProgramStore(tmp_path / "empty").holds_reports()
 
     def test_storeless_run_touches_no_report(self):
         counts = [_reports(o) for o in ("hit", "miss", "stored")]

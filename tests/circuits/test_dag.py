@@ -1,14 +1,15 @@
 """Unit tests for the circuit dependency DAG and criticality analysis.
 
-``build_dag`` is the networkx DAG the oracles keep; production derives the
-same dependencies as flat lists (``gate_dependencies``).
+``build_dag`` is the networkx DAG the oracles keep; production lowers a
+circuit to a ``GateTable`` holding the same dependencies as CSR lists.
 """
 
 import networkx as nx
 import pytest
 
 from oracles import build_dag
-from repro.circuits import Circuit, criticality, critical_path_length, gate_dependencies
+from oracles import criticality as oracle_criticality
+from repro.circuits import Circuit, GateTable
 
 
 class TestBuildDag:
@@ -42,29 +43,40 @@ class TestBuildDag:
         circuit = Circuit(3).h(0).cz(0, 1).cz(0, 1).h(2).cz(1, 2).h(0)
         for subject in (ghz4_circuit, circuit):
             dag = build_dag(subject)
-            successors, indegree = gate_dependencies(subject)
+            table = GateTable(subject)
+            offsets = table.successor_offsets
+            successors = [
+                table.successors[offsets[i] : offsets[i + 1]] for i in range(len(subject.gates))
+            ]
             assert successors == [dag.successors(i) for i in range(len(subject.gates))]
-            assert indegree == [dag.graph.in_degree(i) for i in range(len(subject.gates))]
+            assert table.indegree == [dag.graph.in_degree(i) for i in range(len(subject.gates))]
 
 
 class TestCriticality:
-    def test_unweighted_criticality_counts_chain_length(self, ghz4_circuit):
-        scores = criticality(ghz4_circuit, weighted=False)
-        assert scores[0] == 4  # h is followed by three dependent CNOTs
-        assert scores[3] == 1  # last CNOT has nothing after it
+    """``GateTable.criticality``: the remaining critical path of every gate, in ns."""
+
+    def test_criticality_sums_the_chain_durations(self, ghz4_circuit):
+        durations = [gate.duration_ns for gate in ghz4_circuit.gates]
+        scores = GateTable(ghz4_circuit).criticality
+        assert scores[0] == pytest.approx(sum(durations))  # h, then three dependent CNOTs
+        assert scores[3] == durations[3]  # last CNOT has nothing after it
 
     def test_weighted_criticality_uses_durations(self, bell_circuit):
-        scores = criticality(bell_circuit, weighted=True)
+        scores = GateTable(bell_circuit).criticality
         h, cx = bell_circuit[0], bell_circuit[1]
         assert scores[1] == pytest.approx(cx.duration_ns)
         assert scores[0] == pytest.approx(h.duration_ns + cx.duration_ns)
 
-    def test_critical_path_unweighted_equals_depth(self, ghz4_circuit):
-        assert critical_path_length(ghz4_circuit, weighted=False) == ghz4_circuit.depth()
+    def test_criticality_matches_the_dag_oracle(self, ghz4_circuit):
+        circuit = Circuit(3).h(0).cz(0, 1).cz(0, 1).h(2).cz(1, 2).h(0)
+        for subject in (ghz4_circuit, circuit):
+            expected = oracle_criticality(subject, weighted=True)
+            assert list(GateTable(subject).criticality) == [expected[i] for i in range(len(subject))]
 
-    def test_critical_path_of_empty_circuit_is_zero(self):
-        assert critical_path_length(Circuit(2)) == 0.0
+    def test_empty_circuit_has_no_roots(self):
+        table = GateTable(Circuit(2))
+        assert list(table.criticality) == [] and table.roots == []
 
     def test_criticality_decreases_along_chain(self, ghz4_circuit):
-        scores = criticality(ghz4_circuit, weighted=False)
+        scores = GateTable(ghz4_circuit).criticality
         assert scores[0] > scores[1] > scores[2] > scores[3]

@@ -135,7 +135,7 @@ def _policy_grid():
 
 def _step_fields(steps):
     return [
-        (s.indices, s.couplings, s.gates, s.interaction_gates, s.base_duration_ns)
+        (s.indices, s.couplings, s.interacting, s.base_duration_ns)
         for s in steps
     ]
 

@@ -8,9 +8,13 @@ from repro.baselines import BaselineNaive, BaselineUniform
 from repro.circuits import Circuit, NATIVE_TWO_QUBIT_GATES
 from repro.core import compiler as compiler_module
 from repro.core import validate_coloring
-from repro.core.compiler import prepare_native_circuit
+from repro.analysis.experiments import STRATEGIES, SweepJob, SweepRunner, clear_sweep_caches
+from repro.core.compiler import prepare_gate_table, prepare_native_circuit
 from repro.devices.device import PREPARED_CACHE_ATTR
 from repro.noise import clear_spectator_cache
+from repro.obs import get_metrics
+from repro.service import service_override
+from repro.workloads import fig09_benchmarks
 
 
 def _program_invariants(result, device):
@@ -187,3 +191,26 @@ class TestPrepareMemo:
         assert uncached.gates == hit.gates
         assert uncached.num_qubits == hit.num_qubits
         assert uncached.name == hit.name
+
+    def test_lowering_lives_beside_the_prepared_circuit(self):
+        device = self._fresh_device()
+        circuit = benchmark_circuit("qaoa(9)", seed=2020)
+        table = prepare_gate_table(device, circuit, "hybrid", True)
+        assert table.circuit is prepare_native_circuit(device, circuit, "hybrid", True)
+        assert prepare_gate_table(device, circuit.copy(), "hybrid", True) is table
+        clear_spectator_cache(device)
+        assert prepare_gate_table(device, circuit, "hybrid", True) is not table
+
+    def test_fig09_sweep_lowers_each_prepared_circuit_once(self):
+        """A fresh service's fig09 sweep prepares and lowers 44 circuits
+        (22 benchmarks on the grid device and on Baseline G's coupler
+        device) and serves the other 66 compiles from the memo."""
+        counter = get_metrics().counter("repro_compile_memo_total", "", ("memo", "outcome"))
+        before = {o: counter.value(memo="prepare", outcome=o) for o in ("hit", "miss")}
+        clear_sweep_caches()
+        with service_override(enabled=False, remote_cache="", remote_compile=""):
+            jobs = [SweepJob(b, s) for b in fig09_benchmarks() for s in STRATEGIES]
+            assert len(SweepRunner(max_workers=1).run(jobs)) == 110
+        clear_sweep_caches()
+        delta = {o: counter.value(memo="prepare", outcome=o) - before[o] for o in before}
+        assert delta == {"hit": 66, "miss": 44}

@@ -19,6 +19,9 @@ scalar loops — as a test oracle:
 * :func:`step_frequencies` — per-step qubit frequencies, resolved through
   the device every call;
 * :func:`estimate_success` — the scalar triple loop of Eq. (4);
+* :func:`from_steps` — the columns of a :class:`~repro.program.TimeStep`
+  list, built step by step (the compile pipeline emits columns directly;
+  :func:`program_from_steps` wraps hand-built steps into a program);
 * the networkx formulations of the in-tree graph code (:mod:`repro.graph`,
   the topology builders, :func:`build_crosstalk_graph`): line graph plus
   ``largest_first`` greedy coloring, ``shortest_path``, BFS distances,
@@ -37,13 +40,15 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.baselines import BaselineGmon, BaselineNaive, BaselineStatic, BaselineUniform
-from repro.circuits import Circuit
+from repro.circuits import Circuit, GateTable
 from repro.core.admission import StepAdmission
 from repro.core.coloring import num_colors, welsh_powell_coloring
 from repro.core.compiler import ColorDynamic
@@ -62,7 +67,7 @@ from repro.noise.metrics import (
     _gate_floor_errors,
     spectator_geometry,
 )
-from repro.program import CompiledProgram, Interaction, TimeStep
+from repro.program import _BUFFER_DTYPES, CompiledProgram, Interaction, ProgramColumns, TimeStep
 
 Coupling = Tuple[int, int]
 
@@ -374,7 +379,7 @@ def schedule_reference(
 
     while ready:
         ordered = sorted(ready, key=lambda idx: (-scores[idx], idx))
-        step = ScheduledStep()
+        step = ScheduledStep([], [], [])
         busy_qubits: Set[int] = set()
         allowed = (
             scheduler.allowed_couplings(step_index)
@@ -398,18 +403,19 @@ def schedule_reference(
                 if noise_conflict(scheduler, coupling, step.couplings):
                     continue
                 step.couplings.append(coupling)
-                step.interaction_gates.append(gate)
-            step.gates.append(gate)
+                step.interacting.append(index)
             step.indices.append(index)
             busy_qubits.update(gate.qubits)
 
-        if not step.gates:
+        if not step.indices:
             if allowed is None:
                 raise RuntimeError("scheduler made no progress; circular conflict")
             step_index += 1
             continue
 
-        step.base_duration_ns = max((g.duration_ns for g in step.gates), default=0.0)
+        step.base_duration_ns = max(
+            (circuit.gates[i].duration_ns for i in step.indices), default=0.0
+        )
         steps.append(step)
         if on_step is not None:
             on_step(step)
@@ -502,14 +508,14 @@ def schedule_admission_reference(
             return admitted
 
         def assemble(two_qubit: List[int]) -> ScheduledStep:
-            step = ScheduledStep()
-            step.indices = sorted(single_qubit + two_qubit, key=sort_key)
-            step.gates = [gates[i] for i in step.indices]
-            interacting = [i for i in step.indices if coupling_of[i] is not None]
-            step.couplings = [coupling_of[i] for i in interacting]
-            step.interaction_gates = [gates[i] for i in interacting]
-            step.base_duration_ns = max((g.duration_ns for g in step.gates), default=0.0)
-            return step
+            indices = sorted(single_qubit + two_qubit, key=sort_key)
+            interacting = [i for i in indices if coupling_of[i] is not None]
+            return ScheduledStep(
+                indices,
+                [coupling_of[i] for i in interacting],
+                interacting,
+                max((gates[i].duration_ns for i in indices), default=0.0),
+            )
 
         structural = compose(None)
         candidates: List[ScheduledStep] = []
@@ -535,7 +541,7 @@ def schedule_admission_reference(
         else:
             step = assemble([])
 
-        if not step.gates:
+        if not step.indices:
             if allowed is None:
                 raise RuntimeError("scheduler made no progress; circular conflict")
             step_index += 1
@@ -575,6 +581,8 @@ class OracleScheduler(NoiseAwareScheduler):
         )
 
     def schedule(self, circuit, on_step=None, admission=None):
+        if isinstance(circuit, GateTable):
+            circuit = circuit.circuit
         if admission is None or admission.name == "structural":
             return schedule_reference(self, circuit, on_step)
         return schedule_admission_reference(self, circuit, on_step, admission)
@@ -804,6 +812,93 @@ def estimate_success(
         num_single_qubit_gates=n1q,
         num_virtual_single_qubit_gates=nvirtual,
     )
+
+
+# ---------------------------------------------------------------------------
+# program columns from a TimeStep list
+# ---------------------------------------------------------------------------
+def from_steps(steps: Sequence[TimeStep], num_qubits: int) -> ProgramColumns:
+    """Columns of *steps* on a *num_qubits*-qubit device.
+
+    Steps share a frequency row when their frequency items — qubits in
+    dict order and the raw bits of the values — are identical, so
+    ``-0.0`` and ``0.0`` never merge.  A carried NaN frequency is a
+    ``ValueError``: NaN marks the frequencies a row does not carry.
+    """
+    ids: Dict[str, int] = {}
+    durations: List[float] = []
+    row_ids: Dict[Tuple[Tuple[int, ...], bytes], int] = {}
+    frequency_index: List[int] = []
+    row_counts: List[int] = []
+    row_qubits: List[int] = []
+    row_values = bytearray()
+    gate_offsets, gate_names, gate_qubits, gate_params = [0], [], [], []
+    inter_offsets, inter_pairs, inter_names, inter_freqs = [0], [], [], []
+    coupler_steps, coupler_offsets, coupler_pairs = [], [0], []
+    for step in steps:
+        durations.append(step.duration_ns)
+        frequencies = step.frequencies
+        qubits = tuple(frequencies)
+        values = struct.pack(f"<{len(qubits)}d", *frequencies.values())
+        row = row_ids.get((qubits, values))
+        if row is None:
+            row = row_ids[qubits, values] = len(row_counts)
+            row_counts.append(len(qubits))
+            row_qubits.extend(qubits)
+            row_values += values
+        frequency_index.append(row)
+        for gate in step.gates:
+            gate_names.append(ids.setdefault(gate.name, len(ids)))
+            gate_qubits.extend(gate.qubits)
+            gate_params.extend(gate.params)
+        gate_offsets.append(len(gate_names))
+        for interaction in step.interactions:
+            inter_pairs.append(interaction.pair)
+            inter_names.append(ids.setdefault(interaction.gate_name, len(ids)))
+            inter_freqs.append(interaction.frequency)
+        inter_offsets.append(len(inter_names))
+        active = step.active_couplers
+        coupler_steps.append(active is not None)
+        if active is not None:
+            coupler_pairs.extend(sorted(active))
+        coupler_offsets.append(len(coupler_pairs))
+
+    num_rows = len(row_counts)
+    row_of = np.repeat(np.arange(num_rows), row_counts)
+    cols = np.array(row_qubits, dtype=np.intp)
+    values = np.frombuffer(row_values, dtype=_BUFFER_DTYPES["frequency_rows"])
+    if np.isnan(values).any():
+        raise ValueError("a step carries a NaN frequency")
+    frequency_rows = np.full((num_rows, num_qubits), np.nan)
+    frequency_rows[row_of, cols] = values
+    index = np.array(frequency_index, dtype=_BUFFER_DTYPES["frequency_index"])
+    gmon = any(coupler_steps)
+
+    def column(key: str, values) -> np.ndarray:
+        return np.array(values, dtype=_BUFFER_DTYPES[key])
+
+    return ProgramColumns(
+        names=tuple(ids),
+        frequency_rows=frequency_rows,
+        frequency_index=index,
+        durations=column("durations", durations),
+        gate_offsets=column("gate_offsets", gate_offsets),
+        gate_names=column("gate_names", gate_names),
+        gate_qubits=column("gate_qubits", gate_qubits),
+        gate_params=column("gate_params", gate_params),
+        interaction_offsets=column("interaction_offsets", inter_offsets),
+        interaction_pairs=column("interaction_pairs", inter_pairs).reshape(-1, 2),
+        interaction_names=column("interaction_names", inter_names),
+        interaction_frequencies=column("interaction_frequencies", inter_freqs),
+        coupler_steps=np.array(coupler_steps, dtype=bool) if gmon else None,
+        coupler_offsets=column("coupler_offsets", coupler_offsets) if gmon else None,
+        coupler_pairs=column("coupler_pairs", coupler_pairs).reshape(-1, 2) if gmon else None,
+    )
+
+
+def program_from_steps(device: Device, steps: Sequence[TimeStep], **fields) -> CompiledProgram:
+    """A :class:`CompiledProgram` holding hand-built *steps* (via :func:`from_steps`)."""
+    return CompiledProgram(device=device, columns=from_steps(steps, device.num_qubits), **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_random_circuits_compile_identically_deep(strategy, seed):
 
 @pytest.mark.differential
 def test_scheduler_reference_and_indexed_emit_same_steps():
-    """Step-level check: same gates, couplings, indices, base durations."""
+    """Step-level check: same gate indices, couplings, interacting gates, base durations."""
     from repro.core import NoiseAwareScheduler, build_crosstalk_graph
 
     from diffgen import random_native_circuit
@@ -123,7 +123,7 @@ def test_scheduler_reference_and_indexed_emit_same_steps():
         reference = OracleScheduler.like(scheduler).schedule(circuit)
         assert [s.indices for s in fast] == [s.indices for s in reference]
         assert [s.couplings for s in fast] == [s.couplings for s in reference]
-        assert [s.gates for s in fast] == [s.gates for s in reference]
+        assert [s.interacting for s in fast] == [s.interacting for s in reference]
         assert [s.base_duration_ns for s in fast] == [
             s.base_duration_ns for s in reference
         ]

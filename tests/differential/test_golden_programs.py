@@ -31,6 +31,9 @@ Regenerate (only for a deliberate change of compiled output) from the
 repository root with::
 
     PYTHONPATH=src:tests/differential python -m test_golden_programs
+
+The command rewrites all five files; CI runs it and fails if the committed
+files change, so the regeneration path cannot go stale.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Iterator, Tuple
 
 import pytest
 
@@ -86,8 +89,8 @@ def canonical_digest(result) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def fig09_digests() -> Dict[str, str]:
-    """Digest of every Fig. 9 point, keyed ``"<benchmark>|<strategy>"``.
+def fig09_results() -> Iterator[Tuple[str, object]]:
+    """Every Fig. 9 point's compilation result, keyed ``"<benchmark>|<strategy>"``.
 
     Every strategy of a benchmark compiles on one shared device, as in a
     sweep, so the device-held prepare memo is exercised along the way.
@@ -97,67 +100,74 @@ def fig09_digests() -> Dict[str, str]:
     from repro.service.compile_service import build_device_for
     from repro.workloads import benchmark_circuit, fig09_benchmarks
 
-    digests: Dict[str, str] = {}
     for benchmark in fig09_benchmarks():
         device = build_device_for(benchmark, seed=GRID_SEED)
         circuit = benchmark_circuit(benchmark, seed=GRID_SEED)
         for strategy in STRATEGIES:
-            result = make_compiler(strategy, device).compile(circuit)
-            digests[f"{benchmark}|{strategy}"] = canonical_digest(result)
-    return digests
+            yield f"{benchmark}|{strategy}", make_compiler(strategy, device).compile(circuit)
 
 
-def fig13_digests() -> Dict[str, str]:
-    """Digest of every Fig. 13 point, keyed ``"<benchmark>|<topology>|<strategy>"``."""
+def fig13_results() -> Iterator[Tuple[str, object]]:
+    """Every Fig. 13 point, keyed ``"<benchmark>|<topology>|<strategy>"``."""
     from repro.analysis.experiments import FIG13_STRATEGIES
     from repro.devices.topologies import FIG13_TOPOLOGY_NAMES
     from repro.service import make_compiler
     from repro.service.compile_service import build_device_for
     from repro.workloads import benchmark_circuit, fig13_benchmarks
 
-    digests: Dict[str, str] = {}
     for benchmark in fig13_benchmarks():
         circuit = benchmark_circuit(benchmark, seed=GRID_SEED)
         for topology in FIG13_TOPOLOGY_NAMES:
             device = build_device_for(benchmark, topology=topology, seed=GRID_SEED)
             for strategy in FIG13_STRATEGIES:
                 result = make_compiler(strategy, device).compile(circuit)
-                digests[f"{benchmark}|{topology}|{strategy}"] = canonical_digest(result)
-    return digests
+                yield f"{benchmark}|{topology}|{strategy}", result
 
 
-def fig11_digests() -> Dict[str, str]:
-    """Digest of every Fig. 11 point, keyed ``"<benchmark>|max_colors=<k>"``."""
+def fig11_results() -> Iterator[Tuple[str, object]]:
+    """Every Fig. 11 point, keyed ``"<benchmark>|max_colors=<k>"``."""
     from repro.analysis.experiments import FIG11_COLOR_BUDGETS
     from repro.service import make_compiler
     from repro.service.compile_service import build_device_for
     from repro.workloads import benchmark_circuit, fig11_benchmarks
 
-    digests: Dict[str, str] = {}
     for benchmark in fig11_benchmarks():
         device = build_device_for(benchmark, seed=GRID_SEED)
         circuit = benchmark_circuit(benchmark, seed=GRID_SEED)
         for budget in FIG11_COLOR_BUDGETS:
             result = make_compiler("ColorDynamic", device, budget).compile(circuit)
-            digests[f"{benchmark}|max_colors={budget}"] = canonical_digest(result)
-    return digests
+            yield f"{benchmark}|max_colors={budget}", result
 
 
-def success_digests() -> Dict[str, str]:
-    """Digest of each success-admission point, keyed ``"<benchmark>|<strategy>"``."""
+def success_results() -> Iterator[Tuple[str, object]]:
+    """Each success-admission point, keyed ``"<benchmark>|<strategy>"``."""
     from repro.analysis.experiments import STRATEGIES
     from repro.service import make_compiler
     from repro.service.compile_service import build_device_for
     from repro.workloads import benchmark_circuit
 
-    digests: Dict[str, str] = {}
     for benchmark in SUCCESS_BENCHMARKS:
         device = build_device_for(benchmark, seed=GRID_SEED)
         circuit = benchmark_circuit(benchmark, seed=GRID_SEED)
         for strategy in STRATEGIES:
             compiler = make_compiler(strategy, device, admission="success")
-            digests[f"{benchmark}|{strategy}"] = canonical_digest(compiler.compile(circuit))
-    return digests
+            yield f"{benchmark}|{strategy}", compiler.compile(circuit)
+
+
+def fig09_digests() -> Dict[str, str]:
+    return {key: canonical_digest(result) for key, result in fig09_results()}
+
+
+def fig13_digests() -> Dict[str, str]:
+    return {key: canonical_digest(result) for key, result in fig13_results()}
+
+
+def fig11_digests() -> Dict[str, str]:
+    return {key: canonical_digest(result) for key, result in fig11_results()}
+
+
+def success_digests() -> Dict[str, str]:
+    return {key: canonical_digest(result) for key, result in success_results()}
 
 
 def graph_path_digests() -> Dict[str, str]:

@@ -16,12 +16,12 @@ import pytest
 
 from repro.analysis.experiments import STRATEGIES
 from repro.noise import IncrementalEstimator, NoiseModel, estimate_success
-from repro.program import CompiledProgram
 from repro.service import make_compiler
 from repro.service.compile_service import build_device_for
 from repro.workloads import benchmark_circuit
 
 from diffgen import random_circuit, random_device
+from oracles import program_from_steps
 
 MODELS = {
     "default": NoiseModel(),
@@ -77,7 +77,7 @@ def _mutate(estimator, steps, donor_steps, rng, device):
         steps.append(step)
         estimator.append_step(step)
         return
-    program = CompiledProgram(device=device, steps=hypothetical, name="preview")
+    program = program_from_steps(device, hypothetical, name="preview")
     assert previewed == estimate_success(program).success_rate
 
 
@@ -117,8 +117,7 @@ def test_mutation_sequences_match_from_scratch(strategy, seed):
     steps = []
     for iteration in range(12):
         _mutate(estimator, steps, donor, rng, program.device)
-        mutated = CompiledProgram(
-            device=program.device, steps=list(steps), name="mutated", strategy=strategy
+        mutated = program_from_steps(program.device, list(steps), name="mutated", strategy=strategy
         )
         assert_reports_bit_identical(
             estimator.report(),
@@ -138,18 +137,14 @@ def test_preview_step_does_not_mutate():
     before = estimator.report()
 
     previewed = estimator.preview_step(program.steps[0])
-    extended = CompiledProgram(
-        device=device,
-        steps=list(program.steps) + [program.steps[0]],
+    extended = program_from_steps(device, list(program.steps) + [program.steps[0]],
         name="preview",
     )
     assert previewed == estimate_success(extended).success_rate
     assert_reports_bit_identical(estimator.report(), before, "post-preview")
 
     replaced = estimator.preview_step(program.steps[0], index=len(program.steps) - 1)
-    swapped = CompiledProgram(
-        device=device,
-        steps=list(program.steps[:-1]) + [program.steps[0]],
+    swapped = program_from_steps(device, list(program.steps[:-1]) + [program.steps[0]],
         name="preview2",
     )
     assert replaced == estimate_success(swapped).success_rate
@@ -159,5 +154,5 @@ def test_preview_step_does_not_mutate():
 @pytest.mark.differential
 def test_empty_estimator_matches_empty_program(device4):
     estimator = IncrementalEstimator(device4)
-    empty = CompiledProgram(device=device4, steps=[], name="empty")
+    empty = program_from_steps(device4, [], name="empty")
     assert_reports_bit_identical(estimator.report(), estimate_success(empty))

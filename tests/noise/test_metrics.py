@@ -5,7 +5,8 @@ import pytest
 from repro import ColorDynamic, NoiseModel, benchmark_circuit
 from repro.circuits import Gate
 from repro.noise import estimate_success, success_rate
-from repro.program import CompiledProgram, Interaction, TimeStep
+from oracles import program_from_steps
+from repro.program import Interaction, TimeStep
 
 
 def _single_step_program(device, frequencies, interactions=(), gates=(), duration=50.0):
@@ -15,12 +16,12 @@ def _single_step_program(device, frequencies, interactions=(), gates=(), duratio
         interactions=list(interactions),
         duration_ns=duration,
     )
-    return CompiledProgram(device=device, steps=[step], name="manual", strategy="manual")
+    return program_from_steps(device, [step], name="manual", strategy="manual")
 
 
 class TestEstimatorBasics:
     def test_empty_program_has_unit_success(self, device4):
-        program = CompiledProgram(device=device4, steps=[], name="empty")
+        program = program_from_steps(device4, [], name="empty")
         report = estimate_success(program)
         assert report.success_rate == pytest.approx(1.0)
 
@@ -133,7 +134,7 @@ class TestCrosstalkSensitivity:
             duration_ns=50.0,
             active_couplers={(0, 1), (2, 3)},
         )
-        program = CompiledProgram(device=device4, steps=[step], name="gmon-like")
+        program = program_from_steps(device4, [step], name="gmon-like")
         perfect = NoiseModel(residual_coupler_factor=0.0, include_flux_noise=False)
         leaky = NoiseModel(residual_coupler_factor=0.5, include_flux_noise=False)
         assert estimate_success(program, perfect).crosstalk_fidelity_product == pytest.approx(1.0)

@@ -76,9 +76,9 @@ def test_vectorized_handles_gmon_programs():
 
 
 def test_vectorized_handles_empty_program(device4):
-    from repro.program import CompiledProgram
+    from oracles import program_from_steps
 
-    program = CompiledProgram(device=device4, steps=[], name="empty")
+    program = program_from_steps(device4, [], name="empty")
     for estimate in (scalar_estimate, estimate_success):
         assert estimate(program).success_rate == pytest.approx(1.0)
 

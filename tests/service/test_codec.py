@@ -9,11 +9,18 @@ from repro import Device, benchmark_circuit, estimate_success
 from repro.circuits import Gate
 from repro.core.compiler import CompilationResult
 from repro.noise import NoiseModel
-from repro.program import PROGRAM_CODEC_VERSION, CompiledProgram, Interaction, TimeStep
+from repro.program import (
+    PROGRAM_CODEC_VERSION,
+    ColumnsBuilder,
+    CompiledProgram,
+    Interaction,
+    TimeStep,
+)
 from repro.service import make_compiler
 
 from codecfaults import FAULTS
 from oracles import estimate_success as scalar_estimate
+from oracles import program_from_steps
 
 STRATEGIES = ["Baseline N", "Baseline G", "Baseline U", "Baseline S", "ColorDynamic"]
 
@@ -169,7 +176,7 @@ class TestColumnarRoundTrip:
                 duration_ns=50.0,
             ),
         ]
-        program = CompiledProgram(device=device4, steps=steps, name="partial")
+        program = program_from_steps(device4, steps, name="partial")
         assert "present" in program.to_dict()["steps"]
         restored = _program_round_trip(program)
         _assert_same_program(restored, program)
@@ -193,7 +200,7 @@ class TestColumnarRoundTrip:
                 duration_ns=50.0,
             ),
         ]
-        program = CompiledProgram(device=device4, steps=steps, name="params")
+        program = program_from_steps(device4, steps, name="params")
         restored = _program_round_trip(program)
         _assert_same_program(restored, program)
         assert restored.steps[1].gates[0].params == (math.pi / 3,)
@@ -216,14 +223,14 @@ class TestColumnarRoundTrip:
             ),
             TimeStep(frequencies=dict(frequencies), duration_ns=10.0, active_couplers=set()),
         ]
-        program = CompiledProgram(device=device4, steps=steps, name="mixed")
+        program = program_from_steps(device4, steps, name="mixed")
         assert "coupler_steps" in program.to_dict()["steps"]
         restored = _program_round_trip(program)
         _assert_same_program(restored, program)
         assert [s.active_couplers for s in restored.steps] == [None, {(0, 1)}, set()]
 
     def test_zero_step_program(self, device4):
-        program = CompiledProgram(device=device4, steps=[], name="empty")
+        program = program_from_steps(device4, [], name="empty")
         restored = _program_round_trip(program)
         _assert_same_program(restored, program)
         assert restored.depth == 0
@@ -245,17 +252,15 @@ class TestColumnarRoundTrip:
             TimeStep(frequencies={0: -0.0, 1: 5.0, 2: 5.0, 3: 5.0}, duration_ns=25.0),
             TimeStep(frequencies={0: 0.0, 1: 5.0, 2: 5.0, 3: 5.0}, duration_ns=25.0),
         ]
-        program = CompiledProgram(device=device4, steps=steps, name="zeros")
+        program = program_from_steps(device4, steps, name="zeros")
         assert program.columns.frequency_index.tolist() == [0, 1, 2, 1]
         restored = _program_round_trip(program)
         signs = [math.copysign(1.0, step.frequencies[0]) for step in restored.steps]
         assert signs == [1.0, 1.0, -1.0, 1.0]
 
-    def test_nan_frequency_is_rejected(self, device4):
-        step = TimeStep(frequencies={0: math.nan, 1: 5.0}, duration_ns=25.0)
-        program = CompiledProgram(device=device4, steps=[step], name="nan")
+    def test_nan_frequency_is_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            program.to_dict()
+            ColumnsBuilder(4).add_row({0: math.nan, 1: 5.0})
 
     def test_decoded_program_builds_steps_lazily(self):
         result = _compile("ColorDynamic")
@@ -265,12 +270,13 @@ class TestColumnarRoundTrip:
         assert report == estimate_success(result.program)
         assert restored.steps == result.program.steps
 
-    def test_assigning_steps_drops_derived_columns(self, device4):
-        program = CompiledProgram(device=device4, steps=[], name="grow")
-        assert program.depth == 0
-        program.steps = [TimeStep(frequencies={q: 5.0 for q in range(4)}, duration_ns=25.0)]
+    def test_steps_are_a_read_only_view(self, device4):
+        step = TimeStep(frequencies={q: 5.0 for q in range(4)}, duration_ns=25.0)
+        program = program_from_steps(device4, [step], name="view")
         assert program.depth == 1
-        assert program.total_duration_ns == 25.0
+        assert program.steps == [step]
+        with pytest.raises(AttributeError):
+            program.steps = []
 
 
 class TestCorruptColumns:

@@ -5,7 +5,7 @@ import pytest
 from repro import ColorDynamic, Device, benchmark_circuit
 from repro.devices import TransmonParams
 from repro.sim import ideal_final_state, simulate_noisy_program, validate_heuristic
-from repro.program import CompiledProgram
+from oracles import program_from_steps
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ class TestNoisySimulation:
 
     def test_large_devices_are_rejected(self):
         device = Device.grid(16, seed=1)
-        program = CompiledProgram(device=device, steps=[], name="too-big")
+        program = program_from_steps(device, [], name="too-big")
         with pytest.raises(ValueError):
             simulate_noisy_program(program)
 

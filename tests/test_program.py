@@ -3,7 +3,8 @@
 import pytest
 
 from repro.circuits import Gate
-from repro.program import CompiledProgram, Interaction, TimeStep
+from oracles import program_from_steps
+from repro.program import Interaction, TimeStep
 
 
 class TestInteraction:
@@ -52,7 +53,7 @@ class TestCompiledProgram:
                 duration_ns=50.0,
             ),
         ]
-        return CompiledProgram(device=device, steps=steps, name="toy", strategy="manual")
+        return program_from_steps(device, steps, name="toy", strategy="manual")
 
     def test_depth_and_duration(self, device4):
         program = self._program(device4)
