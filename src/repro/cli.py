@@ -613,11 +613,11 @@ def _run_cache(args: argparse.Namespace) -> int:
             f"compile time {stats.compile_time_s:.2f}s"
         )
         remote = service.store.remote
-        remote_errors = remote.errors if remote is not None else 0
+        remote_errors = remote.errors + remote.refused if remote is not None else 0
         if remote_errors:
             print(
-                f"warning: {remote_errors} request(s) to the remote cache failed; "
-                "the shared server may not have been warmed",
+                f"warning: {remote_errors} request(s) to the remote cache failed "
+                "or were refused; the shared server may not have been warmed",
                 file=sys.stderr,
             )
             return 1
@@ -678,15 +678,19 @@ def _run_cache(args: argparse.Namespace) -> int:
             copied, present = copy_missing(source, destination)
         except OSError as exc:
             # Only a local write raises (a full or read-only disk); remote
-            # failures are counted in remote.errors below.
+            # failures and refusals are counted below.
             print(f"error: could not write entries to {target}: {exc}", file=sys.stderr)
             return 1
         print(
             f"{origin} -> {target}: {copied} entr{'y' if copied == 1 else 'ies'} copied, "
             f"{present} already present"
         )
-        if remote.errors:
-            print(f"warning: {remote.errors} request(s) to {url} failed", file=sys.stderr)
+        if remote.errors or remote.refused:
+            print(
+                f"warning: {remote.errors + remote.refused} request(s) to {url} "
+                "failed or were refused",
+                file=sys.stderr,
+            )
             return 1
         return 0
     if args.cache_command == "evict":

@@ -11,9 +11,15 @@ the same key scheme, so a compiled program is interchangeable between them:
   under a byte budget;
 * :class:`HTTPBackend` — a client for the ``python -m repro cache serve``
   server (:mod:`repro.service.server`), so a fleet of CI workers shares one
-  warm cache.  Its requests ride one kept-alive connection
-  (:class:`KeepAliveConnection`).  Network failures degrade to misses,
-  never to errors.
+  warm cache.  Network failures degrade to misses, never to errors.
+
+Both clients of that server — :class:`HTTPBackend` and
+:class:`~repro.service.remote_compile.RemoteCompileClient` — derive from
+:class:`ServerClient`: one kept-alive connection
+(:class:`KeepAliveConnection`), one :class:`CircuitBreaker`, and one
+:meth:`ServerClient._exchange` that reads every reply by the same rule.  Any
+reply below 500 means the server is up; a 5xx, no reply, or a 2xx body that
+is not the route's JSON shape is a failure that feeds the breaker.
 
 :class:`~repro.service.store.ProgramStore` is the store the rest of the
 toolchain talks to: a :class:`LocalFSBackend` tier plus, when a server URL
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 import abc
 import contextlib
-import io
 import json
 import os
 import re
@@ -35,7 +40,17 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from ..envvars import read_env
@@ -49,6 +64,7 @@ __all__ = [
     "StoreBackend",
     "LocalFSBackend",
     "HTTPBackend",
+    "ServerClient",
     "CircuitBreaker",
     "copy_missing",
     "default_cache_dir",
@@ -159,11 +175,9 @@ class KeepAliveConnection:
     :class:`HTTPBackend` and
     :class:`~repro.service.remote_compile.RemoteCompileClient` each own one,
     so a run pays one TCP handshake per client instead of one per request.
-    :meth:`request` keeps urllib's error contract, which the clients'
-    breaker and 429 logic are written against: a status >= 400 raises
-    :class:`urllib.error.HTTPError` (headers included, so ``Retry-After``
-    is readable), and an availability failure raises
-    :class:`urllib.error.URLError` or :class:`OSError`.
+    :meth:`request` returns every reply, whatever its status; only a request
+    that got no reply raises.  Whether the server failed is decided by
+    :meth:`ServerClient._exchange`, not here.
 
     * A reused connection that fails before any response byte arrives
       (typically the server's idle timeout closed it) is re-sent once on a
@@ -212,11 +226,13 @@ class KeepAliveConnection:
         path: str,
         body: Optional[bytes] = None,
         headers: Optional[Mapping[str, str]] = None,
-    ) -> io.BytesIO:
-        """Send one request; the whole response body, or an urllib-style error."""
-        import http.client
-        import urllib.error
+    ) -> Tuple[int, Mapping[str, str], bytes]:
+        """Send one request; the reply's ``(status, headers, body)``.
 
+        A request that gets no reply raises ``OSError`` (refused, reset,
+        timed out) or ``http.client.HTTPException`` (the reply is not HTTP),
+        and the connection is closed.
+        """
         if self._conn is not None and self._pid != os.getpid():
             self.close()  # a forked child: the socket is the parent's
         reused = self._conn is not None and self._conn.sock is not None
@@ -230,18 +246,10 @@ class KeepAliveConnection:
                 self.close()
                 response = self._send(method, path, body, headers)
             data = response.read()
-        except http.client.HTTPException as error:
-            self.close()
-            raise urllib.error.URLError(error) from error
         except BaseException:
             self.close()
             raise
-        if response.status >= 400:
-            raise urllib.error.HTTPError(
-                self.base_url + path, response.status, response.reason,
-                response.headers, io.BytesIO(data),
-            )
-        return io.BytesIO(data)
+        return response.status, response.headers, data
 
     def _send(self, method, path, body, headers) -> http.client.HTTPResponse:
         if self._conn is None:
@@ -573,13 +581,19 @@ class LocalFSBackend(StoreBackend):
         """Atomically persist *payload* under *key* (last writer wins).
 
         With ``max_bytes`` set, the put then scans and evicts the oldest
-        other entries until the store fits the budget.
+        other entries until the store fits the budget.  The shard directory
+        is made only when a write finds it missing, so a put into an
+        existing shard costs no ``mkdir``.  A full or read-only disk raises
+        ``OSError``.
         """
         start = time.perf_counter()
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         data = json.dumps(payload).encode()
-        fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", dir=path.parent)
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", dir=path.parent)
+        except FileNotFoundError:  # the shard's first entry: make its directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=f".{key[:8]}-", dir=path.parent)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
@@ -666,25 +680,73 @@ class LocalFSBackend(StoreBackend):
 
 
 # ---------------------------------------------------------------------------
-# HTTP client backend (for `python -m repro cache serve`)
+# HTTP clients of the cache server, and the one rule for reading its replies
 # ---------------------------------------------------------------------------
-class HTTPBackend(StoreBackend):
-    """Client for a shared cache server speaking the content-addressed scheme.
+class Reply(NamedTuple):
+    """What one exchange with the server brought back.
 
-    Entry operations map onto ``GET/PUT/HEAD/DELETE /v<codec>/<key>``,
-    listing onto ``GET /v<codec>/`` and ``stats()`` onto ``GET /stats`` —
-    exactly what :class:`repro.service.server.CacheServer` serves.  Every
-    request goes over the backend's one :class:`KeepAliveConnection`;
-    :meth:`close` releases it.
+    ``status`` is ``None`` when the server failed (or the open breaker
+    skipped the request); ``value`` is the route's value decoded from a 2xx
+    body, else ``None``.
+    """
 
-    The cache is an accelerator, never a dependency: any network failure
-    degrades to a miss (``get`` -> ``None``, ``put`` -> ``False``,
-    ``keys`` -> empty) and bumps the ``errors`` counter instead of raising,
-    so a fleet keeps compiling when its cache server is down.  After
-    ``trip_after`` *consecutive* failures the circuit breaker opens and the
-    remaining requests of this process are skipped outright — a
-    black-holed server (dropped packets, hung VM) costs a few timeouts,
-    not one per grid point.  Any success closes the breaker again.
+    status: Optional[int]
+    headers: Mapping[str, str]
+    value: object = None
+
+    @property
+    def ok(self) -> bool:
+        return self.status is not None and 200 <= self.status < 300
+
+
+_FAILED = Reply(None, {})
+
+
+def _json_object(value: object) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError("reply is not a JSON object")
+    return value
+
+
+def _key_listing(value: object) -> list:
+    """The listing ``{"keys": [<64-char hex>, ...]}`` (no ``keys``: empty)."""
+    keys = _json_object(value).get("keys", [])
+    if not isinstance(keys, list) or not all(
+        isinstance(key, str) and _KEY_PATTERN.match(key) for key in keys
+    ):
+        raise ValueError("malformed key listing")
+    return keys
+
+
+def _batch_entries(value: object) -> dict:
+    return _json_object(_json_object(value).get("entries"))
+
+
+def _stored_count(value: object) -> int:
+    count = _json_object(value).get("stored")
+    if not isinstance(count, int):
+        raise ValueError("malformed stored count")
+    return count
+
+
+class ServerClient:
+    """What every client of a cache server shares, and the one reply rule.
+
+    :class:`HTTPBackend` and
+    :class:`~repro.service.remote_compile.RemoteCompileClient` both derive
+    from it: one base URL (a bare ``host:port`` gets ``http://``), the
+    ``v<codec>`` namespace, the bearer token (``None`` reads
+    ``REPRO_CACHE_TOKEN``), one :class:`CircuitBreaker` labeled by the
+    remote's ``host:port``, and one :class:`KeepAliveConnection`.
+
+    Every request goes through :meth:`_exchange`, the only place that
+    decides whether the server failed.  Any reply below 500 means the
+    server is up, so the breaker closes: a 404 miss, a 401 for a missing
+    token and a 429 are answers, not outages.  A 5xx, no reply at all
+    (refused, timed out, not HTTP) and a 2xx body that is not the route's
+    JSON shape are failures; after ``trip_after`` consecutive ones the
+    breaker opens and requests are skipped outright.  The cache is an
+    accelerator, never a dependency, so nothing here raises.
     """
 
     def __init__(
@@ -700,33 +762,21 @@ class HTTPBackend(StoreBackend):
         self.timeout_s = timeout_s
         self.format = f"v{PROGRAM_CODEC_VERSION}"
         self.token = token if token is not None else cache_token_default()
-        self._breaker = CircuitBreaker(
-            urlsplit(self.url).netloc or self.url, trip_after=trip_after
-        )
+        self._breaker = CircuitBreaker(urlsplit(self.url).netloc or self.url, trip_after=trip_after)
         self._wire = KeepAliveConnection(self.url, timeout_s)
+        #: Requests the server answered but refused: a 4xx other than a
+        #: 404 miss of an entry (a missing token, a foreign namespace, a 429).
+        self.refused = 0
 
     @property
     def tripped(self) -> bool:
-        """Whether the circuit breaker is open (remote skipped entirely)."""
+        """Whether the circuit breaker is open (the remote is skipped)."""
         return self._breaker.tripped
 
     @property
-    def trip_after(self) -> int:
-        return self._breaker.trip_after
-
-    @property
-    def trip_count(self) -> int:
-        return self._breaker.trip_count
-
-    @property
     def errors(self) -> int:
+        """Requests that failed (see :meth:`_exchange`)."""
         return self._breaker.errors
-
-    def _note_failure(self) -> None:
-        self._breaker.note_failure()
-
-    def _note_success(self) -> None:
-        self._breaker.note_success()
 
     def breaker_stats(self) -> Dict[str, object]:
         """Circuit-breaker state for ``stats()`` / ``cache stats`` output."""
@@ -736,165 +786,127 @@ class HTTPBackend(StoreBackend):
         """Close the kept-alive connection to the server."""
         self._wire.close()
 
-    def _open(self, method: str, path: str, body: Optional[bytes] = None):
-        headers = {"Content-Type": "application/json"} if body is not None else {}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        return self._wire.request(method, path, body=body, headers=headers)
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: object = None,
+        *,
+        op: str,
+        shape: Optional[Callable[[object], object]] = None,
+    ) -> Reply:
+        """Send one request and judge the reply by the one rule.
+
+        *body*, if given, is sent as JSON.  *shape* turns the decoded JSON of
+        a 2xx body into the route's value and raises ``ValueError`` when the
+        body is not the route's shape.  The latency lands in
+        ``repro_store_op_seconds{backend="remote", op=<op>}``.
+        """
+        import http.client
+
+        if self.tripped:
+            return _FAILED
+        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
+        payload = None
+        if body is not None:
+            payload = json.dumps(body).encode()
+            headers["Content-Type"] = "application/json"
+        start = time.perf_counter()
+        try:
+            status, reply_headers, raw = self._wire.request(
+                method, path, body=payload, headers=headers
+            )
+            value = None
+            if shape is not None and 200 <= status < 300:
+                value = shape(json.loads(raw))
+        except (OSError, http.client.HTTPException, ValueError):
+            status = None
+        if status is None or status >= 500:
+            self._breaker.note_failure()
+            _observe_op(start, "remote", op, "error")
+            return _FAILED
+        self._breaker.note_success()
+        if status < 300:
+            outcome = "hit" if op == "get" else "ok"
+        elif status == 404 and op in ("get", "contains", "delete"):
+            outcome = "miss"
+        else:
+            outcome = "refused"
+            self.refused += 1
+        _observe_op(start, "remote", op, outcome)
+        return Reply(status, reply_headers, value)
+
+
+class HTTPBackend(ServerClient, StoreBackend):
+    """Client for a shared cache server speaking the content-addressed scheme.
+
+    Entry operations map onto ``GET/PUT/HEAD/DELETE /v<codec>/<key>``,
+    listing onto ``GET /v<codec>/``, ``stats()`` onto ``GET /stats`` and
+    ``get_many``/``put_many`` onto ``POST /v<codec>/batch/{get,put}`` —
+    exactly what :class:`repro.service.server.CacheServer` serves.  Each
+    route only maps a reply to its value; whether the server failed is
+    :meth:`ServerClient._exchange`'s one rule.  A failure or a refusal
+    degrades to a miss (``get`` -> ``None``, ``put`` -> ``False``,
+    ``keys`` -> empty), never an error, so a fleet keeps compiling when its
+    cache server is down.
+    """
+
+    def _entry(self, key: str) -> str:
+        return f"/{self.format}/{key}"
 
     def get(self, key: str) -> Optional[dict]:
-        import urllib.error
-
-        if self.tripped:
-            return None
-        start = time.perf_counter()
-        try:
-            with self._open("GET", f"/{self.format}/{key}") as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                self._note_success()  # the server answered; a miss is healthy
-                _observe_op(start, "remote", "get", "miss")
-            else:
-                self._note_failure()
-                _observe_op(start, "remote", "get", "error")
-            return None
-        except (urllib.error.URLError, OSError, ValueError):
-            self._note_failure()
-            _observe_op(start, "remote", "get", "error")
-            return None
-        self._note_success()
-        _observe_op(start, "remote", "get", "hit")
-        return payload
+        return self._exchange("GET", self._entry(key), op="get", shape=_json_object).value
 
     def put(self, key: str, payload: dict) -> bool:
-        import urllib.error
-
-        if self.tripped:
-            return False
-        body = json.dumps(payload).encode()
-        start = time.perf_counter()
-        try:
-            with self._open("PUT", f"/{self.format}/{key}", body=body):
-                pass
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                # A healthy server refusing the namespace (codec skew):
-                # "cannot store here", not a connectivity failure.
-                self._note_success()
-                _observe_op(start, "remote", "put", "refused")
-            else:
-                self._note_failure()
-                _observe_op(start, "remote", "put", "error")
-            return False
-        except (urllib.error.URLError, OSError):
-            self._note_failure()
-            _observe_op(start, "remote", "put", "error")
-            return False
-        self._note_success()
-        _observe_op(start, "remote", "put", "ok")
-        return True
+        return self._exchange("PUT", self._entry(key), payload, op="put").ok
 
     def contains(self, key: str) -> bool:
-        import urllib.error
+        return self._exchange("HEAD", self._entry(key), op="contains").ok
 
-        if self.tripped:
-            return False
-        try:
-            with self._open("HEAD", f"/{self.format}/{key}"):
-                pass
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                self._note_success()
-            else:
-                self._note_failure()
-            return False
-        except (urllib.error.URLError, OSError):
-            self._note_failure()
-            return False
-        self._note_success()
-        return True
+    def delete(self, key: str) -> bool:
+        return self._exchange("DELETE", self._entry(key), op="delete").ok
 
     def keys(self) -> Iterator[str]:
-        """Iterate the server's listing, or nothing when it is malformed.
+        """Iterate the server's listing; nothing when it is refused or malformed.
 
-        The listing must be ``{"keys": [<64-char hex>, ...]}``; anything
-        else — a string (which would iterate as single characters), a
-        non-iterable, or junk keys — degrades to an empty listing and
-        counts as a backend failure, never as data.
+        A listing that is not ``{"keys": [<64-char hex>, ...]}`` — a string
+        (which would iterate as single characters), a non-list, junk keys —
+        is a failure, never data.
         """
-        import urllib.error
+        listing = self._exchange("GET", f"/{self.format}/", op="keys", shape=_key_listing)
+        yield from listing.value or ()
 
-        if self.tripped:
-            return
-        try:
-            with self._open("GET", f"/{self.format}/") as response:
-                listed = json.loads(response.read().decode("utf-8"))
-            keys = listed.get("keys", [])
-        except (urllib.error.URLError, OSError, ValueError, AttributeError):
-            self._note_failure()
-            return
-        if not isinstance(keys, list) or not all(
-            isinstance(key, str) and _KEY_PATTERN.match(key) for key in keys
-        ):
-            self._note_failure()
-            return
-        self._note_success()
-        yield from keys
+    def stats(self) -> Dict[str, object]:
+        reply = self._exchange("GET", "/stats", op="stats", shape=_json_object)
+        if reply.ok:
+            return {**reply.value, "url": self.url, **self.breaker_stats()}
+        return {
+            "url": self.url,
+            "unreachable": reply.status is None,
+            "tripped": self.tripped,
+            **self.breaker_stats(),
+        }
 
     # ------------------------------------------------------------------
     # batched transfer (POST /v<codec>/batch/{get,put})
     # ------------------------------------------------------------------
-    def _batch_post(self, endpoint: str, body: dict) -> Optional[dict]:
-        """One batched round trip, or ``None`` when it brought nothing back.
-
-        A 4xx (a namespace the server does not serve, a missing token) is a
-        *healthy* refusal: the server spoke, so the breaker closes.  A 5xx,
-        a network failure or a malformed reply counts against the breaker.
-        """
-        import urllib.error
-
-        path = f"/{self.format}/batch/{endpoint}"
-        start = time.perf_counter()
-        try:
-            with self._open("POST", path, body=json.dumps(body).encode()) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("batch payload is not an object")
-        except urllib.error.HTTPError as error:
-            if error.code < 500:
-                self._note_success()
-                _observe_op(start, "remote", f"batch_{endpoint}", "refused")
-            else:
-                self._note_failure()
-                _observe_op(start, "remote", f"batch_{endpoint}", "error")
-            return None
-        except (urllib.error.URLError, OSError, ValueError):
-            self._note_failure()
-            _observe_op(start, "remote", f"batch_{endpoint}", "error")
-            return None
-        self._note_success()
-        _observe_op(start, "remote", f"batch_{endpoint}", "ok")
-        return payload
-
     def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
         """Fetch many entries in ``BATCH_CHUNK_ENTRIES``-sized round trips.
 
-        Entries whose key or payload shape is wrong are dropped, not
-        surfaced — the transfer path never turns junk into cache content.
+        A refused or failed round trip ends the call with what it has so
+        far (no retry storm).  Entries whose key or payload shape is wrong
+        are dropped — the transfer path never turns junk into cache content.
         """
-        if self.tripped:
-            return {}
         found: Dict[str, dict] = {}
         pending = list(keys)
+        path = f"/{self.format}/batch/get"
         for offset in range(0, len(pending), BATCH_CHUNK_ENTRIES):
             chunk = pending[offset : offset + BATCH_CHUNK_ENTRIES]
-            payload = self._batch_post("get", {"keys": chunk})
-            if payload is None:
-                return found  # refused or unreachable: partial results, no retry storm
-            entries = payload.get("entries")
-            if not isinstance(entries, dict):
-                continue
+            entries = self._exchange(
+                "POST", path, {"keys": chunk}, op="batch_get", shape=_batch_entries
+            ).value
+            if entries is None:
+                return found
             wanted = set(chunk)
             for key, value in entries.items():
                 if key in wanted and isinstance(value, dict):
@@ -906,61 +918,18 @@ class HTTPBackend(StoreBackend):
 
         Returns how many entries the server acknowledged storing.
         """
-        if self.tripped:
-            return 0
         stored = 0
         items = list(entries.items())
+        path = f"/{self.format}/batch/put"
         for offset in range(0, len(items), BATCH_CHUNK_ENTRIES):
             chunk = dict(items[offset : offset + BATCH_CHUNK_ENTRIES])
-            payload = self._batch_post("put", {"entries": chunk})
-            if payload is None:
+            count = self._exchange(
+                "POST", path, {"entries": chunk}, op="batch_put", shape=_stored_count
+            ).value
+            if count is None:
                 return stored
-            count = payload.get("stored")
-            stored += count if isinstance(count, int) else 0
+            stored += count
         return stored
-
-    def delete(self, key: str) -> bool:
-        import urllib.error
-
-        if self.tripped:
-            return False
-        try:
-            with self._open("DELETE", f"/{self.format}/{key}"):
-                pass
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                self._note_success()
-            else:
-                self._note_failure()
-            return False
-        except (urllib.error.URLError, OSError):
-            self._note_failure()
-            return False
-        self._note_success()
-        return True
-
-    def stats(self) -> Dict[str, object]:
-        import urllib.error
-
-        if self.tripped:
-            return {
-                "url": self.url,
-                "unreachable": True,
-                "tripped": True,
-                **self.breaker_stats(),
-            }
-        try:
-            with self._open("GET", "/stats") as response:
-                stats = json.loads(response.read().decode("utf-8"))
-            if not isinstance(stats, dict):
-                raise ValueError("stats payload is not an object")
-        except (urllib.error.URLError, OSError, ValueError):
-            self._note_failure()
-            return {"url": self.url, "unreachable": True, **self.breaker_stats()}
-        self._note_success()
-        stats["url"] = self.url
-        stats.update(self.breaker_stats())
-        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HTTPBackend(url={self.url!r}, format={self.format!r})"

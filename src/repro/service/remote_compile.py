@@ -5,36 +5,35 @@
 :class:`~repro.core.compiler.CompilationResult` payloads — the thin-client
 half of the remote compile tier: the server owns the warm store *and* the
 cold compiles, so a fleet of clients never compiles the same content hash
-twice between them.  Each client sends its requests over one kept-alive
-connection (:class:`~repro.service.backends.KeepAliveConnection`), so a
-grid of single-job requests pays one TCP handshake, not one per job.
+twice between them.
 
-Failure discipline mirrors :class:`~repro.service.backends.HTTPBackend`:
-remote compilation is an accelerator, never a dependency.  Any terminal
-failure returns ``None`` and the caller compiles locally; a shared
-:class:`~repro.service.backends.CircuitBreaker` (labeled by remote
-``host:port``) opens after consecutive failures so a black-holed server
-costs a few timeouts, not one per grid point.  A 429 from the server's
-bounded job queue is *backpressure*, not failure: the client honours the
-``Retry-After`` hint plus decorrelating jitter for a few attempts before
-giving up — it never counts against the breaker, because the server is
-healthy, just busy.
+It is a :class:`~repro.service.backends.ServerClient`, like
+:class:`~repro.service.backends.HTTPBackend`: one kept-alive connection,
+one circuit breaker labeled by remote ``host:port``, and one exchange
+that decides whether the server failed (a 5xx, no reply, or a 2xx body
+that is not ``{"results": [{"payload": {...}}, ...]}`` with one result per
+job).  Remote compilation is an accelerator, never a dependency: a chunk
+that cannot be compiled remotely returns ``None`` and the caller compiles
+locally.  On top of the exchange the client keeps its retry policy:
+
+* a 429 from the server's bounded job queue is *backpressure*: the client
+  sleeps for the ``Retry-After`` hint plus decorrelating jitter and
+  retries, a few attempts at most;
+* a failure backs off exponentially and retries until the breaker opens;
+* any other 4xx (a bad spec, a missing token) falls back at once — a
+  retry would send the same bytes.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional
 
-from ..program import PROGRAM_CODEC_VERSION
-from .backends import CircuitBreaker, KeepAliveConnection, cache_token_default
+from .backends import ServerClient
 from .compile_service import CompileJob
-
-if TYPE_CHECKING:
-    import urllib.error
 
 __all__ = ["RemoteCompileClient"]
 
@@ -44,7 +43,18 @@ __all__ = ["RemoteCompileClient"]
 COMPILE_CHUNK_JOBS = 200
 
 
-class RemoteCompileClient:
+def _compiled_payloads(value: object, count: int) -> List[dict]:
+    """The ``count`` result payloads of a compile reply, in job order."""
+    results = value.get("results") if isinstance(value, dict) else None
+    if not isinstance(results, list) or len(results) != count:
+        raise ValueError("malformed compile response")
+    payloads = [result.get("payload") if isinstance(result, dict) else None for result in results]
+    if not all(isinstance(payload, dict) for payload in payloads):
+        raise ValueError("malformed compile result payload")
+    return payloads
+
+
+class RemoteCompileClient(ServerClient):
     """Batched remote compilation against one cache server.
 
     Parameters
@@ -84,98 +94,37 @@ class RemoteCompileClient:
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ) -> None:
-        from urllib.parse import urlsplit
-
-        if "://" not in base_url:
-            base_url = f"http://{base_url}"
-        self.url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
-        self.format = f"v{PROGRAM_CODEC_VERSION}"
-        self.token = token if token is not None else cache_token_default()
+        super().__init__(base_url, timeout_s, trip_after, token)
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
-        self._breaker = CircuitBreaker(
-            urlsplit(self.url).netloc or self.url, trip_after=trip_after
-        )
-        self._wire = KeepAliveConnection(self.url, timeout_s)
-
-    @property
-    def tripped(self) -> bool:
-        """Whether the breaker is open (remote compilation is skipped)."""
-        return self._breaker.tripped
 
     def stats(self) -> Dict[str, object]:
         """Breaker/error state for diagnostics and ``cache stats``."""
-        return {"url": self.url, **self._breaker.stats()}
+        return {"url": self.url, **self.breaker_stats()}
 
-    # ------------------------------------------------------------------
-    # wire
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the kept-alive connection to the server."""
-        self._wire.close()
-
-    def _post_jobs(self, jobs: List[CompileJob]):
-        body = json.dumps({"jobs": [asdict(job) for job in jobs]}).encode()
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        return self._wire.request(
-            "POST", f"/{self.format}/compile", body=body, headers=headers
-        )
-
-    def _retry_after_s(self, error: urllib.error.HTTPError) -> float:
+    def _retry_after_s(self, headers: Mapping[str, str]) -> float:
         try:
-            hinted = float(error.headers.get("Retry-After", ""))
+            hinted = float(headers.get("Retry-After", ""))
         except (TypeError, ValueError):
             hinted = self.backoff_s
         return max(0.0, hinted)
 
     def _compile_chunk(self, jobs: List[CompileJob]) -> Optional[List[dict]]:
-        """One chunk through the wire, with 429 backoff; ``None`` on failure."""
-        import urllib.error
-
+        """One chunk through the exchange, with the retry policy; ``None`` on failure."""
+        path, body = f"/{self.format}/compile", {"jobs": [asdict(job) for job in jobs]}
+        shape = partial(_compiled_payloads, count=len(jobs))
         for attempt in range(self.max_attempts):
-            delay: Optional[float] = None
-            try:
-                with self._post_jobs(jobs) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                results = payload.get("results") if isinstance(payload, dict) else None
-                if not isinstance(results, list) or len(results) != len(jobs):
-                    raise ValueError("malformed compile response")
-                out: List[dict] = []
-                for result in results:
-                    value = result.get("payload") if isinstance(result, dict) else None
-                    if not isinstance(value, dict):
-                        raise ValueError("malformed compile result payload")
-                    out.append(value)
-                self._breaker.note_success()
-                return out
-            except urllib.error.HTTPError as error:
-                if error.code == 429:
-                    # Backpressure from a healthy server: honour its hint,
-                    # decorrelate the fleet with jitter, and never count it
-                    # against the breaker.
-                    self._breaker.note_success()
-                    delay = self._retry_after_s(error)
-                else:
-                    # 4xx/5xx: the server spoke, but this request cannot
-                    # succeed (bad spec, no such route, server bug) — a
-                    # retry would send the same bytes, so fail over to
-                    # local compilation; only availability errors feed the
-                    # breaker.
-                    if error.code >= 500:
-                        self._breaker.note_failure()
-                    else:
-                        self._breaker.note_success()
-                    return None
-            except (urllib.error.URLError, OSError, ValueError):
-                self._breaker.note_failure()
-                if self._breaker.tripped:
+            reply = self._exchange("POST", path, body, op="compile", shape=shape)
+            if reply.status is None:
+                if self.tripped:
                     return None
                 delay = self.backoff_s * (2**attempt)
+            elif reply.status == 429:
+                delay = self._retry_after_s(reply.headers)
+            else:
+                return reply.value  # the payloads, or None for a refusal
             if attempt + 1 >= self.max_attempts:
                 return None
             self._sleep(delay + self._rng.uniform(0, delay))
@@ -191,8 +140,6 @@ class RemoteCompileClient:
         """
         if not jobs:
             return []
-        if self._breaker.tripped:
-            return None
         out: List[dict] = []
         for offset in range(0, len(jobs), COMPILE_CHUNK_JOBS):
             chunk = jobs[offset : offset + COMPILE_CHUNK_JOBS]

@@ -58,6 +58,7 @@ import os
 import re
 import socket
 import threading
+import traceback
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
@@ -404,8 +405,12 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
     def _handle(self, method: str, func: Callable[[], None]) -> None:
         """Dispatch one request, recording metrics and the structured log.
 
-        The counter/histogram labels stay low-cardinality: status codes and
-        route *classes* (entry/list/stats/metrics/other), never raw paths.
+        The one place an unexpected handler exception becomes a 500: a cache
+        must not crash per request.  If the reply was already begun, the
+        connection is closed instead, since a second status line would
+        corrupt the stream.  The counter/histogram labels stay
+        low-cardinality: status codes and route *classes*
+        (entry/list/stats/metrics/other), never raw paths.
         """
         self._status = None
         self._response_bytes = 0
@@ -413,6 +418,12 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         start = perf_counter()
         try:
             func()
+        except Exception as error:  # noqa: BLE001 - a cache must not crash per request
+            self.log_error("%s %s failed\n%s", method, self.path, traceback.format_exc())
+            if self._status is None:
+                self._send_json(500, {"error": str(error)})
+            else:
+                self.close_connection = True
         finally:
             elapsed = perf_counter() - start
             status = self._status if self._status is not None else 0
@@ -446,80 +457,68 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self._handle("DELETE", self._delete)
 
     def _get(self) -> None:
-        try:
-            if self.path == "/stats":
-                self._send_json(200, self._backend.stats())
-                return
-            if self.path == "/metrics":
-                self._send_metrics()
-                return
-            listing = _LIST_PATTERN.match(self.path)
-            if listing is not None:
-                if listing.group(1) != self._backend.format:
-                    self._send_json(404, {"error": "unknown namespace"})
-                else:
-                    self._send_json(200, {"keys": list(self._backend.keys())})
-                return
-            key = self._entry_key()
-            if key is None:
-                self._send_json(404, {"error": "not found"})
-                return
-            payload = self._backend.get(key)
-            if payload is None:
-                self._send_json(404, {"error": "miss"})
+        if self.path == "/stats":
+            self._send_json(200, self._backend.stats())
+            return
+        if self.path == "/metrics":
+            self._send_metrics()
+            return
+        listing = _LIST_PATTERN.match(self.path)
+        if listing is not None:
+            if listing.group(1) != self._backend.format:
+                self._send_json(404, {"error": "unknown namespace"})
             else:
-                self._send_json(200, payload)
-        except Exception as error:  # noqa: BLE001 - a cache must not crash per-request
-            self._send_json(500, {"error": str(error)})
+                self._send_json(200, {"keys": list(self._backend.keys())})
+            return
+        key = self._entry_key()
+        if key is None:
+            self._send_json(404, {"error": "not found"})
+            return
+        payload = self._backend.get(key)
+        if payload is None:
+            self._send_json(404, {"error": "miss"})
+        else:
+            self._send_json(200, payload)
 
     def _head(self) -> None:
-        try:
-            key = self._entry_key()
-            if key is not None and self._backend.contains(key):
-                self._send_empty(200)
-            else:
-                self._send_empty(404)
-        except Exception:
-            self._send_empty(500)
+        key = self._entry_key()
+        if key is not None and self._backend.contains(key):
+            self._send_empty(200)
+        else:
+            self._send_empty(404)
 
     def _put(self) -> None:
-        try:
-            key = self._entry_key()
-            if key is None:
-                self._send_json(404, {"error": "not found"})
-                return
-            if not self._authorized():
-                self._send_unauthorized()
-                return
-            payload = self._read_json_object()
-            if payload is None:
-                return
-            self._backend.put(key, payload)
-            self._send_empty(204)
-        except Exception as error:
-            self._send_json(500, {"error": str(error)})
+        key = self._entry_key()
+        if key is None:
+            self._send_json(404, {"error": "not found"})
+            return
+        if not self._authorized():
+            self._send_unauthorized()
+            return
+        payload = self._read_json_object()
+        if payload is None:
+            return
+        self._backend.put(key, payload)
+        self._send_empty(204)
 
     def _post(self) -> None:
-        try:
-            match = _BATCH_PATTERN.match(self.path)
-            if match is not None:
-                if match.group(1) != self._backend.format:
-                    self._send_json(404, {"error": "unknown namespace"})
-                elif match.group(2) == "get":
-                    self._batch_get()
-                else:
-                    self._batch_put()
-                return
-            match = _COMPILE_PATTERN.match(self.path)
-            if match is not None:
-                if match.group(1) != self._backend.format:
-                    self._send_json(404, {"error": "unknown namespace"})
-                else:
-                    self._compile()
-                return
-            self._send_json(404, {"error": "not found"})
-        except Exception as error:  # noqa: BLE001 - a cache must not crash per-request
-            self._send_json(500, {"error": str(error)})
+        match = _BATCH_PATTERN.match(self.path)
+        if match is not None:
+            if match.group(1) != self._backend.format:
+                self._send_json(404, {"error": "unknown namespace"})
+            elif match.group(2) == "get":
+                self._batch_get()
+            else:
+                self._batch_put()
+            return
+        match = _COMPILE_PATTERN.match(self.path)
+        if match is not None:
+            if match.group(1) != self._backend.format:
+                self._send_json(404, {"error": "unknown namespace"})
+            else:
+                self._compile()
+            return
+        self._send_json(404, {"error": "not found"})
 
     def _batch_get(self) -> None:
         payload = self._read_json_object()
@@ -587,14 +586,11 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, {"results": results})
 
     def _delete(self) -> None:
-        try:
-            key = self._entry_key()
-            if key is not None and self._backend.delete(key):
-                self._send_empty(204)
-            else:
-                self._send_json(404, {"error": "not found"})
-        except Exception as error:
-            self._send_json(500, {"error": str(error)})
+        key = self._entry_key()
+        if key is not None and self._backend.delete(key):
+            self._send_empty(204)
+        else:
+            self._send_json(404, {"error": "not found"})
 
 
 class CacheServer:

@@ -564,7 +564,8 @@ class TestLoopbackSkipsEnvironmentProxy:
         with stub_server(b'{"entries": 0}', request_lines=seen) as proxy_url:
             monkeypatch.setenv("http_proxy", proxy_url)
             wire = backends_mod.KeepAliveConnection("http://cache.example:8080", 1.0)
-            assert json.loads(wire.request("GET", "/stats").read()) == {"entries": 0}
+            status, _, body = wire.request("GET", "/stats")
+            assert (status, json.loads(body)) == (200, {"entries": 0})
             wire.close()
         assert seen == ["GET http://cache.example:8080/stats HTTP/1.1"]
 

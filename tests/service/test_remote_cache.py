@@ -335,6 +335,37 @@ class TestContentLengthDiscipline:
             server.stop()
 
 
+class TestHandlerFaults:
+    """A handler that raises answers 500 on every method; the server keeps serving."""
+
+    ENTRY = f"/v{PROGRAM_CODEC_VERSION}/{KEY}"
+
+    @pytest.mark.parametrize(
+        "method, path, body, backend_method",
+        [
+            ("GET", ENTRY, b"", "get"),
+            ("HEAD", ENTRY, b"", "contains"),
+            ("PUT", ENTRY, b'{"x": 1}', "put"),
+            ("DELETE", ENTRY, b"", "delete"),
+            ("POST", f"/v{PROGRAM_CODEC_VERSION}/batch/get", b'{"keys": ["%s"]}' % KEY.encode(),
+             "get"),
+        ],
+    )
+    def test_a_raising_backend_is_a_500(
+        self, cache_server, monkeypatch, method, path, body, backend_method
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(cache_server.backend, backend_method, boom)
+        headers = {"Content-Length": str(len(body))} if body else {}
+        status, _, _ = raw_request(cache_server, method, path, headers, body)
+        assert status == 500
+        monkeypatch.undo()
+        with http("GET", f"{cache_server.url}/stats") as response:
+            assert response.status == 200
+
+
 class TestBearerTokenAuth:
     @pytest.fixture()
     def secured_server(self, tmp_path):

@@ -263,27 +263,26 @@ class TestQueueBackpressure:
             server.stop()
 
 
-class FakeResponse:
-    def __init__(self, payload):
-        self._body = json.dumps(payload).encode()
-
-    def read(self):
-        return self._body
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+def reply(status, payload=None, headers=None):
+    """A ``KeepAliveConnection.request`` result: ``(status, headers, body)``."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    return status, dict(headers or {}), body
 
 
-def http_error(code, headers=None):
-    import email.message
+def stub_wire(monkeypatch, client, answers):
+    """Answer the client's requests in turn with *answers* (the last repeats).
 
-    message = email.message.Message()
-    for name, value in (headers or {}).items():
-        message[name] = value
-    return urllib.error.HTTPError("http://x/compile", code, "err", message, None)
+    An exception answer is raised, like a request that got no reply.
+    """
+    pending = list(answers)
+
+    def request(method, path, body=None, headers=None):
+        answer = pending.pop(0) if len(pending) > 1 else pending[0]
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(client._wire, "request", request)
 
 
 class TestClientRetryDiscipline:
@@ -299,19 +298,9 @@ class TestClientRetryDiscipline:
     def test_429_honours_retry_after_with_jitter_and_stays_healthy(self, monkeypatch):
         sleeps = []
         client = self.make_client(sleeps)
-        answers = [
-            http_error(429, {"Retry-After": "3"}),
-            http_error(429, {"Retry-After": "3"}),
-            FakeResponse({"results": [{"payload": {"program": 1}}]}),
-        ]
-
-        def fake_post(jobs):
-            answer = answers.pop(0)
-            if isinstance(answer, Exception):
-                raise answer
-            return answer
-
-        monkeypatch.setattr(client, "_post_jobs", fake_post)
+        busy = reply(429, {"error": "compile queue full"}, {"Retry-After": "3"})
+        done = reply(200, {"results": [{"payload": {"program": 1}}]})
+        stub_wire(monkeypatch, client, [busy, busy, done])
         assert client.compile_jobs([JOB]) == [{"program": 1}]
         assert len(sleeps) == 2
         for delay in sleeps:
@@ -321,11 +310,7 @@ class TestClientRetryDiscipline:
     def test_transient_errors_back_off_then_trip_the_breaker(self, monkeypatch):
         sleeps = []
         client = self.make_client(sleeps, trip_after=3, backoff_s=0.5)
-
-        def fake_post(jobs):
-            raise urllib.error.URLError("connection refused")
-
-        monkeypatch.setattr(client, "_post_jobs", fake_post)
+        stub_wire(monkeypatch, client, [ConnectionRefusedError("connection refused")])
         assert client.compile_jobs([JOB]) is None
         assert client.tripped is True
         # Two exponential backoffs before the third failure opens the
@@ -337,26 +322,20 @@ class TestClientRetryDiscipline:
     def test_terminal_4xx_fails_over_without_tripping(self, monkeypatch):
         sleeps = []
         client = self.make_client(sleeps)
-        monkeypatch.setattr(
-            client, "_post_jobs", lambda jobs: (_ for _ in ()).throw(http_error(400))
-        )
+        stub_wire(monkeypatch, client, [reply(400, {"error": "bad spec"})])
         assert client.compile_jobs([JOB]) is None
         assert sleeps == []  # no retry: the same bytes cannot succeed
         assert client.tripped is False
 
     def test_5xx_counts_against_the_breaker(self, monkeypatch):
         client = self.make_client([], trip_after=1)
-        monkeypatch.setattr(
-            client, "_post_jobs", lambda jobs: (_ for _ in ()).throw(http_error(503))
-        )
+        stub_wire(monkeypatch, client, [reply(503, {"error": "boom"})])
         assert client.compile_jobs([JOB]) is None
         assert client.tripped is True
 
     def test_malformed_response_is_a_failure_not_a_crash(self, monkeypatch):
         client = self.make_client([], trip_after=1)
-        monkeypatch.setattr(
-            client, "_post_jobs", lambda jobs: FakeResponse({"results": "nope"})
-        )
+        stub_wire(monkeypatch, client, [reply(200, {"results": "nope"})])
         assert client.compile_jobs([JOB]) is None
         assert client.tripped is True
 

@@ -146,6 +146,44 @@ class TestFullDisk:
         assert not cache_server.backend.contains(KEY_A)
 
 
+class TestShardDirectories:
+    """A put makes its shard directory only when the shard is missing."""
+
+    SAME_SHARD_AS_A = "ab" + "2" * 62
+
+    @pytest.fixture
+    def mkdirs(self, monkeypatch):
+        made = []
+        real_mkdir = os.mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            made.append(str(path))
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", counting_mkdir)
+        return made
+
+    def test_a_put_into_an_existing_shard_makes_no_directory(self, tmp_path, mkdirs):
+        local = backends.LocalFSBackend(tmp_path)
+        assert local.put(KEY_A, {"x": 1})
+        assert mkdirs  # the shard's first entry made it
+        mkdirs.clear()
+        assert local.put(self.SAME_SHARD_AS_A, {"y": 2})
+        assert local.put(KEY_A, {"x": 3})
+        assert mkdirs == []
+        assert local.get(self.SAME_SHARD_AS_A) == {"y": 2}
+        assert local.get(KEY_A) == {"x": 3}
+
+    def test_a_shard_that_cannot_be_made_is_an_oserror(self, tmp_path, monkeypatch):
+        def read_only(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Read-only file system", str(path))
+
+        monkeypatch.setattr(os, "mkdir", read_only)
+        with pytest.raises(OSError):
+            backends.LocalFSBackend(tmp_path).put(KEY_A, {"x": 1})
+        assert ProgramStore(tmp_path).put_local(KEY_A, {"x": 1}) is False
+
+
 class TestConcurrentMaintenance:
     """stats()/clear() racing a concurrent writer must degrade, not raise."""
 
