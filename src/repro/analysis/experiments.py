@@ -13,9 +13,10 @@ paper-scale reproduction.
 The figure sweeps (9-13) are expressed as flat lists of :class:`SweepJob`
 grid points executed by a :class:`SweepRunner`.  With a program store, each
 point is first looked up as a stored *report* (its outcome under its noise
-model); the rest go to :meth:`repro.service.CompileService.compile_batch`
-and are scored in-process.  The same job list runs serially (the default)
-or with cold compiles fanned out across processes (``max_workers > 1`` or
+model, keyed by the job spec); the rest go to
+:meth:`repro.service.CompileService.compile_batch` and are scored
+in-process.  The same job list runs serially (the default) or with cold
+compiles fanned out across processes (``max_workers > 1`` or
 ``REPRO_SWEEP_WORKERS=N``), with identical results.
 """
 
@@ -36,7 +37,7 @@ from ..obs import get_metrics
 from ..obs import span as _span
 from ..noise.crosstalk import effective_coupling, exchange_probability
 from ..service import CompileJob, get_service, make_compiler
-from ..service.cache_key import report_key
+from ..service.cache_key import job_report_key
 from ..service.compile_service import build_device_for
 from ..workloads import (
     benchmark_circuit,
@@ -247,8 +248,9 @@ class SweepRunner:
     (:func:`repro.service.get_service`; install another with
     :func:`repro.service.service_override`), each job is first looked up as
     a stored *report*: its outcome scalars under
-    :func:`~repro.service.cache_key.report_key` (program key x noise model).
-    A hit needs no program at all.  The distinct compilations behind the
+    :func:`~repro.service.cache_key.job_report_key` (job spec x noise model
+    x toolchain digest).  A hit builds no circuit, device or compiler and
+    derives no program key.  The distinct compilations behind the
     misses that the in-process program memo does not hold go to the service
     in one batch, so store reads, store writes and remote compiles happen
     once, in this process, at any worker count; those jobs are then scored
@@ -282,7 +284,7 @@ class SweepRunner:
         reports: Dict[Optional[str], Optional[Dict[str, float]]] = {}
         keys: List[Optional[str]] = [None] * len(jobs)
         if store is not None and store.holds_reports():
-            keys = [report_key(service.job_key(s), m) for s, m in zip(specs, models)]
+            keys = [job_report_key(s, m) for s, m in zip(specs, models)]
             distinct = list(dict.fromkeys(keys))
             if len(distinct) > 1:
                 store.prefetch(distinct)
@@ -317,7 +319,7 @@ class SweepRunner:
                     # began: derive the key only to write a report.
                     if store is None or not result.cache_hit:
                         continue
-                    key = report_key(service.job_key(spec), model)
+                    key = job_report_key(spec, model)
                 fields = {name: getattr(outcome, name) for name in _REPORT_FIELDS}
                 reports[key] = fields
                 if result.cache_hit:

@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="warm the grid compiled under this admission policy",
             )
         elif sub_name == "serve":
-            from .service.server import DEFAULT_MAX_PAYLOAD_BYTES, DEFAULT_MAX_PENDING
+            from .service.backends import DEFAULT_MAX_PAYLOAD_BYTES, DEFAULT_MAX_PENDING
 
             cache_sub_cmd.add_argument("--host", default="127.0.0.1")
             cache_sub_cmd.add_argument("--port", type=int, default=8750)
@@ -333,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run the project-specific AST invariant checker "
         "(see docs/static-analysis.md)",
     )
-    from .devtools import lint as _lint_module
+    from .devtools.options import add_arguments as add_lint_arguments
 
-    _lint_module.add_arguments(lint_cmd)
+    add_lint_arguments(lint_cmd)
     return parser
 
 
@@ -623,11 +623,8 @@ def _run_cache(args: argparse.Namespace) -> int:
             return 1
         return 0
     if args.cache_command == "serve":
-        from .service.server import (
-            DEFAULT_MAX_PAYLOAD_BYTES,
-            DEFAULT_MAX_PENDING,
-            CacheServer,
-        )
+        from .service.backends import DEFAULT_MAX_PAYLOAD_BYTES, DEFAULT_MAX_PENDING
+        from .service.server import CacheServer
 
         server = CacheServer(
             root=args.cache_dir,

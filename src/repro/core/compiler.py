@@ -89,20 +89,28 @@ def prepare_gate_table(
     and lower the result to a :class:`GateTable` (``table.circuit``).
 
     The shared front half of every compile.  The table is memoized on the
-    device instance, keyed by the circuit's content (gates, width, name) and
-    the preparation knobs — in a sweep, every strategy sharing a device
-    prepares and lowers each benchmark exactly once; lookups count in
-    ``repro_compile_memo_total{memo="prepare"}``.  Treat the table and its
-    circuit as read-only.  Mutating ``device.graph`` in place without
-    rebuilding the device requires :func:`repro.noise.clear_spectator_cache`,
-    which also drops this memo.
+    device instance (and shared with its
+    :meth:`~repro.devices.Device.with_tunable_couplers` copies, which have
+    the same topology), keyed by the circuit's content
+    (gates, width, name) and the preparation knobs — in a sweep, every
+    strategy sharing a device prepares and lowers each benchmark exactly
+    once; lookups count in ``repro_compile_memo_total{memo="prepare"}``.
+    Treat the table and its circuit as read-only.  Mutating
+    ``device.graph`` in place without rebuilding the device requires
+    :func:`repro.noise.clear_spectator_cache`, which also drops this memo.
     """
     cache: Optional[Dict] = getattr(device, PREPARED_CACHE_ATTR, None)
     if cache is None:
         cache = {}
         setattr(device, PREPARED_CACHE_ATTR, cache)
-    key = (tuple(circuit.gates), circuit.num_qubits, circuit.name, decomposition, use_routing)
-    table = cache.get(key)
+    # Entries are bucketed by cheap scalars and matched by gate-list
+    # equality, which compares identical Gate objects by identity: no gate
+    # is hashed, and a circuit extended after a compile lands elsewhere.
+    gates = circuit.gates
+    bucket = cache.setdefault(
+        (len(gates), circuit.num_qubits, circuit.name, decomposition, use_routing), []
+    )
+    table = next((table for known, table in bucket if known == gates), None)
     _MEMO_LOOKUPS.inc(memo="prepare", outcome="miss" if table is None else "hit")
     if table is None:
         prepared = circuit
@@ -113,7 +121,8 @@ def prepare_gate_table(
                 {q: q for q in range(prepared.num_qubits)},
                 num_qubits=device.num_qubits,
             )
-        table = cache[key] = GateTable(decompose_circuit(prepared, decomposition))
+        table = GateTable(decompose_circuit(prepared, decomposition))
+        bucket.append((list(gates), table))
     return table
 
 

@@ -259,14 +259,21 @@ class Device:
         )
 
     def with_tunable_couplers(self, enabled: bool = True) -> "Device":
-        """Return a copy of this device with the gmon coupler feature toggled."""
-        return Device(
+        """Return a copy of this device with the gmon coupler feature toggled.
+
+        The copy shares this device's prepared-circuit memo: routing and
+        decomposition read only the topology, which the two have in common.
+        """
+        copy = Device(
             graph=self.graph.copy(),
             qubits=list(self.qubits),
             couplings=dict(self.couplings),
             tunable_couplers=enabled,
             name=f"{self.name}{'+gmon' if enabled else ''}",
         )
+        prepared = vars(self).setdefault(PREPARED_CACHE_ATTR, {})
+        setattr(copy, PREPARED_CACHE_ATTR, prepared)
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

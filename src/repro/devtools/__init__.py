@@ -1,9 +1,11 @@
 """Developer tooling that ships with the package (not used at runtime).
 
 Currently this holds :mod:`repro.devtools.lint` — the project-specific
-AST-based invariant checker behind ``python -m repro lint``.  Unlike a
-general-purpose linter, its rules encode invariants that are otherwise only
-enforced dynamically (and therefore only *after* a wrong artifact ships):
+AST-based invariant checker behind ``python -m repro lint`` — and
+:mod:`repro.devtools.options`, its rule catalog and command-line flags.
+Unlike a general-purpose linter, its rules encode invariants that are
+otherwise only enforced dynamically (and therefore only *after* a wrong
+artifact ships):
 
 * RPL001 — every semantic compiler knob reaches ``cache_signature()``;
 * RPL002 — codec dataclasses round-trip every field through
@@ -18,6 +20,14 @@ See ``docs/static-analysis.md`` for the full rule catalog and waiver
 syntax.
 """
 
-from .lint import RULES, Finding, lint_paths
-
 __all__ = ["Finding", "RULES", "lint_paths"]
+
+
+def __getattr__(name: str):
+    # The linter loads on first use: the CLI parser imports
+    # repro.devtools.options on every run and must not pay for it.
+    if name in __all__:
+        from . import lint
+
+        return getattr(lint, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -74,18 +74,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Finding", "RULES", "lint_paths", "main"]
+from .options import RULES, add_arguments
 
-#: Rule identifiers and one-line summaries (RPL000 is the meta-rule for
-#: malformed waiver comments and unparseable files).
-RULES: Dict[str, str] = {
-    "RPL000": "malformed repro-lint waiver or unparseable file",
-    "RPL001": "cache-signature completeness (__init__ knob missing from cache_signature)",
-    "RPL002": "codec round-trip completeness (dataclass field missing from to_dict/from_dict)",
-    "RPL003": "determinism in modules reachable from compile output or cache keys",
-    "RPL004": "REPRO_* environment access outside the repro.envvars registry",
-    "RPL005": "network/compile call while a service lock is held",
-}
+__all__ = ["Finding", "RULES", "lint_paths", "main"]
 
 #: Waiver tag -> the rule it suppresses.
 WAIVER_TAGS: Dict[str, str] = {
@@ -1034,41 +1025,6 @@ def _load_baseline(path: Path) -> Set[Tuple[str, str, str]]:
 
 def _default_paths() -> List[Path]:
     return [Path(__file__).resolve().parents[1]]
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to *parser* (shared with ``repro lint``)."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        type=Path,
-        default=None,
-        help="files/directories to lint (default: the repro package itself)",
-    )
-    parser.add_argument(
-        "--format", choices=sorted(_FORMATS), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--rule",
-        action="append",
-        choices=sorted(RULES),
-        default=None,
-        help="restrict to one or more rules (repeatable)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in FILE (a previous --format json run)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write current findings to FILE (json) and exit 0",
-    )
 
 
 def run(args: argparse.Namespace) -> int:

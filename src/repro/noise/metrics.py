@@ -311,8 +311,13 @@ def clear_spectator_cache(device: Device) -> None:
 
     Covers the spectator geometry and parameter arrays used by the
     estimators plus the compilers' prepared-circuit memo (routing depends
-    on the device graph).
+    on the device graph).  That memo may be shared with
+    :meth:`~repro.devices.Device.with_tunable_couplers` copies: it is
+    emptied for all of them, and *device* starts a memo of its own.
     """
+    prepared = getattr(device, PREPARED_CACHE_ATTR, None)
+    if prepared is not None:
+        prepared.clear()
     for attr in (_GEOMETRY_CACHE_ATTR, _PARAMS_CACHE_ATTR, PREPARED_CACHE_ATTR):
         if hasattr(device, attr):
             delattr(device, attr)

@@ -61,6 +61,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import http.client
 
 __all__ = [
+    "DEFAULT_MAX_PAYLOAD_BYTES",
+    "DEFAULT_MAX_PENDING",
     "StoreBackend",
     "LocalFSBackend",
     "HTTPBackend",
@@ -103,6 +105,17 @@ _FALSY = {"0", "false", "off", "no"}
 
 #: The content-address alphabet every stored key must match.
 _KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
+
+#: Default request-body cap of ``python -m repro cache serve``; a batched
+#: chunk of ~100 compiled programs is single-digit MB, so 64 MiB leaves
+#: generous headroom without letting one request buffer arbitrary amounts
+#: of memory.  It lives here, not in the server module, so the CLI parser
+#: shows it without loading the HTTP stack.
+DEFAULT_MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
+
+#: Default bound on cold compile jobs queued or running server-side; the
+#: 17th concurrent cold compile is answered 429 + ``Retry-After``.
+DEFAULT_MAX_PENDING = 16
 
 #: How many entries one batched transfer round trip carries at most; larger
 #: sets are chunked so a single request stays well under any server payload

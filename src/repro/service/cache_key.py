@@ -16,17 +16,24 @@ shortest-repr float formatting, which is deterministic across processes and
 platforms, so two identical compilations always hash to the same key while
 *any* perturbation of the device or the compiler options changes it.
 
-The store holds a second kind of entry: the sweep *report* of one program
-under one noise model, keyed by :func:`report_key` over the program's cache
-key, the noise model's full field set and :data:`REPORT_FORMAT_VERSION`.
+The store holds a second kind of entry: the sweep *report* of one compile
+job scored under one noise model, keyed by :func:`job_report_key` over what
+the job asks for -- every :class:`~repro.service.CompileJob` field, every
+:class:`~repro.noise.NoiseModel` field, :data:`REPORT_FORMAT_VERSION` and
+the :func:`toolchain_digest` of the code that would answer it -- so a report
+hit resolves no circuit, device or compiler.  Any source edit moves every
+report key; programs keep their content keys and still hit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
-from typing import Dict
+import sys
+from pathlib import Path
+from typing import Dict, Optional
 
 from ..circuits import Circuit
 from ..program import PROGRAM_CODEC_VERSION
@@ -37,15 +44,23 @@ __all__ = [
     "canonical_json",
     "circuit_digest",
     "compiler_digest",
+    "job_report_key",
     "key_payload",
-    "report_key",
+    "source_digest",
+    "toolchain_digest",
 ]
 
 #: Version of the stored sweep report (the ``StrategyOutcome`` scalars a
-#: job does not carry).  Bump it whenever ``estimate_success`` output or
-#: the stored field set changes: every report key moves, and the old
-#: entries are never read again.
-REPORT_FORMAT_VERSION = 1
+#: job does not carry) and of its key.  Bump it whenever the stored field
+#: set or the key's make-up changes: every report key moves, and the old
+#: entries are never read again.  (An ``estimate_success`` change is a
+#: source edit, which the toolchain digest already sees.)
+REPORT_FORMAT_VERSION = 2
+
+#: The repro package whose ``*.py`` files :func:`toolchain_digest` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+_TOOLCHAIN_DIGEST: Optional[str] = None
 
 
 def _toolchain_version() -> str:
@@ -116,22 +131,67 @@ def cache_key(
     return hashlib.sha256(document.encode()).hexdigest()
 
 
-def report_key(program_key: str, model) -> str:
-    """Content-addressed key of the sweep report of a program under a noise model.
+def source_digest(package_root: Path) -> str:
+    """SHA-256 over every ``*.py`` file under *package_root* (relative path
+    and bytes, in sorted path order), numpy's version and the interpreter's
+    cache tag.
 
-    *program_key* is the program's :func:`cache_key` (which already carries
-    the toolchain and codec versions); *model* is a
-    :class:`~repro.noise.NoiseModel`, entering with every one of its fields,
-    so changing any field moves the key.
+    numpy's version enters as the bytes of its ``version.py`` (version
+    string and git revision), found without importing numpy: the import
+    alone costs tens of milliseconds.
     """
-    # A field-by-field dict serializes like dataclasses.asdict for the flat
-    # NoiseModel at a third of the cost (json.dumps rejects a nested field).
-    noise = {field.name: getattr(model, field.name) for field in dataclasses.fields(model)}
+    files = [
+        (path.relative_to(package_root).as_posix(), path)
+        for path in sorted(package_root.rglob("*.py"))
+    ]
+    numpy_init = Path(importlib.util.find_spec("numpy").origin)
+    files.append(("<numpy>", numpy_init.with_name("version.py")))
+    digest = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    digest.update(f"<python>\0{sys.implementation.cache_tag}".encode())
+    return digest.hexdigest()
+
+
+def toolchain_digest() -> str:
+    """:func:`source_digest` of the repro package this module belongs to.
+
+    Computed on first use, at most once per process (hashing the package
+    takes a few milliseconds), and never at import or service open.  A
+    non-editable install hashes its installed files.
+    """
+    global _TOOLCHAIN_DIGEST
+    if _TOOLCHAIN_DIGEST is None:
+        _TOOLCHAIN_DIGEST = source_digest(_PACKAGE_ROOT)
+    return _TOOLCHAIN_DIGEST
+
+
+def _field_dict(instance) -> Dict[str, object]:
+    # A field-by-field dict serializes like dataclasses.asdict for a flat
+    # dataclass at a third of the cost (json.dumps rejects a nested field).
+    return {field.name: getattr(instance, field.name) for field in dataclasses.fields(instance)}
+
+
+def job_report_key(job, model) -> str:
+    """Key of the sweep report of compile *job* scored under noise *model*.
+
+    *job* is a :class:`~repro.service.CompileJob` and *model* a
+    :class:`~repro.noise.NoiseModel`; each enters with every one of its
+    fields, beside :data:`REPORT_FORMAT_VERSION` and
+    :func:`toolchain_digest`.  The key names what the job asks for, not
+    the program it resolves to, so deriving it builds no circuit, device
+    or compiler.  The digest stands in for everything the spec does not
+    say (device physics, compiler defaults, the estimator), which is why
+    any source edit moves every report key.
+    """
     return _digest(
         {
             "kind": "report",
             "report": REPORT_FORMAT_VERSION,
-            "program": program_key,
-            "noise": noise,
+            "toolchain": toolchain_digest(),
+            "job": _field_dict(job),
+            "noise": _field_dict(model),
         }
     )

@@ -111,10 +111,13 @@ class CompileJob:
     """One compilation request: benchmark x strategy x device knobs.
 
     Jobs are immutable and picklable so batches can cross process
-    boundaries; the cache key is *not* derived from these fields directly
-    but from the device/compiler/circuit content they resolve to, so a
-    change in device physics or compiler defaults is never masked by an
-    unchanged job spec.
+    boundaries.  A program's cache key (:meth:`CompileService.job_key`) is
+    *not* derived from these fields directly but from the
+    device/compiler/circuit content they resolve to, so a change in device
+    physics or compiler defaults is never masked by an unchanged job spec.
+    Only a sweep *report* is keyed by the fields themselves, together with
+    a digest of the toolchain's source
+    (:func:`~repro.service.cache_key.job_report_key`).
     """
 
     benchmark: str

@@ -65,22 +65,18 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set
 
 from ..obs import get_metrics
-from .backends import LocalFSBackend, cache_token_default
+from .backends import (
+    DEFAULT_MAX_PAYLOAD_BYTES,
+    DEFAULT_MAX_PENDING,
+    LocalFSBackend,
+    cache_token_default,
+)
 from .compile_service import CompileJob
 
 __all__ = ["CacheServer", "DEFAULT_PORT"]
 
 #: Default TCP port of ``python -m repro cache serve``.
 DEFAULT_PORT = 8750
-
-#: Default request-body cap; a batched chunk of ~100 compiled programs is
-#: single-digit MB, so 64 MiB leaves generous headroom without letting one
-#: request buffer arbitrary amounts of memory.
-DEFAULT_MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
-
-#: Default bound on cold compile jobs queued or running server-side; the
-#: 17th concurrent cold compile is answered 429 + ``Retry-After``.
-DEFAULT_MAX_PENDING = 16
 
 _ENTRY_PATTERN = re.compile(r"^/(v\d+)/([0-9a-f]{64})$")
 _LIST_PATTERN = re.compile(r"^/(v\d+)/?$")

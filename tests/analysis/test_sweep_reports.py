@@ -1,12 +1,12 @@
 """Stored sweep reports: the second kind of store entry.
 
 A sweep job's outcome under its noise model is stored under
-``report_key(program_key, model)`` once its program has been loaded from the
+``job_report_key(job, model)`` once its program has been loaded from the
 store (second access); later sweeps are served from those reports without
-decoding, scoring or compiling anything.  These tests pin the key's
-coverage of the noise model, the corrupt-entry-is-a-miss contract, the
-bit-identity of every cache state with a store-less run, and the report's
-trip through a shared cache server.
+building, decoding, scoring or compiling anything.  These tests pin the
+key's coverage of the job spec, the noise model and the toolchain source,
+the corrupt-entry-is-a-miss contract, the bit-identity of every cache state
+with a store-less run, and the report's trip through a shared cache server.
 """
 
 from __future__ import annotations
@@ -14,6 +14,12 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -26,14 +32,15 @@ from repro.analysis.experiments import (
 from repro.noise import NoiseModel
 from repro.obs import get_metrics
 from repro.service import CompileJob, CompileService, ProgramStore, service_override
-from repro.service.cache_key import report_key
+from repro.service.cache_key import job_report_key, source_digest, toolchain_digest
 from repro.service.server import CacheServer
 
 # The package re-exports the cache_key() function under the module's name.
 cache_key_module = importlib.import_module("repro.service.cache_key")
 experiments_module = importlib.import_module("repro.analysis.experiments")
 
-PROGRAM_KEY = "ab" * 32
+SRC = Path(__file__).resolve().parents[2] / "src"
+JOB = CompileJob(benchmark="bv(4)", strategy="Baseline N")
 
 #: A small Fig. 9 slice plus the Fig. 12 case: one program, five models.
 GRID = [SweepJob(benchmark="bv(4)", strategy=s) for s in ("Baseline N", "Baseline U", "ColorDynamic")]
@@ -79,36 +86,115 @@ def _entries(root):
 
 
 def _perturbed(value):
+    if value is None:
+        return 3
     if isinstance(value, bool):
         return not value
     if isinstance(value, (int, float)):
         return value * 2 + 1
-    pytest.fail(f"no perturbation for a {type(value).__name__} noise-model field")
+    if isinstance(value, str):
+        return value + "'"
+    pytest.fail(f"no perturbation for a {type(value).__name__} field")
+
+
+def _python(code: str) -> str:
+    """Run *code* in a fresh interpreter on this checkout; returns stdout."""
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 class TestReportKey:
-    def test_every_noise_model_field_moves_the_key(self):
-        base = NoiseModel()
-        reference = report_key(PROGRAM_KEY, base)
-        for field in dataclasses.fields(NoiseModel):
-            changed = dataclasses.replace(
-                base, **{field.name: _perturbed(getattr(base, field.name))}
-            )
-            assert report_key(PROGRAM_KEY, changed) != reference, field.name
+    def test_every_job_and_noise_model_field_moves_the_key(self):
+        inputs = (CompileJob(benchmark="bv(4)", strategy="ColorDynamic"), NoiseModel())
+        reference = job_report_key(*inputs)
+        for index, base in enumerate(inputs):
+            for field in dataclasses.fields(base):
+                changed = list(inputs)
+                changed[index] = dataclasses.replace(
+                    base, **{field.name: _perturbed(getattr(base, field.name))}
+                )
+                assert job_report_key(*changed) != reference, field.name
 
-    def test_equal_models_share_a_key_and_the_program_key_moves_it(self):
+    def test_equal_specs_share_a_key(self):
         model = NoiseModel().with_residual_coupling(0.4)
         same = NoiseModel().with_residual_coupling(0.4)
-        assert report_key(PROGRAM_KEY, model) == report_key(PROGRAM_KEY, same)
-        assert report_key("cd" * 32, model) != report_key(PROGRAM_KEY, model)
-        assert report_key(PROGRAM_KEY, model) != PROGRAM_KEY
+        assert job_report_key(JOB, model) == job_report_key(dataclasses.replace(JOB), same)
+        assert job_report_key(JOB, model) != job_report_key(JOB, NoiseModel())
 
     def test_format_version_bump_moves_the_key(self, monkeypatch):
-        before = report_key(PROGRAM_KEY, NoiseModel())
+        before = job_report_key(JOB, NoiseModel())
         monkeypatch.setattr(
             cache_key_module, "REPORT_FORMAT_VERSION", cache_key_module.REPORT_FORMAT_VERSION + 1
         )
-        assert report_key(PROGRAM_KEY, NoiseModel()) != before
+        assert job_report_key(JOB, NoiseModel()) != before
+
+    def test_toolchain_digest_moves_the_key(self, monkeypatch):
+        before = job_report_key(JOB, NoiseModel())
+        monkeypatch.setattr(cache_key_module, "_TOOLCHAIN_DIGEST", "0" * 64)
+        assert job_report_key(JOB, NoiseModel()) != before
+
+
+class TestToolchainDigest:
+    def test_digest_reads_this_package(self):
+        assert toolchain_digest() == source_digest(Path(cache_key_module.__file__).parents[1])
+
+    def test_one_byte_of_any_source_file_moves_the_digest(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(SRC / "repro", root, ignore=shutil.ignore_patterns("__pycache__"))
+        reference = source_digest(root)
+        files = sorted(root.rglob("*.py"))
+        assert len(files) > 50
+        for path in files:
+            data = path.read_bytes()
+            path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]) if data else b"\n")
+            assert source_digest(root) != reference, path.relative_to(root)
+            path.write_bytes(data)
+        assert source_digest(root) == reference
+        # A renamed file moves it too, and so does a new one.
+        files[0].rename(files[0].with_name("renamed.py"))
+        assert source_digest(root) != reference
+        files[0].with_name("renamed.py").rename(files[0])
+        (root / "extra.py").write_text("")
+        assert source_digest(root) != reference
+
+    def test_non_source_files_leave_the_digest_alone(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(SRC / "repro", root, ignore=shutil.ignore_patterns("__pycache__"))
+        reference = source_digest(root)
+        (root / "notes.txt").write_text("not code")
+        (root / "__pycache__").mkdir(exist_ok=True)
+        (root / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"\0")
+        assert source_digest(root) == reference
+
+    def test_computed_once_per_process(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cache_key_module, "_TOOLCHAIN_DIGEST", None)
+        monkeypatch.setattr(
+            cache_key_module,
+            "source_digest",
+            lambda root: calls.append(root) or "f" * 64,
+        )
+        keys = {job_report_key(JOB, NoiseModel()) for _ in range(3)}
+        assert len(keys) == 1 and toolchain_digest() == "f" * 64
+        assert len(calls) == 1
+
+    def test_cli_import_and_service_open_compute_no_digest(self, tmp_path):
+        assert _python(
+            f"""
+            import sys
+            import repro.cli
+            from repro.service import CompileService
+            CompileService(cache_dir={str(tmp_path)!r}, enabled=True).store.stats()
+            print(sys.modules["repro.service.cache_key"]._TOOLCHAIN_DIGEST)
+            """
+        ) == "None"
 
 
 class TestThreePasses:
@@ -143,14 +229,28 @@ class TestThreePasses:
             int
         ] * (2 * len(GRID))
 
+    def test_a_source_edit_rescores_from_stored_programs(self, tmp_path, monkeypatch):
+        """An edited toolchain misses every report; the programs, keyed by
+        content, still hit, and the run writes reports under the new key."""
+        _run(_local(tmp_path))
+        warmed = _run(_local(tmp_path))
+        entries = len(_entries(tmp_path))
+        monkeypatch.setattr(cache_key_module, "_TOOLCHAIN_DIGEST", "e" * 64)
+        stored = _reports("stored")
+        edited = _local(tmp_path)
+        assert _run(edited) == warmed
+        assert edited.stats.hits == PROGRAMS and edited.stats.misses == 0
+        assert _reports("stored") - stored == len(GRID)
+        assert len(_entries(tmp_path)) == entries + len(GRID)
+
     def test_cold_run_probes_no_report(self, tmp_path, monkeypatch):
         """A store that never held a report is not asked for one: a cold run
         derives no report key and looks up none; the first warm run writes
         the reports and leaves the marker that turns the lookups on."""
         derived = []
-        real = experiments_module.report_key
+        real = experiments_module.job_report_key
         monkeypatch.setattr(
-            experiments_module, "report_key", lambda *args: derived.append(args) or real(*args)
+            experiments_module, "job_report_key", lambda *args: derived.append(args) or real(*args)
         )
         misses = _reports("miss")
         _run(_local(tmp_path))
@@ -174,10 +274,7 @@ class TestCorruptReports:
         jobs = GRID[:1]
         _run(_local(tmp_path), jobs)
         (outcome,) = _run(_local(tmp_path), jobs)
-        key = report_key(
-            _local(tmp_path).job_key(CompileJob(benchmark="bv(4)", strategy="Baseline N")),
-            NoiseModel(),
-        )
+        key = job_report_key(JOB, NoiseModel())
         path = ProgramStore(tmp_path).local._path(key)
         assert path.is_file()
         return path, outcome

@@ -201,10 +201,60 @@ class TestPrepareMemo:
         clear_spectator_cache(device)
         assert prepare_gate_table(device, circuit, "hybrid", True) is not table
 
+    def test_extending_a_circuit_after_a_compile_prepares_it_again(self):
+        device = self._fresh_device()
+        circuit = benchmark_circuit("bv(9)", seed=2020)
+        before = ColorDynamic(device).compile(circuit)
+        table = prepare_gate_table(device, circuit, "hybrid", True)
+        circuit.cx(0, 1)
+        extended = prepare_gate_table(device, circuit, "hybrid", True)
+        assert extended is not table
+        assert len(extended.circuit.gates) > len(table.circuit.gates)
+        after = ColorDynamic(device).compile(circuit)
+        assert after.program.steps != before.program.steps
+        # The earlier content still maps to its own table.
+        original = benchmark_circuit("bv(9)", seed=2020)
+        assert prepare_gate_table(device, original, "hybrid", True) is table
+
+    def test_replacing_a_gate_in_place_prepares_it_again(self):
+        device = self._fresh_device()
+        circuit = Circuit(9).cx(0, 1).h(2)
+        table = prepare_gate_table(device, circuit, "hybrid", True)
+        circuit.gates[1] = Circuit(9).x(2).gates[0]
+        assert prepare_gate_table(device, circuit, "hybrid", True) is not table
+
+    def test_no_gate_is_hashed_on_a_lookup(self, monkeypatch):
+        from repro.circuits.gates import Gate
+
+        device = self._fresh_device()
+        circuit = benchmark_circuit("qaoa(9)", seed=2020)
+        table = prepare_gate_table(device, circuit, "hybrid", True)
+        monkeypatch.setattr(Gate, "__hash__", lambda gate: pytest.fail("a gate was hashed"))
+        assert prepare_gate_table(device, circuit.copy(), "hybrid", True) is table
+
+    def test_coupler_copy_shares_the_memo(self):
+        device = self._fresh_device()
+        gmon = device.with_tunable_couplers(True)
+        circuit = benchmark_circuit("xeb(9,3)", seed=2020)
+        table = prepare_gate_table(device, circuit, "hybrid", True)
+        assert prepare_gate_table(gmon, circuit, "hybrid", True) is table
+        plain = gmon.with_tunable_couplers(False)
+        assert prepare_gate_table(plain, circuit, "hybrid", True) is table
+
+    @pytest.mark.parametrize("cleared", ["device", "copy"])
+    def test_clearing_either_device_drops_the_shared_memo(self, cleared):
+        device = self._fresh_device()
+        gmon = device.with_tunable_couplers(True)
+        circuit = benchmark_circuit("xeb(9,3)", seed=2020)
+        table = prepare_gate_table(gmon, circuit, "hybrid", True)
+        clear_spectator_cache(device if cleared == "device" else gmon)
+        assert prepare_gate_table(device, circuit, "hybrid", True) is not table
+        assert prepare_gate_table(gmon, circuit, "hybrid", True) is not table
+
     def test_fig09_sweep_lowers_each_prepared_circuit_once(self):
-        """A fresh service's fig09 sweep prepares and lowers 44 circuits
-        (22 benchmarks on the grid device and on Baseline G's coupler
-        device) and serves the other 66 compiles from the memo."""
+        """A fresh service's fig09 sweep prepares and lowers 22 circuits
+        (one per benchmark: Baseline G's coupler device shares the grid
+        device's memo) and serves the other 88 compiles from the memo."""
         counter = get_metrics().counter("repro_compile_memo_total", "", ("memo", "outcome"))
         before = {o: counter.value(memo="prepare", outcome=o) for o in ("hit", "miss")}
         clear_sweep_caches()
@@ -213,4 +263,4 @@ class TestPrepareMemo:
             assert len(SweepRunner(max_workers=1).run(jobs)) == 110
         clear_sweep_caches()
         delta = {o: counter.value(memo="prepare", outcome=o) - before[o] for o in before}
-        assert delta == {"hit": 66, "miss": 44}
+        assert delta == {"hit": 88, "miss": 22}

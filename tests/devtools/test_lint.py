@@ -192,6 +192,12 @@ class TestCommandLine:
         )
         assert rerun.returncode == 0, rerun.stdout
 
+    def test_parser_flags_name_every_formatter_and_rule(self):
+        from repro.devtools import options
+
+        assert options.FORMATS == tuple(sorted(lint._FORMATS))
+        assert lint.RULES is options.RULES
+
     def test_unreadable_baseline_exits_two(self, tmp_path):
         missing = tmp_path / "nope.json"
         result = self.run_lint(str(SRC), "--baseline", str(missing))

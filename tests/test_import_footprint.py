@@ -66,3 +66,37 @@ def test_figure_sweeps_run_with_networkx_blocked(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok False"
+
+
+def test_report_warm_figure_loads_no_server_or_linter(tmp_path):
+    """A figure served from stored reports builds its parser and answers
+    every job without loading the HTTP stack, the cache server or the
+    linter."""
+    fig09 = ["figure", "fig09", "--benchmarks", "bv(4)", "xeb(4,2)", "--cache-dir", str(tmp_path)]
+    for _ in range(2):  # fill, then the first warm run stores the reports
+        filled = _run_python(
+            f"""
+            import contextlib, io
+            from repro.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main({fig09!r}) == 0
+            """
+        )
+        assert filled.returncode == 0, filled.stderr
+    result = _run_python(
+        f"""
+        import contextlib, io, sys
+        from repro.cli import main
+        from repro.obs import get_metrics
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main({fig09!r}) == 0
+        reports = get_metrics().counter("repro_sweep_reports_total", "", ("outcome",))
+        absent = ["http.server", "http.client", "socketserver",
+                  "repro.service.server", "repro.devtools.lint"]
+        print(reports.value(outcome="hit"), [name for name in absent if name in sys.modules])
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "10.0 []"
