@@ -9,10 +9,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-#: Untracked directory the perf benchmarks write their results into.  The
-#: tracked ``BENCH_*.json`` files at the repository root are reference
-#: numbers, updated only deliberately (by copying a result from here), so a
-#: test run never rewrites them.
+#: Untracked directory the perf benchmarks write their results into; no
+#: result file is tracked.  Reference numbers come from the benchmark that
+#: ``BENCHMARK.json`` declares.
 RESULTS_DIR = Path(__file__).resolve().parent.parent / ".benchmarks"
 
 

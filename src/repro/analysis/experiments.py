@@ -284,10 +284,11 @@ class SweepRunner:
         reports: Dict[Optional[str], Optional[Dict[str, float]]] = {}
         keys: List[Optional[str]] = [None] * len(jobs)
         if store is not None and store.holds_reports():
-            keys = [job_report_key(s, m) for s, m in zip(specs, models)]
-            distinct = list(dict.fromkeys(keys))
-            if len(distinct) > 1:
-                store.prefetch(distinct)
+            with _span("report.key"):
+                keys = [job_report_key(s, m) for s, m in zip(specs, models)]
+                distinct = list(dict.fromkeys(keys))
+                if len(distinct) > 1:
+                    store.prefetch(distinct)
             for key in distinct:
                 with _span("report.load"):
                     reports[key] = _report_fields(store.get(key))

@@ -103,8 +103,9 @@ REMOTE_COMPILE_ENV = "REPRO_REMOTE_COMPILE"
 
 _FALSY = {"0", "false", "off", "no"}
 
-#: The content-address alphabet every stored key must match.
-_KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
+#: The content-address alphabet every stored key must match, with
+#: ``fullmatch`` (a ``$`` anchor would also admit a trailing newline).
+_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 #: Default request-body cap of ``python -m repro cache serve``; a batched
 #: chunk of ~100 compiled programs is single-digit MB, so 64 MiB leaves
@@ -725,7 +726,7 @@ def _key_listing(value: object) -> list:
     """The listing ``{"keys": [<64-char hex>, ...]}`` (no ``keys``: empty)."""
     keys = _json_object(value).get("keys", [])
     if not isinstance(keys, list) or not all(
-        isinstance(key, str) and _KEY_PATTERN.match(key) for key in keys
+        isinstance(key, str) and _KEY_PATTERN.fullmatch(key) for key in keys
     ):
         raise ValueError("malformed key listing")
     return keys

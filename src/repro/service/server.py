@@ -62,10 +62,11 @@ import traceback
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs import get_metrics
 from .backends import (
+    _KEY_PATTERN,
     DEFAULT_MAX_PAYLOAD_BYTES,
     DEFAULT_MAX_PENDING,
     LocalFSBackend,
@@ -78,11 +79,11 @@ __all__ = ["CacheServer", "DEFAULT_PORT"]
 #: Default TCP port of ``python -m repro cache serve``.
 DEFAULT_PORT = 8750
 
-_ENTRY_PATTERN = re.compile(r"^/(v\d+)/([0-9a-f]{64})$")
-_LIST_PATTERN = re.compile(r"^/(v\d+)/?$")
-_BATCH_PATTERN = re.compile(r"^/(v\d+)/batch/(get|put)$")
-_COMPILE_PATTERN = re.compile(r"^/(v\d+)/compile$")
-_KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
+#: ``/stats``, ``/metrics``, or a ``/v<codec>`` namespace followed by nothing
+#: (the listing), an entry key, a batch route or ``compile``.
+_PATH_PATTERN = re.compile(
+    r"/(?:(stats|metrics)|(v\d+)(?:/(?:([0-9a-f]{64})|(batch/get|batch/put|compile))?)?)"
+)
 
 _SERVER_REQUESTS = get_metrics().counter(
     "repro_server_requests_total",
@@ -120,29 +121,27 @@ _SERVER_COMPILE_THROTTLED = get_metrics().counter(
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-def _route_class(path: str) -> str:
-    """Low-cardinality route label for the latency histogram."""
-    if path == "/stats":
-        return "stats"
-    if path == "/metrics":
-        return "metrics"
-    if _ENTRY_PATTERN.match(path):
-        return "entry"
-    if _LIST_PATTERN.match(path):
-        return "list"
-    if _BATCH_PATTERN.match(path):
-        return "batch"
-    if _COMPILE_PATTERN.match(path):
-        return "compile"
-    return "other"
+def _parse_path(path: str) -> Tuple[str, Optional[str], Optional[str]]:
+    """``(route, namespace, key)`` of a request path.
+
+    The route is ``entry``, ``list``, ``batch/get``, ``batch/put``,
+    ``compile``, ``stats``, ``metrics``, or ``other`` for anything else;
+    the namespace (``v<codec>``) and the entry key are ``None`` where the
+    path has none.
+    """
+    match = _PATH_PATTERN.fullmatch(path)
+    if match is None:
+        return "other", None, None
+    plain, namespace, key, op = match.groups()
+    return plain or op or ("entry" if key else "list"), namespace, key
+
+
+def _json(payload: object) -> bytes:
+    return json.dumps(payload).encode()
 
 
 class QueueFullError(Exception):
     """The server's cold-compile queue is at capacity (maps to a 429)."""
-
-    def __init__(self, retry_after_s: float) -> None:
-        super().__init__("compile queue full")
-        self.retry_after_s = retry_after_s
 
 
 class _Inflight:
@@ -264,53 +263,44 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
             short, _ = self.responses[code]
         except (KeyError, AttributeError):
             short = "error"
-        body = json.dumps({"error": message or short, "status": code}).encode()
-        self.send_response(code, message)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if not self._body_pending():  # else send_response already closed
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if getattr(self, "command", "") != "HEAD" and code >= 200 and code not in (
-            204,
-            304,
-        ):
-            self.wfile.write(body)
-            self._response_bytes += len(body)
+        # An unread body already closes the connection (see send_response).
+        close = () if self._body_pending() else (("Connection", "close"),)
+        self._reply(
+            code, _json({"error": message or short, "status": code}),
+            headers=close, reason=message,
+        )
 
-    # ------------------------------------------------------------------
-    # response helpers
-    # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload: object) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
-            self._response_bytes += len(body)
+    def _reply(
+        self,
+        status: int,
+        body: bytes = b"",
+        content_type: str = "application/json",
+        headers: Iterable[Tuple[str, str]] = (),
+        reason: Optional[str] = None,
+    ) -> None:
+        """Write one reply: the status line, headers, then the body.
 
-    def _send_empty(self, status: int) -> None:
-        self.send_response(status)
-        if status != 204:  # 204 carries no entity at all
-            self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def _send_metrics(self) -> None:
-        body = get_metrics().render_prometheus().encode()
-        self.send_response(200)
-        self.send_header("Content-Type", _METRICS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        A 204 carries no entity headers at all; a HEAD reply declares its
+        body but never sends it.  The reply leaves in one write, so a client
+        that acts on the headers alone (a 404, a 401) and closes cannot cut
+        the body off mid-reply.
+        """
+        self.send_response(status, reason)
+        if body:
+            self.send_header("Content-Type", content_type)
+        for name, value in headers:
+            self.send_header(name, value)
+        if status != 204:
+            self.send_header("Content-Length", str(len(body)))
+        if self.command == "HEAD":
+            body = b""
         self._response_bytes += len(body)
-
-    def _entry_key(self) -> Optional[str]:
-        match = _ENTRY_PATTERN.match(self.path)
-        if match is None or match.group(1) != self._backend.format:
-            return None
-        return match.group(2)
+        # What end_headers() writes; an HTTP/0.9 reply has no head at all.
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            head = b"".join(self._headers_buffer) + b"\r\n"
+            self._headers_buffer = []
+        self.wfile.write(head + body)
 
     # ------------------------------------------------------------------
     # request-body and auth discipline
@@ -327,20 +317,18 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         """
         raw = self.headers.get("Content-Length")
         if raw is None:
-            self._send_json(411, {"error": "Content-Length required"})
+            self._reply(411, _json({"error": "Content-Length required"}))
             return None
         try:
             length = int(raw)
             if length < 0:
                 raise ValueError
         except ValueError:
-            self._send_json(400, {"error": f"malformed Content-Length: {raw!r}"})
+            self._reply(400, _json({"error": f"malformed Content-Length: {raw!r}"}))
             return None
         if length > self._owner.max_payload_bytes:
-            self._send_json(
-                413,
-                {"error": f"payload exceeds {self._owner.max_payload_bytes} bytes"},
-            )
+            limit = self._owner.max_payload_bytes
+            self._reply(413, _json({"error": f"payload exceeds {limit} bytes"}))
             return None
         body = self.rfile.read(length)
         self._body_read = True
@@ -354,10 +342,10 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
-            self._send_json(400, {"error": "payload is not valid JSON"})
+            self._reply(400, _json({"error": "payload is not valid JSON"}))
             return None
         if not isinstance(payload, dict):
-            self._send_json(400, {"error": "payload must be a JSON object"})
+            self._reply(400, _json({"error": "payload must be a JSON object"}))
             return None
         return payload
 
@@ -373,51 +361,48 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         header = self.headers.get("Authorization", "")
         return hmac.compare_digest(header.encode(), f"Bearer {token}".encode())
 
-    def _send_unauthorized(self) -> None:
-        body = json.dumps(
-            {"error": "missing or invalid bearer token", "status": 401}
-        ).encode()
-        self.send_response(401)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("WWW-Authenticate", "Bearer")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self._response_bytes += len(body)
-
-    def _send_throttled(self, retry_after_s: float) -> None:
-        body = json.dumps({"error": "compile queue full", "status": 429}).encode()
-        self.send_response(429)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Retry-After", str(max(1, round(retry_after_s))))
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self._response_bytes += len(body)
-
     # ------------------------------------------------------------------
-    # methods
+    # dispatch
     # ------------------------------------------------------------------
-    def _handle(self, method: str, func: Callable[[], None]) -> None:
+    def _handle(self) -> None:
         """Dispatch one request, recording metrics and the structured log.
+
+        The path is parsed once; then a wrong namespace or a (method,
+        route) outside :attr:`ROUTES` is a 404, a route that needs the
+        bearer token and lacks it is a 401 — both before any body is read
+        — and otherwise the route's handler runs with the entry key.
 
         The one place an unexpected handler exception becomes a 500: a cache
         must not crash per request.  If the reply was already begun, the
         connection is closed instead, since a second status line would
         corrupt the stream.  The counter/histogram labels stay
         low-cardinality: status codes and route *classes*
-        (entry/list/stats/metrics/other), never raw paths.
+        (entry/list/stats/metrics/batch/compile/other), never raw paths.
         """
+        method = self.command
         self._status = None
         self._response_bytes = 0
         self._body_read = False
         start = perf_counter()
+        route, namespace, key = _parse_path(self.path)
         try:
-            func()
+            handler, needs_token = self.ROUTES.get((method, route), (None, False))
+            if handler is None or namespace not in (None, self._backend.format):
+                # A HEAD miss declares no body, like the entry route's own 404.
+                error = "not found" if handler is None else "unknown namespace"
+                self._reply(404, b"" if method == "HEAD" else _json({"error": error}))
+            elif needs_token and not self._authorized():
+                self._reply(
+                    401,
+                    _json({"error": "missing or invalid bearer token", "status": 401}),
+                    headers=(("WWW-Authenticate", "Bearer"),),
+                )
+            else:
+                handler(self, key)
         except Exception as error:  # noqa: BLE001 - a cache must not crash per request
             self.log_error("%s %s failed\n%s", method, self.path, traceback.format_exc())
             if self._status is None:
-                self._send_json(500, {"error": str(error)})
+                self._reply(500, _json({"error": str(error)}))
             else:
                 self.close_connection = True
         finally:
@@ -425,7 +410,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
             status = self._status if self._status is not None else 0
             _SERVER_REQUESTS.inc(method=method, status=str(status))
             _SERVER_REQUEST_SECONDS.observe(
-                elapsed, method=method, route=_route_class(self.path)
+                elapsed, method=method, route=route.partition("/")[0]
             )
             if not self._quiet:
                 self.log_message(
@@ -437,94 +422,52 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
                     elapsed * 1e3,
                 )
 
-    def do_GET(self) -> None:
-        self._handle("GET", self._get)
+    do_GET = do_HEAD = do_PUT = do_POST = do_DELETE = _handle
 
-    def do_HEAD(self) -> None:
-        self._handle("HEAD", self._head)
-
-    def do_PUT(self) -> None:
-        self._handle("PUT", self._put)
-
-    def do_POST(self) -> None:
-        self._handle("POST", self._post)
-
-    def do_DELETE(self) -> None:
-        self._handle("DELETE", self._delete)
-
-    def _get(self) -> None:
-        if self.path == "/stats":
-            self._send_json(200, self._backend.stats())
-            return
-        if self.path == "/metrics":
-            self._send_metrics()
-            return
-        listing = _LIST_PATTERN.match(self.path)
-        if listing is not None:
-            if listing.group(1) != self._backend.format:
-                self._send_json(404, {"error": "unknown namespace"})
-            else:
-                self._send_json(200, {"keys": list(self._backend.keys())})
-            return
-        key = self._entry_key()
-        if key is None:
-            self._send_json(404, {"error": "not found"})
-            return
+    # ------------------------------------------------------------------
+    # routes: each handler receives the entry key (None off the entry route)
+    # ------------------------------------------------------------------
+    def _get_entry(self, key: str) -> None:
         payload = self._backend.get(key)
         if payload is None:
-            self._send_json(404, {"error": "miss"})
+            self._reply(404, _json({"error": "miss"}))
         else:
-            self._send_json(200, payload)
+            self._reply(200, _json(payload))
 
-    def _head(self) -> None:
-        key = self._entry_key()
-        if key is not None and self._backend.contains(key):
-            self._send_empty(200)
-        else:
-            self._send_empty(404)
+    def _head_entry(self, key: str) -> None:
+        self._reply(200 if self._backend.contains(key) else 404)
 
-    def _put(self) -> None:
-        key = self._entry_key()
-        if key is None:
-            self._send_json(404, {"error": "not found"})
-            return
-        if not self._authorized():
-            self._send_unauthorized()
-            return
+    def _put_entry(self, key: str) -> None:
         payload = self._read_json_object()
         if payload is None:
             return
         self._backend.put(key, payload)
-        self._send_empty(204)
+        self._reply(204)
 
-    def _post(self) -> None:
-        match = _BATCH_PATTERN.match(self.path)
-        if match is not None:
-            if match.group(1) != self._backend.format:
-                self._send_json(404, {"error": "unknown namespace"})
-            elif match.group(2) == "get":
-                self._batch_get()
-            else:
-                self._batch_put()
-            return
-        match = _COMPILE_PATTERN.match(self.path)
-        if match is not None:
-            if match.group(1) != self._backend.format:
-                self._send_json(404, {"error": "unknown namespace"})
-            else:
-                self._compile()
-            return
-        self._send_json(404, {"error": "not found"})
+    def _delete_entry(self, key: str) -> None:
+        if self._backend.delete(key):
+            self._reply(204)
+        else:
+            self._reply(404, _json({"error": "not found"}))
 
-    def _batch_get(self) -> None:
+    def _list(self, _key: None) -> None:
+        self._reply(200, _json({"keys": list(self._backend.keys())}))
+
+    def _stats(self, _key: None) -> None:
+        self._reply(200, _json(self._backend.stats()))
+
+    def _metrics(self, _key: None) -> None:
+        self._reply(200, get_metrics().render_prometheus().encode(), _METRICS_CONTENT_TYPE)
+
+    def _batch_get(self, _key: None) -> None:
         payload = self._read_json_object()
         if payload is None:
             return
         keys = payload.get("keys")
         if not isinstance(keys, list) or not all(
-            isinstance(key, str) and _KEY_PATTERN.match(key) for key in keys
+            isinstance(key, str) and _KEY_PATTERN.fullmatch(key) for key in keys
         ):
-            self._send_json(400, {"error": "keys must be a list of 64-char hex"})
+            self._reply(400, _json({"error": "keys must be a list of 64-char hex"}))
             return
         entries: Dict[str, dict] = {}
         missing: List[str] = []
@@ -534,59 +477,63 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
                 missing.append(key)
             else:
                 entries[key] = value
-        self._send_json(200, {"entries": entries, "missing": missing})
+        self._reply(200, _json({"entries": entries, "missing": missing}))
 
-    def _batch_put(self) -> None:
-        if not self._authorized():
-            self._send_unauthorized()
-            return
+    def _batch_put(self, _key: None) -> None:
         payload = self._read_json_object()
         if payload is None:
             return
         entries = payload.get("entries")
         if not isinstance(entries, dict) or not all(
-            isinstance(key, str) and _KEY_PATTERN.match(key) and isinstance(value, dict)
+            isinstance(key, str) and _KEY_PATTERN.fullmatch(key) and isinstance(value, dict)
             for key, value in entries.items()
         ):
-            self._send_json(
-                400, {"error": "entries must map 64-char hex keys to JSON objects"}
+            self._reply(
+                400, _json({"error": "entries must map 64-char hex keys to JSON objects"})
             )
             return
         stored = sum(1 for key, value in entries.items() if self._backend.put(key, value))
-        self._send_json(200, {"stored": stored})
+        self._reply(200, _json({"stored": stored}))
 
-    def _compile(self) -> None:
-        if not self._authorized():
-            self._send_unauthorized()
-            return
+    def _compile(self, _key: None) -> None:
         payload = self._read_json_object()
         if payload is None:
             return
         specs = payload.get("jobs")
         if not isinstance(specs, list) or not specs:
-            self._send_json(400, {"error": "jobs must be a non-empty list"})
+            self._reply(400, _json({"error": "jobs must be a non-empty list"}))
             return
         try:
             jobs = [_parse_job(spec) for spec in specs]
-        except ValueError as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        try:
             results = self._owner.resolve_jobs(jobs)
-        except QueueFullError as error:
-            self._send_throttled(error.retry_after_s)
+        except QueueFullError:
+            retry_after = str(max(1, round(self._owner.RETRY_AFTER_S)))
+            self._reply(
+                429,
+                _json({"error": "compile queue full", "status": 429}),
+                headers=(("Retry-After", retry_after),),
+            )
             return
-        except ValueError as error:  # unknown strategy/benchmark/admission
-            self._send_json(400, {"error": str(error)})
+        except ValueError as error:  # junk spec, or unknown strategy/benchmark/admission
+            self._reply(400, _json({"error": str(error)}))
             return
-        self._send_json(200, {"results": results})
+        self._reply(200, _json({"results": results}))
 
-    def _delete(self) -> None:
-        key = self._entry_key()
-        if key is not None and self._backend.delete(key):
-            self._send_empty(204)
-        else:
-            self._send_json(404, {"error": "not found"})
+    #: ``(method, route) -> (handler, needs the bearer token)``: every request
+    #: the server answers beyond a 404.  The token guards every route that
+    #: writes, deletes or compiles.
+    ROUTES: Dict[Tuple[str, str], Tuple[Callable[..., None], bool]] = {
+        ("GET", "entry"): (_get_entry, False),
+        ("HEAD", "entry"): (_head_entry, False),
+        ("PUT", "entry"): (_put_entry, True),
+        ("DELETE", "entry"): (_delete_entry, True),
+        ("GET", "list"): (_list, False),
+        ("POST", "batch/get"): (_batch_get, False),
+        ("POST", "batch/put"): (_batch_put, True),
+        ("POST", "compile"): (_compile, True),
+        ("GET", "stats"): (_stats, False),
+        ("GET", "metrics"): (_metrics, False),
+    }
 
 
 class CacheServer:
@@ -617,14 +564,14 @@ class CacheServer:
         beyond it is answered 429 + ``Retry-After`` so thin clients back
         off instead of piling onto a saturated server.  In-flight dedup
         waiters cost no slot (they add no compile work).
-    retry_after_s:
-        The backoff hint sent in the 429 ``Retry-After`` header.
     """
 
     #: How long a dedup waiter blocks on another client's in-flight compile
     #: before giving up (maps to a 500 on that request; the next retry will
     #: either hit the store or take ownership itself).
     INFLIGHT_WAIT_S = 600.0
+    #: The backoff hint, in seconds, sent in a 429's ``Retry-After`` header.
+    RETRY_AFTER_S = 1.0
 
     def __init__(
         self,
@@ -636,13 +583,11 @@ class CacheServer:
         token: Optional[str] = None,
         max_payload_bytes: int = DEFAULT_MAX_PAYLOAD_BYTES,
         max_pending: int = DEFAULT_MAX_PENDING,
-        retry_after_s: float = 1.0,
     ) -> None:
         self.backend = LocalFSBackend(root, max_bytes=max_bytes)
         self.token = token if token is not None else cache_token_default()
         self.max_payload_bytes = max_payload_bytes
         self.max_pending = max_pending
-        self.retry_after_s = retry_after_s
         self._compile_service = None
         self._service_lock = threading.Lock()
         # One cold compile at a time: the service's memoized compilers are
@@ -654,7 +599,7 @@ class CacheServer:
         self._pending = 0
         _SERVER_COMPILE_QUEUE.set(0)
         self._connections: Set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
+        self._connections_lock = threading.Condition()
         handler = partial(_CacheRequestHandler, owner=self, quiet=quiet)
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
@@ -709,7 +654,7 @@ class CacheServer:
                 if owner:
                     if self._pending >= self.max_pending:
                         _SERVER_COMPILE_THROTTLED.inc()
-                        raise QueueFullError(self.retry_after_s)
+                        raise QueueFullError("compile queue full")
                     entry = _Inflight()
                     self._inflight[key] = entry
                     self._pending += 1
@@ -784,6 +729,8 @@ class CacheServer:
 
         Kept-alive connections outlive the accept loop, so they are shut
         down too: their handler threads exit and clients see the server gone.
+        Returns once those threads have finished (at most a few seconds), so
+        every request the server answered has been counted and logged.
         """
         self.httpd.server_close()
         with self._connections_lock:
@@ -791,6 +738,8 @@ class CacheServer:
         for connection in live:
             with contextlib.suppress(OSError):
                 connection.shutdown(socket.SHUT_RDWR)
+        with self._connections_lock:
+            self._connections_lock.wait_for(lambda: not self._connections, timeout=5)
 
     def _track_connection(self, connection: socket.socket, live: bool) -> None:
         with self._connections_lock:
@@ -798,6 +747,7 @@ class CacheServer:
                 self._connections.add(connection)
             else:
                 self._connections.discard(connection)
+                self._connections_lock.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheServer(url={self.url!r}, root={str(self.backend.root)!r})"

@@ -7,8 +7,9 @@ import os
 
 from repro import obs
 from repro.analysis import SweepJob, SweepRunner, clear_sweep_caches
+from repro.analysis import experiments
 from repro.obs import get_tracer, merge_records
-from repro.service import service_override
+from repro.service import CompileService, service_override
 
 JOBS = [
     SweepJob(benchmark="bv(4)", strategy="ColorDynamic"),
@@ -74,3 +75,46 @@ def test_merged_timeline_is_deterministic_by_sort(traced):
     records = traced.drain()
     assert any(r["pid"] != os.getpid() for r in records)
     assert merge_records(records) == merge_records(reversed(list(records)))
+
+
+def _probed(name, function):
+    """*function*, recording a span named *name* around every call."""
+
+    def probe(*args, **kwargs):
+        with obs.span(name):
+            return function(*args, **kwargs)
+
+    return probe
+
+
+def test_report_keys_and_prefetch_run_inside_one_report_key_span(traced, tmp_path, monkeypatch):
+    service = CompileService(
+        cache_dir=str(tmp_path), enabled=True, remote_cache="", remote_compile=""
+    )
+    monkeypatch.setattr(
+        experiments, "job_report_key", _probed("probe.key", experiments.job_report_key)
+    )
+    monkeypatch.setattr(
+        service.store, "prefetch", _probed("probe.prefetch", service.store.prefetch)
+    )
+    runs = []
+    with service_override(service=service):
+        for _ in range(3):  # fill, first warm (writes the reports), report-warm
+            clear_sweep_caches()
+            traced.clear()
+            SweepRunner().run(JOBS)
+            runs.append(traced.records())
+    clear_sweep_caches()
+
+    fill, warm, hot = runs
+    assert not any(r["name"] == "report.key" for r in fill + warm)
+    (key_span,) = [r for r in hot if r["name"] == "report.key"]
+    assert key_span["depth"] == 0
+    end = key_span["ts_ns"] + key_span["dur_ns"]
+    probes = [r for r in hot if r["name"].startswith("probe.")]
+    assert sorted(r["name"] for r in probes) == ["probe.key"] * len(JOBS) + ["probe.prefetch"]
+    for probe in probes:
+        assert probe["depth"] == 1
+        assert key_span["ts_ns"] <= probe["ts_ns"] and probe["ts_ns"] + probe["dur_ns"] <= end
+    loads = [r for r in hot if r["name"] == "report.load"]
+    assert len(loads) == len(JOBS) and all(r["ts_ns"] >= end for r in loads)

@@ -409,6 +409,7 @@ class TestListingValidation:
             b'{"keys": "abcdef"}',  # a string would iterate as characters
             b'{"keys": 42}',  # non-iterable used to raise mid-iteration
             b'{"keys": ["not-hex", "abc"]}',  # junk keys are not keys
+            b'{"keys": ["%s\\n"]}' % KEY_A.encode(),  # a key with a trailing newline
             b'{"keys": [123]}',  # non-string elements
             b"[1, 2, 3]",  # listing is not even an object
         ],

@@ -398,6 +398,26 @@ class TestBearerTokenAuth:
         assert status == 204
         assert secured_server.backend.get(KEY) == {"x": 1}
 
+    @pytest.mark.parametrize("token", [None, "open-says-me"])
+    def test_delete_refuses_a_missing_or_wrong_token(self, secured_server, token):
+        secured_server.backend.put(KEY, {"x": 1})
+        headers = {"Authorization": f"Bearer {token}"} if token else {}
+        status, response_headers, _ = raw_request(
+            secured_server, "DELETE", f"/v{PROGRAM_CODEC_VERSION}/{KEY}", headers
+        )
+        assert status == 401
+        assert response_headers.get("WWW-Authenticate") == "Bearer"
+        assert secured_server.backend.get(KEY) == {"x": 1}
+
+    def test_delete_with_the_token_removes_the_entry(self, secured_server):
+        secured_server.backend.put(KEY, {"x": 1})
+        status, _, _ = raw_request(
+            secured_server, "DELETE", f"/v{PROGRAM_CODEC_VERSION}/{KEY}",
+            {"Authorization": "Bearer sesame"},
+        )
+        assert status == 204
+        assert not secured_server.backend.contains(KEY)
+
     def test_batch_put_and_compile_require_the_token(self, secured_server):
         for path, body in (
             (f"/v{PROGRAM_CODEC_VERSION}/batch/put", b'{"entries": {}}'),
@@ -445,7 +465,8 @@ class TestBatchWireRoutes:
 
     @pytest.mark.parametrize(
         "body",
-        [b'{"keys": "abc"}', b'{"keys": ["junk"]}', b'{"keys": 1}', b"[]"],
+        [b'{"keys": "abc"}', b'{"keys": ["junk"]}', b'{"keys": 1}', b"[]",
+         b'{"keys": ["%s\\n"]}' % KEY.encode()],
     )
     def test_malformed_batch_get_is_400(self, cache_server, body):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -455,7 +476,8 @@ class TestBatchWireRoutes:
     @pytest.mark.parametrize(
         "body",
         [b'{"entries": []}', b'{"entries": {"junk": {}}}',
-         b'{"entries": {"%s": [1]}}' % KEY.encode()],
+         b'{"entries": {"%s": [1]}}' % KEY.encode(),
+         b'{"entries": {"%s\\n": {}}}' % KEY.encode()],
     )
     def test_malformed_batch_put_is_400(self, cache_server, body):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

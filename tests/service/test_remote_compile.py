@@ -219,9 +219,8 @@ class TestCrossClientDedup:
 
 class TestQueueBackpressure:
     def test_full_queue_answers_429_with_retry_after(self, tmp_path, monkeypatch):
-        server = CacheServer(
-            root=tmp_path / "store", port=0, max_pending=1, retry_after_s=7.0
-        ).start()
+        monkeypatch.setattr(CacheServer, "RETRY_AFTER_S", 7)
+        server = CacheServer(root=tmp_path / "store", port=0, max_pending=1).start()
         try:
             service = server.compile_service()
             compile_started = threading.Event()

@@ -2,8 +2,8 @@
 
 Every route of :class:`HTTPBackend` and :class:`RemoteCompileClient` reads a
 reply the same way: any reply below 500 means the server is up (the breaker
-closes), while a 5xx, no reply at all, or a 2xx body that is not the route's
-JSON shape is a failure that feeds the breaker.
+closes), while a 5xx, no reply at all, a reply cut short, or a 2xx body that
+is not the route's JSON shape is a failure that feeds the breaker.
 """
 
 from __future__ import annotations
@@ -27,12 +27,19 @@ JOB = CompileJob(benchmark="bv(4)", strategy="ColorDynamic")
 
 
 @contextlib.contextmanager
-def stub_server(status, body=b"", headers=None):
-    """A server answering every request on every route with one reply."""
+def stub_server(status, body=b"", headers=None, cut=False):
+    """A server answering every request on every route with one reply.
+
+    With *cut*, the socket closes halfway through the declared body; a HEAD
+    reply has no body, so its cut falls inside the status line.
+    """
 
     class _Stub(BaseHTTPRequestHandler):
         def _answer(self):
             self.rfile.read(int(self.headers.get("Content-Length") or 0))
+            if cut and self.command == "HEAD":
+                self.wfile.write(f"{self.protocol_version} {status}"[:-1].encode())
+                return
             self.send_response(status)
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
@@ -40,7 +47,7 @@ def stub_server(status, body=b"", headers=None):
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             if self.command != "HEAD":
-                self.wfile.write(body)
+                self.wfile.write(body[: len(body) // 2] if cut else body)
 
         do_GET = do_HEAD = do_PUT = do_POST = do_DELETE = _answer
 
@@ -119,6 +126,7 @@ ROUTES = {
 REPLIES = {
     "good-200": (200, "good", {}),
     "malformed-200": (200, b"<html>not json</html>", {}),
+    "cut-200": (200, "good", {}),  # the socket closes halfway through the body
     "401": (401, {"error": "missing or invalid bearer token"}, {"WWW-Authenticate": "Bearer"}),
     "404": (404, {"error": "not found"}, {}),
     "429": (429, {"error": "compile queue full"}, {"Retry-After": "2"}),
@@ -134,7 +142,7 @@ def expected(route, column):
         return good, False
     if column == "malformed-200":
         return (failure, True) if reads_body else (good, False)
-    if column in ("500", "refused"):
+    if column in ("cut-200", "500", "refused"):
         return failure, True
     return refusal, False  # 401, 404, 429: the server answered
 
@@ -156,7 +164,7 @@ def test_every_route_reads_a_reply_by_the_one_rule(route, column):
         if body == "good":
             body = ROUTES[route][1]
         raw = body if isinstance(body, bytes) else json.dumps(body or {}).encode()
-        server = stub_server(status, raw, headers)
+        server = stub_server(status, raw, headers, cut=column == "cut-200")
     with server as url:
         client = make_client(route, url, sleeps)
         value = ROUTES[route][0](client)

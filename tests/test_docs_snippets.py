@@ -10,7 +10,8 @@ Three layers of protection for README.md and ``docs/*.md``:
 * the environment-variable table and precedence matrix embedded in
   ``docs/cache-operations.md`` are byte-identical to the rendered
   :mod:`repro.envvars` tables the CLI epilogs are built from — one shared
-  source of truth.
+  source of truth — and its wire-protocol table lists exactly the
+  (method, route, auth) rows of the cache server's route table.
 """
 
 from __future__ import annotations
@@ -161,3 +162,25 @@ class TestEnvTableSync:
         epilog = build_parser().epilog
         for variable in ENV_VARS:
             assert variable.name in epilog
+
+
+class TestWireTableSync:
+    """docs/cache-operations.md's wire-protocol table is the server's route table."""
+
+    def test_wire_table_matches_the_server_routes(self):
+        from repro.program import PROGRAM_CODEC_VERSION
+        from repro.service.server import _CacheRequestHandler, _parse_path
+
+        page = (ROOT / "docs" / "cache-operations.md").read_text()
+        section = page.split("## The wire protocol\n", 1)[1].split("\n#", 1)[0]
+        documented = []
+        for method, path, auth in re.findall(r"^\| `(\w+) (\S+)` \| (\S+) \|", section, re.M):
+            assert auth in ("—", "bearer"), auth
+            path = path.replace("<codec>", str(PROGRAM_CODEC_VERSION))
+            route, _, _ = _parse_path(path.replace("<key>", "0" * 64))
+            documented.append((method, route, auth == "bearer"))
+        served = [
+            (method, route, needs_token)
+            for (method, route), (_, needs_token) in _CacheRequestHandler.ROUTES.items()
+        ]
+        assert sorted(documented) == sorted(served)
