@@ -16,8 +16,11 @@ The top-level namespace re-exports the pieces most users need:
   program cache (:class:`~repro.service.ProgramStore`: a local tier plus an
   optional shared-server tier).
 
-The guides under ``docs/`` cover the architecture, cache operations and
-extension points; every code example there is executed in CI.
+These names load on first access (see :mod:`repro.lazy`): ``import repro``
+imports neither numpy nor the compile stack, which load on the first
+compile, decode or estimate.  The guides under ``docs/`` cover the
+architecture, cache operations and extension points; every code example
+there is executed in CI.
 
 Quickstart::
 
@@ -29,32 +32,40 @@ Quickstart::
     print(estimate_success(program).success_rate)
 """
 
-from .circuits import Circuit, Gate, decompose_circuit, route_circuit
-from .devices import Device, TransmonParams, Transmon, topology_by_name
-from .program import CompiledProgram, TimeStep, Interaction
-from .noise import IncrementalEstimator, NoiseModel, estimate_success, success_rate
-from .core import (
-    ADMISSION_POLICIES,
-    ColorDynamic,
-    CompilationResult,
-    StepAdmission,
-    StructuralAdmission,
-    SuccessAdmission,
-    build_crosstalk_graph,
-    welsh_powell_coloring,
-    solve_max_separation,
-    FrequencyPartition,
-    default_partition,
+from .lazy import Deferred
+
+_DEFERRED = Deferred(
+    globals(),
+    {
+        ".circuits": ("Circuit", "Gate", "decompose_circuit", "route_circuit"),
+        ".devices": ("Device", "TransmonParams", "Transmon", "topology_by_name"),
+        ".program": ("CompiledProgram", "TimeStep", "Interaction"),
+        ".noise": ("IncrementalEstimator", "NoiseModel", "estimate_success", "success_rate"),
+        ".constants": ("ADMISSION_POLICIES",),
+        ".core": (
+            "ColorDynamic",
+            "CompilationResult",
+            "StepAdmission",
+            "StructuralAdmission",
+            "SuccessAdmission",
+            "build_crosstalk_graph",
+            "welsh_powell_coloring",
+            "solve_max_separation",
+            "FrequencyPartition",
+            "default_partition",
+        ),
+        ".baselines": (
+            "BaselineNaive",
+            "BaselineGmon",
+            "BaselineUniform",
+            "BaselineStatic",
+            "STRATEGY_REGISTRY",
+        ),
+        ".workloads": ("benchmark_circuit",),
+        ".service": ("CompileJob", "CompileService", "ProgramStore"),
+    },
 )
-from .baselines import (
-    BaselineNaive,
-    BaselineGmon,
-    BaselineUniform,
-    BaselineStatic,
-    STRATEGY_REGISTRY,
-)
-from .workloads import benchmark_circuit
-from .service import CompileJob, CompileService, ProgramStore
+__getattr__, __dir__ = _DEFERRED.getattr, _DEFERRED.dir
 
 __version__ = "1.1.0"
 

@@ -18,28 +18,39 @@ model, keyed by the job spec); the rest go to
 in-process.  The same job list runs serially (the default) or with cold
 compiles fanned out across processes (``max_workers > 1`` or
 ``REPRO_SWEEP_WORKERS=N``), with identical results.
+
+This module imports neither numpy nor the compile stack: a sweep served
+from stored reports never loads them.  The estimator loads with the first
+job a sweep scores, the compilers with the first batch the service
+resolves, and the other figures import what they compute with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-import numpy as np
-
-from ..core import ColorDynamic, build_crosstalk_graph, welsh_powell_coloring, num_colors
-from ..core.compiler import CompilationResult
-from ..devices import Device, grid_graph
+from ..constants import FIG13_TOPOLOGY_NAMES
 from ..envvars import read_env_int
-from ..noise import NoiseModel, estimate_success
+from ..lazy import Deferred
+from ..noise.model import NoiseModel
 from ..obs import get_metrics
 from ..obs import span as _span
-from ..noise.crosstalk import effective_coupling, exchange_probability
 from ..service import CompileJob, get_service, make_compiler
 from ..service.cache_key import job_report_key
 from ..service.compile_service import build_device_for
-from ..workloads import (
+from ..workloads.suite import (
     benchmark_circuit,
     fig09_benchmarks,
     fig10_benchmarks,
@@ -48,6 +59,16 @@ from ..workloads import (
     fig13_benchmarks,
 )
 from .report import arithmetic_mean, geometric_mean, improvement_ratios
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.compiler import CompilationResult
+    from ..devices import Device
+    from ..noise.metrics import estimate_success
+
+#: The estimator, imported when a sweep scores its first job; a run served
+#: from stored reports scores none.
+_ESTIMATOR = Deferred(globals(), {"..noise.metrics": ("estimate_success",)})
+__getattr__, __dir__ = _ESTIMATOR.getattr, _ESTIMATOR.dir
 
 __all__ = [
     "STRATEGIES",
@@ -149,6 +170,7 @@ def _evaluate(
     model: NoiseModel,
 ) -> StrategyOutcome:
     """Score one compilation result under one noise model."""
+    _ESTIMATOR.bind()
     report = estimate_success(result.program, model)
     return StrategyOutcome(
         benchmark=benchmark,
@@ -361,8 +383,6 @@ def figure_compile_jobs(
         benches = list(benchmarks) if benchmarks is not None else fig12_benchmarks()
         grid = [(b, "Baseline G", "grid", None) for b in benches]
     elif name == "fig13":
-        from ..devices.topologies import FIG13_TOPOLOGY_NAMES
-
         benches = list(benchmarks) if benchmarks is not None else fig13_benchmarks()
         grid = [
             (b, s, t, None)
@@ -399,6 +419,10 @@ def fig02_interaction_strength(
     the bare coupling on resonance and falls off as ``g0^2 / delta`` away
     from it.
     """
+    import numpy as np
+
+    from ..noise.crosstalk import effective_coupling
+
     omegas = np.linspace(sweep_low, sweep_high, points)
     strengths = [effective_coupling(g0, float(w) - omega_b) for w in omegas]
     return {"omega_a": [float(w) for w in omegas], "strength": strengths}
@@ -409,6 +433,9 @@ def fig02_interaction_strength(
 # ---------------------------------------------------------------------------
 def fig07_mesh_coloring(side: int = 5) -> Dict[str, int]:
     """Colors needed for the connectivity and crosstalk graphs of an N x N mesh."""
+    from ..core import build_crosstalk_graph, num_colors, welsh_powell_coloring
+    from ..devices import grid_graph
+
     mesh = grid_graph(side * side)
     connectivity_colors = num_colors(welsh_powell_coloring(mesh))
     crosstalk = build_crosstalk_graph(mesh, distance=1)
@@ -626,8 +653,6 @@ def fig13_connectivity(
 
     Returns ``results[benchmark][topology][strategy]``.
     """
-    from ..devices.topologies import FIG13_TOPOLOGY_NAMES
-
     benchmarks = list(benchmarks) if benchmarks is not None else fig13_benchmarks()
     topologies = list(topologies) if topologies is not None else list(FIG13_TOPOLOGY_NAMES)
     runner = runner or SweepRunner(max_workers=max_workers)
@@ -663,6 +688,9 @@ def fig14_example_frequencies(
     admission: str = "structural",
 ) -> Dict[str, object]:
     """Idle and interaction frequencies ColorDynamic picks for a 4x4 XEB layer."""
+    from ..core import ColorDynamic
+    from ..devices import Device
+
     n = side * side
     device = Device.grid(n, seed=seed)
     compiler = ColorDynamic(device, admission=admission)
@@ -699,6 +727,10 @@ def fig15_state_transition(
     time_points: int = 61,
 ) -> Dict[str, object]:
     """|01>-|10> and |11>-|20> transition-probability maps vs detuning and time."""
+    import numpy as np
+
+    from ..noise.crosstalk import effective_coupling, exchange_probability
+
     detunings = np.linspace(-detuning_span, detuning_span, detuning_points)
     times = np.linspace(0.0, max_time_ns, time_points)
     iswap_map = np.zeros((time_points, detuning_points))

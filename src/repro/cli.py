@@ -57,30 +57,10 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import obs
-from .analysis import (
-    FIG10_STRATEGIES,
-    STRATEGIES,
-    SweepRunner,
-    admission_comparison,
-    build_device_for,
-    compile_with,
-    fig02_interaction_strength,
-    fig07_mesh_coloring,
-    fig09_success_rates,
-    fig10_depth_decoherence,
-    fig11_color_sweep,
-    fig12_residual_coupling,
-    fig13_connectivity,
-    fig14_example_frequencies,
-    figure_compile_jobs,
-    format_table,
-    headline_improvement,
-)
-from .analysis.report import admission_report_markdown
-from .core import ADMISSION_POLICIES
+from .constants import ADMISSION_POLICIES
 from .envvars import format_epilog, read_env
 from .service import (
     CompileService,
@@ -92,7 +72,9 @@ from .service import (
     remote_cache_default,
     service_override,
 )
-from .workloads import fig09_benchmarks, table2_rows
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .analysis import SweepRunner
 
 __all__ = ["main", "build_parser"]
 
@@ -104,6 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     command reads, rendered from the shared :mod:`repro.envvars` table (the
     same table ``docs/cache-operations.md`` embeds).
     """
+    from .analysis.experiments import STRATEGIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -373,6 +357,8 @@ def _finish_trace(trace_path: Optional[Path]) -> None:
 
 
 def _run_compile(args: argparse.Namespace) -> int:
+    from .analysis import build_device_for, compile_with, format_table
+
     trace_path = _trace_destination(args, "compile")
     if trace_path is not None:
         obs.set_enabled(True)
@@ -401,6 +387,8 @@ def _run_compile(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
+    from .analysis import STRATEGIES, build_device_for, compile_with, format_table
+
     device = build_device_for(args.benchmark, topology=args.topology, seed=args.seed)
     rows = []
     for strategy in STRATEGIES:
@@ -433,6 +421,9 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_admission_report(args: argparse.Namespace) -> int:
+    from .analysis import SweepRunner, admission_comparison
+    from .analysis.report import admission_report_markdown
+
     runner = SweepRunner(max_workers=args.workers)
     comparison = admission_comparison(
         benchmarks=args.benchmarks or None, seed=args.seed, runner=runner
@@ -448,6 +439,8 @@ def _run_admission_report(args: argparse.Namespace) -> int:
 
 
 def _run_figure(args: argparse.Namespace) -> int:
+    from .analysis import SweepRunner
+
     trace_path = _trace_destination(args, f"figure-{args.name}")
     if trace_path is not None:
         obs.set_enabled(True)
@@ -482,6 +475,21 @@ def _run_figure(args: argparse.Namespace) -> int:
 
 
 def _print_figure(args: argparse.Namespace, runner: SweepRunner) -> None:
+    from .analysis import (
+        FIG10_STRATEGIES,
+        STRATEGIES,
+        fig02_interaction_strength,
+        fig07_mesh_coloring,
+        fig09_success_rates,
+        fig10_depth_decoherence,
+        fig11_color_sweep,
+        fig12_residual_coupling,
+        fig13_connectivity,
+        fig14_example_frequencies,
+        format_table,
+        headline_improvement,
+    )
+
     name = args.name
     benchmarks = args.benchmarks or None
     admission = getattr(args, "admission", "structural")
@@ -583,6 +591,8 @@ def _print_figure(args: argparse.Namespace, runner: SweepRunner) -> None:
 
 
 def _run_cache(args: argparse.Namespace) -> int:
+    from .analysis import figure_compile_jobs, format_table
+
     if args.cache_command == "stats":
         store = ProgramStore(
             args.cache_dir, remote_url=getattr(args, "remote_cache", None) or None
@@ -704,6 +714,9 @@ def _run_cache(args: argparse.Namespace) -> int:
 
 
 def _run_list() -> int:
+    from .analysis import STRATEGIES, format_table
+    from .workloads import fig09_benchmarks, table2_rows
+
     print(format_table(["strategy"], [[s] for s in STRATEGIES], title="Strategies (Table I)"))
     print(
         format_table(

@@ -41,6 +41,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
+from ..constants import ADMISSION_POLICIES
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..noise.incremental import IncrementalEstimator
     from ..program import TimeStep
@@ -54,9 +56,6 @@ __all__ = [
 ]
 
 Coupling = Tuple[int, int]
-
-#: The admission policies the compilers accept by name.
-ADMISSION_POLICIES: Tuple[str, ...] = ("structural", "success")
 
 
 class StepAdmission(ABC):

@@ -21,6 +21,7 @@ import math
 from itertools import combinations
 from typing import Dict, Tuple
 
+from ..constants import FIG13_TOPOLOGY_NAMES
 from ..graph import Graph
 
 __all__ = [
@@ -35,19 +36,6 @@ __all__ = [
     "FIG13_TOPOLOGY_NAMES",
     "grid_coordinates",
 ]
-
-FIG13_TOPOLOGY_NAMES: Tuple[str, ...] = (
-    "linear",
-    "1EX-5",
-    "1EX-4",
-    "1EX-3",
-    "1EX-2",
-    "grid",
-    "2EX-5",
-    "2EX-4",
-    "2EX-3",
-    "2EX-2",
-)
 
 
 def _validated_square_side(num_qubits: int) -> int:

@@ -92,6 +92,8 @@ WAIVER_TAGS: Dict[str, str] = {
 #: scope.
 DETERMINISM_SCOPE: Tuple[str, ...] = (
     "program.py",
+    "constants.py",
+    "lazy.py",
     "graph.py",
     "core/",
     "circuits/",

@@ -21,6 +21,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from ..devices import Transmon
+from .model import DEFAULT_FLUX_NOISE_AMPLITUDE
 
 __all__ = [
     "DEFAULT_FLUX_NOISE_AMPLITUDE",
@@ -30,10 +31,6 @@ __all__ = [
     "sweet_spot_distance",
     "tuning_overhead_ns",
 ]
-
-# 1/f flux-noise amplitude in units of the flux quantum (typical literature
-# value: a few micro-Phi_0).
-DEFAULT_FLUX_NOISE_AMPLITUDE: float = 3.0e-6
 
 
 def flux_dephasing_rate(

@@ -35,6 +35,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateTable
 from .circuits.gates import GATE_REGISTRY
+from .constants import PROGRAM_CODEC_VERSION
 from .devices import Device
 
 __all__ = [
@@ -47,15 +48,6 @@ __all__ = [
 ]
 
 Coupling = Tuple[int, int]
-
-#: Version of the CompiledProgram dict codec.  Bump whenever the serialized
-#: shape changes (or whenever compilation semantics change in a way that
-#: makes previously stored programs stale); the on-disk program store
-#: namespaces its entries by this version, so a bump silently invalidates
-#: every cached program.  Version 2 stored the schedule as the columnar
-#: block of :class:`ProgramColumns`; version 3 stores each distinct
-#: per-step frequency row once, plus every step's row index.
-PROGRAM_CODEC_VERSION: int = 3
 
 #: Dtype of every raw buffer in the stored columnar block (all little-endian).
 _BUFFER_DTYPES: Dict[str, str] = {

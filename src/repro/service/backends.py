@@ -53,9 +53,9 @@ from typing import (
 )
 from urllib.parse import SplitResult, unquote, urlsplit
 
+from ..constants import PROGRAM_CODEC_VERSION
 from ..envvars import read_env
 from ..obs import get_metrics
-from ..program import PROGRAM_CODEC_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import http.client

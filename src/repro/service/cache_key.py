@@ -29,14 +29,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import sys
+from importlib.machinery import PathFinder
 from pathlib import Path
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..circuits import Circuit
-from ..program import PROGRAM_CODEC_VERSION
+from ..constants import PROGRAM_CODEC_VERSION
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..circuits import Circuit
 
 __all__ = [
     "REPORT_FORMAT_VERSION",
@@ -137,14 +139,14 @@ def source_digest(package_root: Path) -> str:
     cache tag.
 
     numpy's version enters as the bytes of its ``version.py`` (version
-    string and git revision), found without importing numpy: the import
-    alone costs tens of milliseconds.
+    string and git revision), found on ``sys.path`` without importing
+    numpy: a run served from stored reports never loads it.
     """
     files = [
         (path.relative_to(package_root).as_posix(), path)
         for path in sorted(package_root.rglob("*.py"))
     ]
-    numpy_init = Path(importlib.util.find_spec("numpy").origin)
+    numpy_init = Path(PathFinder.find_spec("numpy").origin)
     files.append(("<numpy>", numpy_init.with_name("version.py")))
     digest = hashlib.sha256()
     for name, path in files:

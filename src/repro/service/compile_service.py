@@ -18,6 +18,11 @@ Every service instance keeps hit/miss/latency statistics in ``stats``.
 A process-wide default instance is available via :func:`get_service`, and
 :func:`service_override` installs a replacement for a scoped block (the
 ``figure`` command uses this to honour ``--cache-dir`` / ``--no-cache``).
+
+Opening a service imports no numpy and no compile stack: the compilers,
+devices and codec load with the first batch a service resolves (or the
+first :func:`make_compiler` / :func:`build_device_for` call), so a
+:class:`CompileJob` and an open store cost a process neither.
 """
 
 from __future__ import annotations
@@ -25,14 +30,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from ..circuits import Circuit
-from ..core.compiler import ColorDynamic, CompilationResult
-from ..devices import Device
+from ..lazy import Deferred
 from ..obs import get_metrics, get_tracer
 from ..obs import span as _span
-from ..workloads import benchmark_circuit, parse_benchmark_name
+from ..workloads.suite import benchmark_circuit, parse_benchmark_name
 from .cache_key import cache_key, circuit_digest, compiler_digest
 from .backends import (
     cache_enabled_default,
@@ -41,6 +44,11 @@ from .backends import (
     remote_compile_default,
 )
 from .store import ProgramStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..circuits import Circuit
+    from ..core.compiler import ColorDynamic, CompilationResult
+    from ..devices import Device
 
 __all__ = [
     "CompileJob",
@@ -66,6 +74,16 @@ _COMPILE_LOAD_SECONDS = get_metrics().histogram(
 _COMPILE_COLD_SECONDS = get_metrics().histogram(
     "repro_compile_cold_seconds",
     "Cold compile latency of cache misses.",
+)
+
+#: The compile stack, imported when a service first resolves a batch (or a
+#: caller first builds a compiler or device), never when it is opened.
+_COMPUTE = Deferred(
+    globals(),
+    {
+        "..core.compiler": ("ColorDynamic", "CompilationResult"),
+        "..devices": ("Device",),
+    },
 )
 
 
@@ -98,6 +116,7 @@ def make_compiler(
     """
     from ..baselines import STRATEGY_REGISTRY
 
+    _COMPUTE.bind()
     if strategy == "ColorDynamic":
         return ColorDynamic(device, max_colors=max_colors, admission=admission)
     cls = STRATEGY_REGISTRY.get(strategy)
@@ -174,6 +193,7 @@ def build_device_for(benchmark: str, topology: str = "grid", seed: int = 2020) -
     match the keys a later sweep computes.
     """
     num_qubits = parse_benchmark_name(benchmark).num_qubits
+    _COMPUTE.bind()
     if topology == "grid":
         return Device.grid(num_qubits, seed=seed)
     return Device.from_topology_name(topology, num_qubits, seed=seed)
@@ -474,6 +494,7 @@ class CompileService:
             starts — every distinct job is resolved first).
         """
         jobs = list(jobs)
+        _COMPUTE.bind()
         # Only the store needs content keys: a store-less batch
         # deduplicates by spec and builds no circuit just to hash it.
         keys: List[Hashable] = [

@@ -572,6 +572,9 @@ class CacheServer:
     INFLIGHT_WAIT_S = 600.0
     #: The backoff hint, in seconds, sent in a 429's ``Retry-After`` header.
     RETRY_AFTER_S = 1.0
+    #: How often, in seconds, the accept loop checks for a shutdown request;
+    #: :meth:`stop` waits up to this long (the stdlib default is 0.5 s).
+    POLL_INTERVAL_S = 0.05
 
     def __init__(
         self,
@@ -706,12 +709,15 @@ class CacheServer:
 
     def serve_forever(self) -> None:
         """Serve in the calling thread until interrupted (the CLI path)."""
-        self.httpd.serve_forever()
+        self.httpd.serve_forever(poll_interval=self.POLL_INTERVAL_S)
 
     def start(self) -> "CacheServer":
         """Serve from a daemon thread; returns ``self`` for chaining."""
         self._thread = threading.Thread(
-            target=self.httpd.serve_forever, name="repro-cache-server", daemon=True
+            target=self.httpd.serve_forever,
+            args=(self.POLL_INTERVAL_S,),
+            name="repro-cache-server",
+            daemon=True,
         )
         self._thread.start()
         return self

@@ -3,20 +3,23 @@
 Benchmarks are addressed by the same textual names the paper's figures use
 — ``"bv(16)"``, ``"qaoa(9)"``, ``"xeb(16,10)"`` — and grouped into the
 per-figure suites used by :mod:`repro.analysis.experiments`.
+
+Parsing a name and listing a suite import no generator: the generators
+(:data:`BENCHMARK_FAMILIES`, in :mod:`repro.workloads.families`) load on
+the first :func:`benchmark_circuit` call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..circuits import Circuit
-from .bv import bv
-from .ising import ising
-from .qaoa import qaoa
-from .qgan import qgan
-from .xeb import xeb
+from ..lazy import Deferred
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..circuits import Circuit
+    from .families import BENCHMARK_FAMILIES
 
 __all__ = [
     "BenchmarkSpec",
@@ -47,14 +50,17 @@ class BenchmarkSpec:
         return f"{self.family}({','.join(str(a) for a in self.args)})"
 
 
-#: family name -> (constructor, description used for Table II)
-BENCHMARK_FAMILIES: Dict[str, Tuple[Callable[..., Circuit], str]] = {
-    "bv": (bv, "Bernstein-Vazirani algorithm on n qubits"),
-    "qaoa": (qaoa, "QAOA for MAX-CUT on an Erdos-Renyi random graph with n vertices"),
-    "ising": (ising, "Linear Ising model simulation of a spin chain of length n"),
-    "qgan": (qgan, "Quantum GAN generator with training data of dimension 2^n"),
-    "xeb": (xeb, "Cross-entropy benchmarking circuit on n qubits with p cycles"),
+#: family name -> description used for Table II
+FAMILY_DESCRIPTIONS: Dict[str, str] = {
+    "bv": "Bernstein-Vazirani algorithm on n qubits",
+    "qaoa": "QAOA for MAX-CUT on an Erdos-Renyi random graph with n vertices",
+    "ising": "Linear Ising model simulation of a spin chain of length n",
+    "qgan": "Quantum GAN generator with training data of dimension 2^n",
+    "xeb": "Cross-entropy benchmarking circuit on n qubits with p cycles",
 }
+
+_GENERATORS = Deferred(globals(), {".families": ("BENCHMARK_FAMILIES",)})
+__getattr__, __dir__ = _GENERATORS.getattr, _GENERATORS.dir
 
 _NAME_RE = re.compile(r"^(?P<family>[a-z]+)\((?P<args>[0-9,\s]+)\)$")
 
@@ -65,9 +71,9 @@ def parse_benchmark_name(name: str) -> BenchmarkSpec:
     if not match:
         raise ValueError(f"cannot parse benchmark name {name!r}")
     family = match.group("family")
-    if family not in BENCHMARK_FAMILIES:
+    if family not in FAMILY_DESCRIPTIONS:
         raise ValueError(
-            f"unknown benchmark family {family!r}; known: {sorted(BENCHMARK_FAMILIES)}"
+            f"unknown benchmark family {family!r}; known: {sorted(FAMILY_DESCRIPTIONS)}"
         )
     args = tuple(int(a) for a in match.group("args").split(","))
     return BenchmarkSpec(family=family, args=args)
@@ -76,6 +82,7 @@ def parse_benchmark_name(name: str) -> BenchmarkSpec:
 def benchmark_circuit(name: str, seed: Optional[int] = None) -> Circuit:
     """Build the benchmark circuit referred to by a figure-style name."""
     spec = parse_benchmark_name(name)
+    _GENERATORS.bind()
     constructor, _ = BENCHMARK_FAMILIES[spec.family]
     if spec.family == "xeb":
         if len(spec.args) != 2:
@@ -126,9 +133,9 @@ def fig13_benchmarks() -> List[str]:
 def table2_rows() -> List[Tuple[str, str]]:
     """(name, description) rows reproducing Table II."""
     return [
-        ("BV(n)", BENCHMARK_FAMILIES["bv"][1]),
-        ("QAOA(n)", BENCHMARK_FAMILIES["qaoa"][1]),
-        ("ISING(n)", BENCHMARK_FAMILIES["ising"][1]),
-        ("QGAN(n)", BENCHMARK_FAMILIES["qgan"][1]),
-        ("XEB(n, p)", BENCHMARK_FAMILIES["xeb"][1]),
+        ("BV(n)", FAMILY_DESCRIPTIONS["bv"]),
+        ("QAOA(n)", FAMILY_DESCRIPTIONS["qaoa"]),
+        ("ISING(n)", FAMILY_DESCRIPTIONS["ising"]),
+        ("QGAN(n)", FAMILY_DESCRIPTIONS["qgan"]),
+        ("XEB(n, p)", FAMILY_DESCRIPTIONS["xeb"]),
     ]
