@@ -1,17 +1,21 @@
 """One entry point per figure of the paper's evaluation (Figs. 2, 7, 9-15).
 
-Every ``figNN_*`` function is pure computation: it builds the devices and
-benchmark circuits, runs the requested compilation strategies, evaluates the
-Eq. (4) success estimator, and returns plain data structures.  The benchmark
-harness (``benchmarks/``) and the examples print these results; nothing in
-this module does I/O.
+Every ``figNN_*`` function builds the devices and benchmark circuits, runs
+the requested compilation strategies, evaluates the Eq. (4) success
+estimator, and returns plain data structures.  The benchmark harness
+(``benchmarks/``) and the examples print these results.  The only I/O is
+the program store's: the compile service reads and writes programs, and
+:class:`SweepRunner` reads and writes report entries.
 
 All experiments accept reduced benchmark lists / parameter grids so that the
 same code path can run both as a quick smoke test and as the full
 paper-scale reproduction.
 
 The figure sweeps (9-13) are expressed as flat lists of :class:`SweepJob`
-grid points executed by a :class:`SweepRunner`.  With a program store, each
+grid points executed by a :class:`SweepRunner`.  Each sweep's grid is
+declared once, by its builder in ``_SWEEP_GRIDS``: the figure function runs
+its jobs, and :func:`figure_compile_jobs` (``repro cache warm``) derives
+the distinct compilations from the same jobs.  With a program store, each
 point is first looked up as a stored *report* (its outcome under its noise
 model, keyed by the job spec); the rest go to
 :meth:`repro.service.CompileService.compile_batch` and are scored
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -41,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from ..constants import FIG13_TOPOLOGY_NAMES
+from ..constants import FIG13_TOPOLOGY_NAMES, STRATEGIES
 from ..envvars import read_env_int
 from ..lazy import Deferred
 from ..noise.model import NoiseModel
@@ -96,18 +101,8 @@ __all__ = [
     "compile_with",
 ]
 
-#: Strategy display order used throughout the figures.
-STRATEGIES: Tuple[str, ...] = (
-    "Baseline N",
-    "Baseline G",
-    "Baseline U",
-    "Baseline S",
-    "ColorDynamic",
-)
-
-#: Per-figure grid defaults, shared by the figure functions and
-#: :func:`figure_compile_jobs` so `cache warm` always precompiles exactly
-#: the grid the figure sweep will request.
+#: Per-figure grid defaults (``STRATEGIES``, the Fig. 9 strategies, lives
+#: in :mod:`repro.constants` for the CLI parser).
 FIG10_STRATEGIES: Tuple[str, ...] = ("Baseline G", "Baseline U", "ColorDynamic")
 FIG11_COLOR_BUDGETS: Tuple[int, ...] = (1, 2, 3, 4)
 FIG12_FACTORS: Tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -353,8 +348,83 @@ class SweepRunner:
 
 
 # ---------------------------------------------------------------------------
-# cache warming — the compile grid behind each figure sweep
+# Sweep grids — the jobs of each figure sweep, declared once
 # ---------------------------------------------------------------------------
+# Each builder takes its figure function's arguments (benchmarks=None: the
+# figure's own list) and returns the figure's empty result table (a row per
+# benchmark; Fig. 13: per benchmark and topology) and the jobs that fill it.
+def _fig09_grid(benchmarks, seed, admission, model=None, strategies=STRATEGIES):
+    benchmarks = list(benchmarks) if benchmarks is not None else fig09_benchmarks()
+    # An explicitly passed model rides on the jobs themselves so it wins even
+    # when the caller also supplies a pre-built runner with its own default.
+    jobs = [
+        SweepJob(b, s, seed=seed, noise_model=model, admission=admission)
+        for b in benchmarks
+        for s in strategies
+    ]
+    return {b: {} for b in benchmarks}, jobs
+
+
+def _fig10_grid(benchmarks, seed, admission, model=None, strategies=FIG10_STRATEGIES):
+    benchmarks = list(benchmarks) if benchmarks is not None else fig10_benchmarks()
+    return _fig09_grid(benchmarks, seed, admission, model, strategies)
+
+
+def _fig11_grid(benchmarks, seed, admission, model=None, budgets=FIG11_COLOR_BUDGETS):
+    benchmarks = list(benchmarks) if benchmarks is not None else fig11_benchmarks()
+    jobs = [
+        SweepJob(
+            b,
+            "ColorDynamic",
+            seed=seed,
+            max_colors=k,
+            noise_model=model,
+            key=k,
+            admission=admission,
+        )
+        for b in benchmarks
+        for k in budgets
+    ]
+    return {b: {} for b in benchmarks}, jobs
+
+
+def _fig12_grid(benchmarks, seed, admission, model=None, factors=FIG12_FACTORS):
+    benchmarks = list(benchmarks) if benchmarks is not None else fig12_benchmarks()
+    base_model = model or NoiseModel()
+    models = {f: base_model.with_residual_coupling(f) for f in factors}
+    jobs = [
+        SweepJob(b, "Baseline G", seed=seed, noise_model=models[f], key=f, admission=admission)
+        for b in benchmarks
+        for f in factors
+    ]
+    return {b: {} for b in benchmarks}, jobs
+
+
+def _fig13_grid(
+    benchmarks, seed, admission, model=None, topologies=None, strategies=FIG13_STRATEGIES
+):
+    benchmarks = list(benchmarks) if benchmarks is not None else fig13_benchmarks()
+    topologies = list(topologies) if topologies is not None else list(FIG13_TOPOLOGY_NAMES)
+    jobs = [
+        SweepJob(b, s, topology=t, seed=seed, noise_model=model, admission=admission)
+        for b in benchmarks
+        for t in topologies
+        for s in strategies
+    ]
+    return {b: {t: {} for t in topologies} for b in benchmarks}, jobs
+
+
+#: Sweep figure -> its grid builder; ``builder(benchmarks, seed, admission)``
+#: gives the figure's default grid.
+_SWEEP_GRIDS: Dict[str, Callable[..., Tuple[dict, List[SweepJob]]]] = {
+    "fig09": _fig09_grid,
+    "fig10": _fig10_grid,
+    "fig11": _fig11_grid,
+    "fig12": _fig12_grid,
+    "fig13": _fig13_grid,
+}
+
+
 def figure_compile_jobs(
     name: str,
     benchmarks: Optional[Sequence[str]] = None,
@@ -365,42 +435,15 @@ def figure_compile_jobs(
 
     ``python -m repro cache warm`` feeds these into
     :meth:`~repro.service.CompileService.compile_batch` so a later
-    ``figure`` run of the same grid is entirely cache-hot.  Only the
+    ``figure`` run of the same grid is entirely cache-hot.  They are the
+    distinct compile specs of the figure's own jobs, in job order.  Only the
     compile-heavy sweep figures (9-13) have a warmable grid.
     """
-    if name == "fig09":
-        benches = list(benchmarks) if benchmarks is not None else fig09_benchmarks()
-        grid = [(b, s, "grid", None) for b in benches for s in STRATEGIES]
-    elif name == "fig10":
-        benches = list(benchmarks) if benchmarks is not None else fig10_benchmarks()
-        grid = [(b, s, "grid", None) for b in benches for s in FIG10_STRATEGIES]
-    elif name == "fig11":
-        benches = list(benchmarks) if benchmarks is not None else fig11_benchmarks()
-        grid = [(b, "ColorDynamic", "grid", k) for b in benches for k in FIG11_COLOR_BUDGETS]
-    elif name == "fig12":
-        # One compilation per benchmark; the residual-coupling factors only
-        # change the scoring noise model.
-        benches = list(benchmarks) if benchmarks is not None else fig12_benchmarks()
-        grid = [(b, "Baseline G", "grid", None) for b in benches]
-    elif name == "fig13":
-        benches = list(benchmarks) if benchmarks is not None else fig13_benchmarks()
-        grid = [
-            (b, s, t, None)
-            for b in benches
-            for t in FIG13_TOPOLOGY_NAMES
-            for s in FIG13_STRATEGIES
-        ]
-    else:
-        raise ValueError(
-            f"figure {name!r} has no compile grid to warm; use fig09-fig13"
-        )
-    return [
-        CompileJob(
-            benchmark=b, strategy=s, topology=t, seed=seed, max_colors=k,
-            admission=admission,
-        )
-        for b, s, t, k in grid
-    ]
+    grid = _SWEEP_GRIDS.get(name)
+    if grid is None:
+        raise ValueError(f"figure {name!r} has no compile grid to warm; use fig09-fig13")
+    _, jobs = grid(benchmarks, seed, admission)
+    return list(dict.fromkeys(_compile_spec(job) for job in jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +505,8 @@ def fig09_success_rates(
     admission: str = "structural",
 ) -> Dict[str, Dict[str, StrategyOutcome]]:
     """Success rate of every strategy on every benchmark (the Fig. 9 bars)."""
-    benchmarks = list(benchmarks) if benchmarks is not None else fig09_benchmarks()
-    runner = runner or SweepRunner(max_workers=max_workers)
-    # An explicitly passed model rides on the jobs themselves so it wins even
-    # when the caller also supplies a pre-built runner with its own default.
-    jobs = [
-        SweepJob(
-            benchmark=benchmark,
-            strategy=strategy,
-            seed=seed,
-            noise_model=noise_model,
-            admission=admission,
-        )
-        for benchmark in benchmarks
-        for strategy in strategies
-    ]
-    outcomes = runner.run(jobs)
-    results: Dict[str, Dict[str, StrategyOutcome]] = {b: {} for b in benchmarks}
-    for job, outcome in zip(jobs, outcomes):
+    results, jobs = _fig09_grid(benchmarks, seed, admission, noise_model, strategies)
+    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
         results[job.benchmark][job.strategy] = outcome
     return results
 
@@ -549,16 +576,10 @@ def fig10_depth_decoherence(
     admission: str = "structural",
 ) -> Dict[str, Dict[str, StrategyOutcome]]:
     """Depth and decoherence error of the XEB sweep (the two panels of Fig. 10)."""
-    benchmarks = list(benchmarks) if benchmarks is not None else fig10_benchmarks()
-    return fig09_success_rates(
-        benchmarks=benchmarks,
-        strategies=strategies,
-        noise_model=noise_model,
-        seed=seed,
-        runner=runner,
-        max_workers=max_workers,
-        admission=admission,
-    )
+    results, jobs = _fig10_grid(benchmarks, seed, admission, noise_model, strategies)
+    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
+        results[job.benchmark][job.strategy] = outcome
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -574,24 +595,8 @@ def fig11_color_sweep(
     admission: str = "structural",
 ) -> Dict[str, Dict[int, StrategyOutcome]]:
     """ColorDynamic success rate as the interaction-frequency budget varies."""
-    benchmarks = list(benchmarks) if benchmarks is not None else fig11_benchmarks()
-    runner = runner or SweepRunner(max_workers=max_workers)
-    jobs = [
-        SweepJob(
-            benchmark=benchmark,
-            strategy="ColorDynamic",
-            seed=seed,
-            max_colors=budget,
-            noise_model=noise_model,
-            key=budget,
-            admission=admission,
-        )
-        for benchmark in benchmarks
-        for budget in max_colors_values
-    ]
-    outcomes = runner.run(jobs)
-    results: Dict[str, Dict[int, StrategyOutcome]] = {b: {} for b in benchmarks}
-    for job, outcome in zip(jobs, outcomes):
+    results, jobs = _fig11_grid(benchmarks, seed, admission, noise_model, max_colors_values)
+    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
         results[job.benchmark][job.key] = outcome
     return results
 
@@ -614,24 +619,8 @@ def fig12_residual_coupling(
     compilations to the compile service) and scored under one noise model
     per residual-coupling factor.
     """
-    benchmarks = list(benchmarks) if benchmarks is not None else fig12_benchmarks()
-    base_model = noise_model or NoiseModel()
-    runner = runner or SweepRunner(max_workers=max_workers)
-    jobs = [
-        SweepJob(
-            benchmark=benchmark,
-            strategy="Baseline G",
-            seed=seed,
-            noise_model=base_model.with_residual_coupling(factor),
-            key=factor,
-            admission=admission,
-        )
-        for benchmark in benchmarks
-        for factor in factors
-    ]
-    outcomes = runner.run(jobs)
-    results: Dict[str, Dict[float, float]] = {b: {} for b in benchmarks}
-    for job, outcome in zip(jobs, outcomes):
+    results, jobs = _fig12_grid(benchmarks, seed, admission, noise_model, factors)
+    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
         results[job.benchmark][job.key] = outcome.success_rate
     return results
 
@@ -653,27 +642,8 @@ def fig13_connectivity(
 
     Returns ``results[benchmark][topology][strategy]``.
     """
-    benchmarks = list(benchmarks) if benchmarks is not None else fig13_benchmarks()
-    topologies = list(topologies) if topologies is not None else list(FIG13_TOPOLOGY_NAMES)
-    runner = runner or SweepRunner(max_workers=max_workers)
-    jobs = [
-        SweepJob(
-            benchmark=benchmark,
-            strategy=strategy,
-            topology=topology,
-            seed=seed,
-            noise_model=noise_model,
-            admission=admission,
-        )
-        for benchmark in benchmarks
-        for topology in topologies
-        for strategy in strategies
-    ]
-    outcomes = runner.run(jobs)
-    results: Dict[str, Dict[str, Dict[str, StrategyOutcome]]] = {
-        b: {t: {} for t in topologies} for b in benchmarks
-    }
-    for job, outcome in zip(jobs, outcomes):
+    results, jobs = _fig13_grid(benchmarks, seed, admission, noise_model, topologies, strategies)
+    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
         results[job.benchmark][job.topology][job.strategy] = outcome
     return results
 

@@ -60,8 +60,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import obs
-from .constants import ADMISSION_POLICIES
-from .envvars import format_epilog, read_env
+from .constants import ADMISSION_POLICIES, FIGURE_NAMES, STRATEGIES, SWEEP_FIGURE_NAMES
+from .envvars import format_epilog, read_env, read_env_int
 from .service import (
     CompileService,
     HTTPBackend,
@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     command reads, rendered from the shared :mod:`repro.envvars` table (the
     same table ``docs/cache-operations.md`` embeds).
     """
-    from .analysis.experiments import STRATEGIES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -157,10 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     figure_cmd = add_command("figure", "regenerate one of the paper's figures")
-    figure_cmd.add_argument(
-        "name",
-        choices=["fig02", "fig07", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14"],
-    )
+    figure_cmd.add_argument("name", choices=list(FIGURE_NAMES))
     figure_cmd.add_argument(
         "--benchmarks", nargs="*", default=None, help="optional benchmark subset"
     )
@@ -235,13 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="cache root (default: REPRO_CACHE_DIR or XDG cache)",
         )
         if sub_name == "warm":
-            cache_sub_cmd.add_argument(
-                "figure", choices=["fig09", "fig10", "fig11", "fig12", "fig13"]
-            )
+            cache_sub_cmd.add_argument("figure", choices=list(SWEEP_FIGURE_NAMES))
             cache_sub_cmd.add_argument("--benchmarks", nargs="*", default=None)
             cache_sub_cmd.add_argument("--seed", type=int, default=2020)
             cache_sub_cmd.add_argument(
-                "--workers", type=int, default=1, help="processes for cold compilations"
+                "--workers",
+                type=int,
+                default=None,
+                help="processes for cold compilations (default: REPRO_SWEEP_WORKERS or serial)",
             )
             cache_sub_cmd.add_argument(
                 "--remote-cache",
@@ -387,7 +383,7 @@ def _run_compile(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    from .analysis import STRATEGIES, build_device_for, compile_with, format_table
+    from .analysis import build_device_for, compile_with, format_table
 
     device = build_device_for(args.benchmark, topology=args.topology, seed=args.seed)
     rows = []
@@ -477,7 +473,6 @@ def _run_figure(args: argparse.Namespace) -> int:
 def _print_figure(args: argparse.Namespace, runner: SweepRunner) -> None:
     from .analysis import (
         FIG10_STRATEGIES,
-        STRATEGIES,
         fig02_interaction_strength,
         fig07_mesh_coloring,
         fig09_success_rates,
@@ -615,7 +610,8 @@ def _run_cache(args: argparse.Namespace) -> int:
         service = CompileService(
             cache_dir=args.cache_dir, enabled=True, remote_cache=args.remote_cache
         )
-        service.compile_batch(jobs, max_workers=max(1, args.workers))
+        workers = read_env_int("REPRO_SWEEP_WORKERS", 1) if args.workers is None else args.workers
+        service.compile_batch(jobs, max_workers=max(1, workers))
         stats = service.stats
         print(
             f"{args.figure}: {len(jobs)} job(s) -> {stats.misses} compiled, "
@@ -714,7 +710,7 @@ def _run_cache(args: argparse.Namespace) -> int:
 
 
 def _run_list() -> int:
-    from .analysis import STRATEGIES, format_table
+    from .analysis import format_table
     from .workloads import fig09_benchmarks, table2_rows
 
     print(format_table(["strategy"], [[s] for s in STRATEGIES], title="Strategies (Table I)"))

@@ -2,17 +2,23 @@
 
 The CLI parser, the program store and the cache keys need these values
 before anything is compiled; defining them here, in a module that imports
-nothing, keeps numpy and the compile stack out of a process until its
-first compile, decode or estimate.  :mod:`repro.program`,
-:mod:`repro.core.admission` and :mod:`repro.devices.topologies` re-export
-them.
+nothing, keeps numpy, the compile stack and the sweep runner out of a
+process until they are used.  :mod:`repro.program`, :mod:`repro.core.admission`,
+:mod:`repro.devices.topologies` and :mod:`repro.analysis.experiments` re-export them.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-__all__ = ["ADMISSION_POLICIES", "FIG13_TOPOLOGY_NAMES", "PROGRAM_CODEC_VERSION"]
+__all__ = [
+    "ADMISSION_POLICIES",
+    "FIG13_TOPOLOGY_NAMES",
+    "FIGURE_NAMES",
+    "PROGRAM_CODEC_VERSION",
+    "STRATEGIES",
+    "SWEEP_FIGURE_NAMES",
+]
 
 #: Version of the CompiledProgram dict codec.  Bump whenever the serialized
 #: shape changes (or whenever compilation semantics change in a way that
@@ -25,6 +31,22 @@ PROGRAM_CODEC_VERSION: int = 3
 
 #: The admission policies the compilers accept by name.
 ADMISSION_POLICIES: Tuple[str, ...] = ("structural", "success")
+
+#: Strategy display order used throughout the figures.
+STRATEGIES: Tuple[str, ...] = (
+    "Baseline N",
+    "Baseline G",
+    "Baseline U",
+    "Baseline S",
+    "ColorDynamic",
+)
+
+#: The figure sweeps (Figs. 9-13): each has one job grid, which ``repro
+#: figure`` runs and ``repro cache warm`` precompiles.
+SWEEP_FIGURE_NAMES: Tuple[str, ...] = ("fig09", "fig10", "fig11", "fig12", "fig13")
+
+#: The figures ``repro figure`` regenerates.
+FIGURE_NAMES: Tuple[str, ...] = ("fig02", "fig07", *SWEEP_FIGURE_NAMES, "fig14")
 
 #: The device topologies of Fig. 13, in the figure's order (see
 #: :func:`repro.devices.topology_by_name`).

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis import clear_sweep_caches, figure_compile_jobs
 from repro.cli import build_parser, main
-from repro.service import ProgramStore, service_override
+from repro.constants import SWEEP_FIGURE_NAMES
+from repro.service import CompileService, ProgramStore, service_override
 
 
 class TestParser:
@@ -45,6 +47,7 @@ class TestParser:
         assert warm.cache_command == "warm"
         assert warm.figure == "fig11"
         assert warm.workers == 2
+        assert build_parser().parse_args(["cache", "warm", "fig11"]).workers is None
 
     def test_figure_remote_cache_and_max_bytes_flags(self):
         args = build_parser().parse_args(
@@ -192,6 +195,56 @@ class TestCacheCommands:
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 4" in capsys.readouterr().out
         assert ProgramStore(tmp_path).stats()["entries"] == 0
+
+
+class TestCacheWarmServesTheFigure:
+    BENCHMARKS = ["bv(4)", "xeb(4,2)"]
+
+    @pytest.mark.parametrize("name", SWEEP_FIGURE_NAMES)
+    def test_warmed_figure_compiles_nothing(self, name, capsys, tmp_path):
+        figure = ["figure", name, "--benchmarks", *self.BENCHMARKS]
+        clear_sweep_caches()
+        assert main(figure + ["--no-cache"]) == 0
+        cold = capsys.readouterr().out
+        warm = ["cache", "warm", name, "--benchmarks", *self.BENCHMARKS]
+        assert main(warm + ["--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+        clear_sweep_caches()  # only the warmed store survives
+        with service_override(cache_dir=tmp_path) as service:
+            assert main(figure) == 0
+        assert capsys.readouterr().out == cold
+        assert service.stats.misses == 0
+        assert service.stats.hits == len(figure_compile_jobs(name, self.BENCHMARKS))
+        clear_sweep_caches()
+
+
+class TestCacheWarmWorkers:
+    """`cache warm --workers` resolves like `figure --workers`."""
+
+    @staticmethod
+    def _batch_workers(monkeypatch, tmp_path, *flags):
+        seen = []
+
+        def record(service, jobs, max_workers=1):
+            seen.append(max_workers)
+            return []
+
+        monkeypatch.setattr(CompileService, "compile_batch", record)
+        argv = ["cache", "warm", "fig11", "--benchmarks", "bv(4)", "--cache-dir", str(tmp_path)]
+        assert main(argv + list(flags)) == 0
+        return seen
+
+    def test_serial_by_default(self, monkeypatch, tmp_path, capsys):
+        assert self._batch_workers(monkeypatch, tmp_path) == [1]
+
+    def test_sweep_workers_env_sets_the_worker_count(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
+        assert self._batch_workers(monkeypatch, tmp_path) == [3]
+
+    def test_explicit_flag_beats_the_env(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
+        assert self._batch_workers(monkeypatch, tmp_path, "--workers", "2") == [2]
 
 
 class TestCacheHotFigureSmoke:

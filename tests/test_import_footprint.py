@@ -6,7 +6,8 @@ it (``sys.modules["networkx"] = None`` makes any import of it raise) must
 not stop a figure sweep, cold or warm.  numpy and repro's compute modules
 load on the first compile, decode or estimate: importing the CLI, opening
 a store, starting a cache server and a figure served from stored reports
-load none of them.
+load none of them.  Building the CLI parser loads neither the sweep runner
+nor the noise model.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ def _fill_and_warm(argv):
             """
         )
         assert filled.returncode == 0, filled.stderr
+
+
+def test_building_the_parser_loads_no_sweep_or_noise_modules():
+    """``repro lint`` or ``repro list`` must not pay for the sweep runner."""
+    result = _run_python(
+        """
+        import sys
+        import repro.cli
+
+        repro.cli.build_parser()
+        print([m for m in sys.modules if m.startswith(("repro.analysis", "repro.noise"))])
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_and_an_open_store_load_no_compute_modules(tmp_path):

@@ -36,7 +36,7 @@ CONSTANTS = {
     "STRATEGY_REGISTRY": "repro.baselines",
     "DEFAULT_FLUX_NOISE_AMPLITUDE": "repro.noise.model",
     "BENCHMARK_FAMILIES": "repro.workloads.families",
-    "STRATEGIES": "repro.analysis.experiments",
+    "STRATEGIES": "repro.constants",
     "FIG10_STRATEGIES": "repro.analysis.experiments",
     "FIG11_COLOR_BUDGETS": "repro.analysis.experiments",
     "FIG12_FACTORS": "repro.analysis.experiments",
