@@ -252,14 +252,15 @@ class SweepRunner:
 
     Parameters
     ----------
-    noise_model:
-        Default noise model for jobs that don't carry their own.
     max_workers:
         Worker processes for the grid's cold compiles, passed to
         :meth:`~repro.service.CompileService.compile_batch`; ``1`` (the
         default) compiles in-process.  ``None`` reads ``REPRO_SWEEP_WORKERS``
         from the environment (falling back to 1) so the CLI and CI can opt
         in without code changes.
+
+    A job without its own noise model is scored under the runner's one
+    default ``NoiseModel()``.
 
     With a program store behind the default service
     (:func:`repro.service.get_service`; install another with
@@ -280,14 +281,10 @@ class SweepRunner:
     reports round-trip their floats exactly.
     """
 
-    def __init__(
-        self,
-        noise_model: Optional[NoiseModel] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is None:
             max_workers = read_env_int("REPRO_SWEEP_WORKERS", 1)
-        self.noise_model = noise_model or NoiseModel()
+        self.noise_model = NoiseModel()
         self.max_workers = max(1, max_workers)
 
     def run(self, jobs: Iterable[SweepJob]) -> List[StrategyOutcome]:
@@ -501,12 +498,11 @@ def fig09_success_rates(
     noise_model: Optional[NoiseModel] = None,
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
-    max_workers: Optional[int] = None,
     admission: str = "structural",
 ) -> Dict[str, Dict[str, StrategyOutcome]]:
     """Success rate of every strategy on every benchmark (the Fig. 9 bars)."""
     results, jobs = _fig09_grid(benchmarks, seed, admission, noise_model, strategies)
-    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
+    for job, outcome in zip(jobs, (runner or SweepRunner()).run(jobs)):
         results[job.benchmark][job.strategy] = outcome
     return results
 
@@ -516,7 +512,6 @@ def admission_comparison(
     strategies: Sequence[str] = STRATEGIES,
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
-    max_workers: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, StrategyOutcome]]]:
     """The Fig. 9 grid under both admission policies.
 
@@ -534,7 +529,6 @@ def admission_comparison(
             strategies=strategies,
             seed=seed,
             runner=runner,
-            max_workers=max_workers,
             admission=policy,
         )
         for policy in ("structural", "success")
@@ -572,12 +566,11 @@ def fig10_depth_decoherence(
     noise_model: Optional[NoiseModel] = None,
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
-    max_workers: Optional[int] = None,
     admission: str = "structural",
 ) -> Dict[str, Dict[str, StrategyOutcome]]:
     """Depth and decoherence error of the XEB sweep (the two panels of Fig. 10)."""
     results, jobs = _fig10_grid(benchmarks, seed, admission, noise_model, strategies)
-    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
+    for job, outcome in zip(jobs, (runner or SweepRunner()).run(jobs)):
         results[job.benchmark][job.strategy] = outcome
     return results
 
@@ -591,12 +584,11 @@ def fig11_color_sweep(
     noise_model: Optional[NoiseModel] = None,
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
-    max_workers: Optional[int] = None,
     admission: str = "structural",
 ) -> Dict[str, Dict[int, StrategyOutcome]]:
     """ColorDynamic success rate as the interaction-frequency budget varies."""
     results, jobs = _fig11_grid(benchmarks, seed, admission, noise_model, max_colors_values)
-    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
+    for job, outcome in zip(jobs, (runner or SweepRunner()).run(jobs)):
         results[job.benchmark][job.key] = outcome
     return results
 
@@ -610,7 +602,6 @@ def fig12_residual_coupling(
     noise_model: Optional[NoiseModel] = None,
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
-    max_workers: Optional[int] = None,
     admission: str = "structural",
 ) -> Dict[str, Dict[float, float]]:
     """Baseline G success rate as deactivated couplers leak residual coupling.
@@ -620,7 +611,7 @@ def fig12_residual_coupling(
     per residual-coupling factor.
     """
     results, jobs = _fig12_grid(benchmarks, seed, admission, noise_model, factors)
-    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
+    for job, outcome in zip(jobs, (runner or SweepRunner()).run(jobs)):
         results[job.benchmark][job.key] = outcome.success_rate
     return results
 
@@ -635,7 +626,6 @@ def fig13_connectivity(
     noise_model: Optional[NoiseModel] = None,
     seed: int = _DEFAULT_SEED,
     runner: Optional[SweepRunner] = None,
-    max_workers: Optional[int] = None,
     admission: str = "structural",
 ) -> Dict[str, Dict[str, Dict[str, StrategyOutcome]]]:
     """Success / colors / compile time across the express-cube topology family.
@@ -643,7 +633,7 @@ def fig13_connectivity(
     Returns ``results[benchmark][topology][strategy]``.
     """
     results, jobs = _fig13_grid(benchmarks, seed, admission, noise_model, topologies, strategies)
-    for job, outcome in zip(jobs, (runner or SweepRunner(max_workers=max_workers)).run(jobs)):
+    for job, outcome in zip(jobs, (runner or SweepRunner()).run(jobs)):
         results[job.benchmark][job.topology][job.strategy] = outcome
     return results
 

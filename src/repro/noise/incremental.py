@@ -7,10 +7,11 @@ the right shape for scoring a finished program, but the wrong shape for a
 compiler that mutates one time step at a time: re-estimating after each
 mutation costs O(program).
 
-:class:`IncrementalEstimator` keeps the dense representation *alive* between
-mutations.  Each time step owns one row of the data plane (its frequency
-row, presence/busy masks, interacting/inactive pair masks, its flux-noise
-rate row) plus its already-reduced spectator statistics (crosstalk fidelity,
+:class:`IncrementalEstimator` keeps per-step results *alive* between
+mutations.  Each time step is evaluated once, from one row of the data
+plane (its frequency row, presence/busy masks, interacting/inactive pair
+masks), and keeps what the report folds: its presence mask, its flux-noise
+rate row, its already-reduced spectator statistics (crosstalk fidelity,
 error total, worst channel) and its per-gate-name counts.  Appending or
 previewing a step therefore touches only that step's row — O(pairs)
 work — and producing a full :class:`~repro.noise.SuccessReport`
@@ -33,7 +34,7 @@ reduction is evaluated with a fixed shape and order; the differential suite
 down over randomized append and preview sequences.
 
 **Incremental invariants.**  Between mutations the estimator holds, per
-step: the step's dense frequency row and presence/busy masks, its already
+step: the step's duration and presence mask, its already
 reduced spectator statistics (fidelity, error total, worst channel), its
 flux-rate row and its per-gate-name counts.  Nothing global is cached —
 the program-level folds (fidelity products, the duration-normalized
@@ -77,9 +78,7 @@ class _StepState:
 
     __slots__ = (
         "duration",
-        "frequencies",
         "present",
-        "busy",
         "rate_row",
         "fidelity",
         "error_total",
@@ -90,9 +89,7 @@ class _StepState:
     def __init__(
         self,
         duration: float,
-        frequencies: np.ndarray,
         present: np.ndarray,
-        busy: np.ndarray,
         rate_row: Optional[np.ndarray],
         fidelity: float,
         error_total: float,
@@ -100,9 +97,7 @@ class _StepState:
         gate_counts: Dict[str, int],
     ) -> None:
         self.duration = duration
-        self.frequencies = frequencies
         self.present = present
-        self.busy = busy
         self.rate_row = rate_row
         self.fidelity = fidelity
         self.error_total = error_total
@@ -163,9 +158,7 @@ class IncrementalEstimator:
             counts[gate.name] = counts.get(gate.name, 0) + 1
         return _StepState(
             duration=duration,
-            frequencies=frequencies,
             present=present,
-            busy=busy,
             rate_row=rate_row,
             fidelity=fidelity,
             error_total=error_total,

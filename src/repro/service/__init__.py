@@ -3,8 +3,7 @@
 Compilation (scheduling, per-step coloring, frequency solving) dominates
 sweep wall time now that Eq. (4) estimation is vectorized, and every figure
 grid revisits the same (benchmark x strategy x device) points.  This package
-amortizes that work across requests, across runs — and, since PR 4, across
-machines:
+amortizes that work across requests, across runs and across machines:
 
 * :mod:`~repro.service.cache_key` — deterministic, content-addressed cache
   keys hashing the circuit, the full device physics and every compiler knob;
@@ -16,8 +15,8 @@ machines:
   plus, with ``remote_url``, a remote tier behind it (read-through with
   write-back, best-effort publish);
 * :mod:`~repro.service.server` — ``python -m repro cache serve``: a stdlib
-  HTTP server so a fleet of CI workers shares one warm cache — and, since
-  PR 8, a remote *compile* tier: batched ``POST /v<codec>/batch/{get,put}``
+  HTTP server so a fleet of CI workers shares one warm cache — and a
+  remote *compile* tier: batched ``POST /v<codec>/batch/{get,put}``
   transfer plus ``POST /v<codec>/compile`` resolving :class:`CompileJob`
   batches server-side with cross-client in-flight dedup, a bounded job
   queue (429 + ``Retry-After``) and optional bearer-token auth;
@@ -40,7 +39,6 @@ from .backends import (
     CircuitBreaker,
     HTTPBackend,
     LocalFSBackend,
-    StoreBackend,
     cache_enabled_default,
     cache_max_bytes_default,
     cache_token_default,
@@ -65,7 +63,6 @@ __all__ = [
     "cache_key",
     "canonical_json",
     "key_payload",
-    "StoreBackend",
     "LocalFSBackend",
     "HTTPBackend",
     "CircuitBreaker",

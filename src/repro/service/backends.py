@@ -1,11 +1,10 @@
-"""Pluggable storage backends for the compiled-program store.
+"""Storage tiers of the compiled-program store, and the clients of its server.
 
-PR 2 fixed the *content* of the store — content-addressed SHA-256 keys over
+Every tier speaks the same content-addressed key scheme — SHA-256 keys over
 circuit + device physics + compiler knobs, JSON payloads, codec-versioned
-namespaces — and PR 4 makes its *location* pluggable.  Every backend speaks
-the same key scheme, so a compiled program is interchangeable between them:
+namespaces — so a compiled program is interchangeable between them:
 
-* :class:`LocalFSBackend` — the original on-disk layout
+* :class:`LocalFSBackend` — the on-disk layout
   (``<root>/v<codec>/<key[:2]>/<key>.json``); the entry files are its only
   record, and a scan of them answers ``stats()`` and drives LRU eviction
   under a byte budget;
@@ -23,15 +22,16 @@ is not the route's JSON shape is a failure that feeds the breaker.
 
 :class:`~repro.service.store.ProgramStore` is the store the rest of the
 toolchain talks to: a :class:`LocalFSBackend` tier plus, when a server URL
-is configured, an :class:`HTTPBackend` tier behind it.  This module also
-resolves the environment defaults (``REPRO_CACHE_DIR``,
-``REPRO_REMOTE_CACHE``, ``REPRO_CACHE_MAX_BYTES``, ...) that
-:class:`~repro.service.compile_service.CompileService` and the CLI pass in.
+is configured, an :class:`HTTPBackend` tier behind it.
+:func:`copy_missing` moves entries between two tiers (``cache push`` and
+``cache pull``).  This module also resolves the environment defaults
+(``REPRO_CACHE_DIR``, ``REPRO_REMOTE_CACHE``, ``REPRO_CACHE_MAX_BYTES``,
+...) that :class:`~repro.service.compile_service.CompileService` and the CLI
+pass in.
 """
 
 from __future__ import annotations
 
-import abc
 import contextlib
 import json
 import os
@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_MAX_PAYLOAD_BYTES",
     "DEFAULT_MAX_PENDING",
-    "StoreBackend",
     "LocalFSBackend",
     "HTTPBackend",
     "ServerClient",
@@ -395,90 +394,13 @@ class CircuitBreaker:
         }
 
 
-class StoreBackend(abc.ABC):
-    """What every program-store backend implements.
-
-    Keys are 64-char hex SHA-256 digests (see
-    :mod:`repro.service.cache_key`); payloads are JSON-serializable dicts.
-    Backends must treat unreadable or undecodable entries as misses, and
-    ``put`` must be last-writer-wins safe under concurrent writers.
-    """
-
-    @abc.abstractmethod
-    def get(self, key: str) -> Optional[dict]:
-        """Return the payload stored under *key*, or ``None`` on a miss."""
-
-    @abc.abstractmethod
-    def put(self, key: str, payload: dict) -> bool:
-        """Persist *payload* under *key*; ``True`` if the write succeeded."""
-
-    @abc.abstractmethod
-    def contains(self, key: str) -> bool:
-        """Whether an entry is stored under *key* (no payload transfer)."""
-
-    @abc.abstractmethod
-    def keys(self) -> Iterator[str]:
-        """Iterate over every stored key of the current codec version."""
-
-    @abc.abstractmethod
-    def delete(self, key: str) -> bool:
-        """Remove the entry under *key*; ``True`` if one existed."""
-
-    @abc.abstractmethod
-    def stats(self) -> Dict[str, object]:
-        """Entry count, byte footprint and backend identity."""
-
-    def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
-        """Fetch many entries; returns ``{key: payload}`` for the hits only.
-
-        The base implementation loops over :meth:`get`; backends with a
-        batched wire protocol (:class:`HTTPBackend`) override it to move
-        many entries per round trip.  Misses are simply absent from the
-        result, never an error.
-        """
-        found: Dict[str, dict] = {}
-        for key in keys:
-            payload = self.get(key)
-            if payload is not None:
-                found[key] = payload
-        return found
-
-    def put_many(self, entries: Mapping[str, dict]) -> int:
-        """Persist many entries; returns how many writes succeeded.
-
-        The base implementation loops over :meth:`put` (so the per-write
-        byte budget still applies); batched backends override it.  A write
-        that ``put`` reports as failed is skipped and not counted; a
-        backend whose ``put`` raises (:class:`LocalFSBackend` raises
-        ``OSError`` on a full or read-only disk, which the cache server
-        turns into a 500) propagates the error from here too.
-        """
-        return sum(1 for key, payload in entries.items() if self.put(key, payload))
-
-    def clear(self) -> int:
-        """Remove every stored entry; return the count removed."""
-        removed = 0
-        for key in list(self.keys()):
-            if self.delete(key):
-                removed += 1
-        return removed
-
-    def evict(self, max_bytes: int) -> Tuple[int, int]:
-        """LRU-evict entries until the footprint fits *max_bytes*.
-
-        Returns ``(entries_removed, bytes_freed)``.  The base implementation
-        is a no-op — only backends that track recency support eviction.
-        """
-        return (0, 0)
-
-
 # ---------------------------------------------------------------------------
 # local filesystem backend (the entry files are the whole record)
 # ---------------------------------------------------------------------------
-class LocalFSBackend(StoreBackend):
+class LocalFSBackend:
     """The content-addressed on-disk layout; the entry files are the store.
 
-    Layout (unchanged from PR 2, so existing caches keep working)::
+    Layout::
 
         <root>/v<codec-version>/<key[:2]>/<key>.json
 
@@ -640,6 +562,19 @@ class LocalFSBackend(StoreBackend):
         except OSError:
             return False
         return True
+
+    def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
+        """``{key: payload}`` for the keys that hit; misses are left out."""
+        found: Dict[str, dict] = {}
+        for key in keys:
+            payload = self.get(key)
+            if payload is not None:
+                found[key] = payload
+        return found
+
+    def put_many(self, entries: Mapping[str, dict]) -> int:
+        """:meth:`put` each entry; the count stored.  A full disk raises ``OSError``."""
+        return sum(1 for key, payload in entries.items() if self.put(key, payload))
 
     # ------------------------------------------------------------------
     # maintenance
@@ -851,7 +786,7 @@ class ServerClient:
         return Reply(status, reply_headers, value)
 
 
-class HTTPBackend(ServerClient, StoreBackend):
+class HTTPBackend(ServerClient):
     """Client for a shared cache server speaking the content-addressed scheme.
 
     Entry operations map onto ``GET/PUT/HEAD/DELETE /v<codec>/<key>``,
@@ -949,31 +884,38 @@ class HTTPBackend(ServerClient, StoreBackend):
         return f"HTTPBackend(url={self.url!r}, format={self.format!r})"
 
 
-def copy_missing(source: StoreBackend, destination: StoreBackend) -> Tuple[int, int]:
+def copy_missing(source, destination) -> Tuple[int, int]:
     """Copy every entry of *source* that *destination* lacks.
 
     Returns ``(copied, already_present)``.  This is the engine behind
     ``python -m repro cache push`` (local -> remote) and ``cache pull``
-    (remote -> local); an entry that vanishes or fails to decode mid-sync is
-    skipped, and a failed destination write is not counted as copied.  A
-    :class:`LocalFSBackend` destination raises ``OSError`` when its disk is
-    full or read-only (see :meth:`StoreBackend.put_many`).
+    (remote -> local).  Either side is a :class:`LocalFSBackend`, an
+    :class:`HTTPBackend`, or any object with ``keys``/``get_many``/``put_many``.
 
-    Batched since PR 8: one destination listing decides what is missing,
-    ``get_many``/``put_many`` move the entries in chunked round trips — a
-    full figure grid syncs in a handful of HTTP requests instead of one
-    ``contains`` + ``get`` + ``put`` triple per entry.
+    One destination listing decides what is missing.  The missing keys then
+    move in ``BATCH_CHUNK_ENTRIES``-sized chunks, each read from the source
+    and written to the destination before the next is read, so a full figure
+    grid syncs in a handful of HTTP requests and only one chunk is held in
+    memory.  A chunk of which the destination stores nothing ends the copy:
+    a dead server costs one chunk of reads, not the whole store.  An entry
+    that vanishes or fails to decode mid-sync is skipped, and a failed
+    destination write is not counted as copied.  A :class:`LocalFSBackend`
+    destination raises ``OSError`` when its disk is full or read-only.
     """
     destination_keys = set(destination.keys())
-    to_copy = []
+    missing = []
     present = 0
     for key in source.keys():
         if key in destination_keys:
             present += 1
         else:
-            to_copy.append(key)
-    if not to_copy:
-        return 0, present
-    entries = source.get_many(to_copy)
-    copied = destination.put_many(entries) if entries else 0
+            missing.append(key)
+    copied = 0
+    for offset in range(0, len(missing), BATCH_CHUNK_ENTRIES):
+        stored = destination.put_many(
+            source.get_many(missing[offset : offset + BATCH_CHUNK_ENTRIES])
+        )
+        if not stored:
+            break
+        copied += stored
     return copied, present

@@ -469,14 +469,8 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         ):
             self._reply(400, _json({"error": "keys must be a list of 64-char hex"}))
             return
-        entries: Dict[str, dict] = {}
-        missing: List[str] = []
-        for key in keys:
-            value = self._backend.get(key)
-            if value is None:
-                missing.append(key)
-            else:
-                entries[key] = value
+        entries = self._backend.get_many(keys)
+        missing = [key for key in keys if key not in entries]
         self._reply(200, _json({"entries": entries, "missing": missing}))
 
     def _batch_put(self, _key: None) -> None:
@@ -492,8 +486,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
                 400, _json({"error": "entries must map 64-char hex keys to JSON objects"})
             )
             return
-        stored = sum(1 for key, value in entries.items() if self._backend.put(key, value))
-        self._reply(200, _json({"stored": stored}))
+        self._reply(200, _json({"stored": self._backend.put_many(entries)}))
 
     def _compile(self, _key: None) -> None:
         payload = self._read_json_object()

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .backends import HTTPBackend, LocalFSBackend, StoreBackend
+from .backends import HTTPBackend, LocalFSBackend
 
 __all__ = ["ProgramStore"]
 
 
-class ProgramStore(StoreBackend):
+class ProgramStore:
     """A content-addressed key -> JSON-payload store: local tier, optional remote.
 
     Parameters
@@ -124,32 +124,6 @@ class ProgramStore(StoreBackend):
         except OSError:
             return False
 
-    def _read_through(self, keys: Sequence[str]) -> Dict[str, dict]:
-        """Fetch *keys* from the remote in batches, writing each hit back locally."""
-        if self.remote is None or not keys:
-            return {}
-        fetched = self.remote.get_many(keys)
-        for key, payload in fetched.items():
-            self.put_local(key, payload)
-        return fetched
-
-    def get_many(self, keys: Sequence[str]) -> Dict[str, dict]:
-        """Fetch many entries (``{key: payload}``, hits only).
-
-        Local hits first; the rest take one batched remote round trip per
-        :data:`~repro.service.backends.BATCH_CHUNK_ENTRIES` keys.
-        """
-        found = self.local.get_many(keys)
-        found.update(self._read_through([key for key in keys if key not in found]))
-        return found
-
-    def put_many(self, entries: Mapping[str, dict]) -> int:
-        """Persist many entries; returns how many local writes succeeded."""
-        stored = sum(1 for key, payload in entries.items() if self.put_local(key, payload))
-        if self.remote is not None:
-            self.remote.put_many(entries)
-        return stored
-
     def prefetch(self, keys: Sequence[str]) -> int:
         """Warm the local tier with remote entries, batched; returns fetches.
 
@@ -159,30 +133,10 @@ class ProgramStore(StoreBackend):
         """
         if self.remote is None:
             return 0
-        return len(self._read_through([key for key in keys if not self.local.contains(key)]))
-
-    def contains(self, key: str) -> bool:
-        """Whether *key* is served by either tier (no payload read)."""
-        return self.local.contains(key) or (
-            self.remote is not None and self.remote.contains(key)
-        )
-
-    def keys(self) -> Iterator[str]:
-        """Every key of the current codec version: local ones, then remote-only ones."""
-        seen = set()
-        for key in self.local.keys():
-            seen.add(key)
-            yield key
-        if self.remote is not None:
-            for key in self.remote.keys():
-                if key not in seen:
-                    yield key
-
-    def delete(self, key: str) -> bool:
-        """Remove *key* from both tiers; ``True`` if either held it."""
-        local = self.local.delete(key)
-        remote = self.remote is not None and self.remote.delete(key)
-        return local or remote
+        fetched = self.remote.get_many([key for key in keys if not self.local.contains(key)])
+        for key, payload in fetched.items():
+            self.put_local(key, payload)
+        return len(fetched)
 
     # ------------------------------------------------------------------
     # maintenance (local tier only)

@@ -2,10 +2,13 @@
 from the CLI through :class:`CompileService`, plus the env defaults for the
 remote-cache and byte-budget knobs."""
 
+import os
+
 import pytest
 
 from repro.analysis import clear_sweep_caches
 from repro.cli import main
+from repro.envvars import ENV_VARS
 from repro.service import (
     CompileService,
     ProgramStore,
@@ -13,6 +16,7 @@ from repro.service import (
     remote_cache_default,
     reset_service,
 )
+from repro.service.testing import hermetic_cache_env
 
 ARGV = ["figure", "fig09", "--benchmarks", "bv(4)"]
 GRID_SIZE = 5  # bv(4) x five strategies
@@ -133,3 +137,29 @@ class TestServiceEnvResolution:
         assert remote_cache_default() is None
         monkeypatch.setenv("REPRO_REMOTE_CACHE", "   ")
         assert remote_cache_default() is None
+
+
+#: The variables a hermetic test session pins: every registered one but the
+#: harness-only ``REPRO_SKIP_PERF``.
+PINNED = [var.name for var in ENV_VARS if var.commands != ("*",)]
+
+
+class TestHermeticCacheEnv:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_an_ambient_value_does_not_survive_and_is_restored(self, name, tmp_path, monkeypatch):
+        monkeypatch.setenv(name, "junk-ambient-value")
+        with hermetic_cache_env(str(tmp_path / "session")):
+            assert os.environ.get(name) != "junk-ambient-value"
+            assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path / "session")
+        assert os.environ[name] == "junk-ambient-value"
+
+    def test_the_harness_only_skip_perf_passes_through(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SKIP_PERF", "1")
+        with hermetic_cache_env(str(tmp_path)):
+            assert os.environ["REPRO_SKIP_PERF"] == "1"
+
+    def test_an_unset_variable_stays_unset_afterwards(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_REMOTE_CACHE", raising=False)
+        with hermetic_cache_env(str(tmp_path)):
+            pass
+        assert "REPRO_REMOTE_CACHE" not in os.environ

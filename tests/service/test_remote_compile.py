@@ -388,7 +388,7 @@ class TestServiceRouting:
         assert result.program.name == JOB.benchmark  # compiled locally, not an error
         assert service.stats.misses == 1
         assert service.stats.remote_compiles == 0
-        assert service.store.contains(service.job_key(JOB))
+        assert service.store.local.contains(service.job_key(JOB))
 
     def test_batch_routes_misses_through_the_server(self, tmp_path, cache_server):
         service = CompileService(
@@ -443,7 +443,7 @@ class TestServiceRouting:
         assert service.stats.misses == 2
         assert service.stats.remote_compiles == 0
         for job in (JOB, OTHER_JOB):
-            assert service.store.contains(service.job_key(job))
+            assert service.store.local.contains(service.job_key(job))
 
 
 class TestRemoteCompileCLI:

@@ -30,8 +30,8 @@ class TestRoundTrip:
         store = ProgramStore(tmp_path)
         store.put(KEY_A, {"x": 1.5})
         assert store.get(KEY_A) == {"x": 1.5}
-        assert store.contains(KEY_A)
-        assert not store.contains(KEY_B)
+        assert store.local.contains(KEY_A)
+        assert not store.local.contains(KEY_B)
 
     def test_miss_returns_none(self, tmp_path):
         assert ProgramStore(tmp_path).get(KEY_A) is None
@@ -74,7 +74,7 @@ class TestLayout:
         store = ProgramStore(tmp_path)
         store.put(KEY_B, {})
         store.put(KEY_A, {})
-        assert list(store.keys()) == sorted([KEY_A, KEY_B])
+        assert list(store.local.keys()) == sorted([KEY_A, KEY_B])
 
 
 class TestMaintenance:
@@ -83,7 +83,7 @@ class TestMaintenance:
         store.put(KEY_A, {})
         store.put(KEY_B, {})
         assert store.clear() == 2
-        assert not store.contains(KEY_A)
+        assert not store.local.contains(KEY_A)
         assert store.clear() == 0
 
     def test_clear_removes_stale_versions_too(self, tmp_path):
@@ -132,7 +132,6 @@ class TestFullDisk:
         store = ProgramStore(tmp_path)
         assert store.put(KEY_A, {"x": 1}) is False
         assert store.put_local(KEY_A, {"x": 1}) is False
-        assert store.put_many({KEY_A: {"x": 1}, KEY_B: {"y": 2}}) == 0
         assert store.get(KEY_A) is None
 
     def test_server_put_answers_500_not_a_false_204(self, cache_server, full_disk):

@@ -207,23 +207,11 @@ class TwoTierStoreMachine(RuleBasedStateMachine):
         assert self.store.get(key) == self.read_through(key)
 
     @rule(keys=st.lists(st.sampled_from(KEYS), unique=True))
-    def get_many(self, keys):
-        expected = {key: self.read_through(key) for key in keys}
-        assert self.store.get_many(keys) == {k: v for k, v in expected.items() if v is not None}
-
-    @rule(keys=st.lists(st.sampled_from(KEYS), unique=True))
     def prefetch(self, keys):
         fetched = [key for key in keys if key not in self.local and key in self.remote]
         for key in fetched:
             self.read_through(key)
         assert self.store.prefetch(keys) == len(fetched)
-
-    @rule(key=st.sampled_from(KEYS))
-    def delete(self, key):
-        existed = key in self.local or key in self.remote
-        assert self.store.delete(key) is existed
-        self.local.pop(key, None)
-        self.remote.pop(key, None)
 
     @rule()
     def clear(self):
@@ -243,7 +231,6 @@ class TwoTierStoreMachine(RuleBasedStateMachine):
     def tiers_match_the_model(self):
         assert {key: self.store.local.get(key) for key in self.store.local.keys()} == self.local
         assert {key: self.server.backend.get(key) for key in self.server.backend.keys()} == self.remote
-        assert sorted(self.store.keys()) == sorted(set(self.local) | set(self.remote))
         stats = self.store.stats()
         assert (stats["entries"], stats["remote_entries"]) == (len(self.local), len(self.remote))
         assert stats["remote_errors"] == 0
